@@ -10,6 +10,7 @@ use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
 use flit_core::metrics::l2_compare;
 use flit_core::runner::{run_matrix, RunnerConfig};
 use flit_core::test::FlitTest;
+use flit_exec::ThreadsBackend;
 use flit_mfem::examples::example_driver;
 use flit_mfem::{mfem_examples, mfem_program};
 use flit_program::build::Build;
@@ -30,7 +31,15 @@ fn bench_bisect(c: &mut Criterion) {
     let input = [0.35, 0.62];
 
     let run = |cfg: &HierarchicalConfig| {
-        bisect_hierarchical(&baseline, &variable, &driver, &input, &l2_compare, cfg)
+        bisect_hierarchical(
+            &baseline,
+            &variable,
+            &driver,
+            &input,
+            &l2_compare,
+            cfg,
+            &ThreadsBackend::new(1),
+        )
     };
 
     let mut group = c.benchmark_group("cache_bisect");

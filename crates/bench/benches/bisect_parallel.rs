@@ -11,9 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use flit_bench::mfem_study::bisect_all_variable_with;
-use flit_bisect::hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig,
-};
+use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
 use flit_core::metrics::l2_compare;
 use flit_core::runner::{run_matrix, RunnerConfig};
 use flit_core::test::FlitTest;
@@ -26,9 +24,10 @@ use flit_toolchain::compilation::{mfem_matrix, Compilation};
 use flit_toolchain::compiler::{CompilerKind, OptLevel};
 use flit_toolchain::flags::Switch;
 
-/// One hierarchical search, frontier fanned out on an executor. A
-/// fresh uncached build context per iteration keeps the jobs arms
-/// comparable (no warm cache favoring whichever ran second).
+/// One hierarchical search, frontier fanned out on an executor (width 1
+/// is the serial search). A fresh uncached build context per iteration
+/// keeps the jobs arms comparable (no warm cache favoring whichever ran
+/// second).
 fn bench_single_search(c: &mut Criterion) {
     let program = mfem_program();
     let baseline = Build::new(&program, Compilation::baseline());
@@ -40,23 +39,11 @@ fn bench_single_search(c: &mut Criterion) {
     let driver = example_driver(13, 1);
     let mut group = c.benchmark_group("bisect_parallel/single_search");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            bisect_hierarchical(
-                &baseline,
-                &variable,
-                &driver,
-                &[0.35, 0.62],
-                &l2_compare,
-                &HierarchicalConfig::all(),
-            )
-        });
-    });
     for &jobs in &[1usize, 2, 4, 8] {
         let exec = ThreadsBackend::new(jobs);
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, _| {
             b.iter(|| {
-                bisect_hierarchical_parallel(
+                bisect_hierarchical(
                     &baseline,
                     &variable,
                     &driver,

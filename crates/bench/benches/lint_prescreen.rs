@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use flit_bisect::hierarchy::{bisect_hierarchical_parallel, HierarchicalConfig};
+use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
 use flit_core::metrics::l2_compare;
 use flit_exec::ThreadsBackend;
 use flit_lint::{analyze_program, predict_pair};
@@ -70,7 +70,7 @@ fn bench_seeded_search(c: &mut Criterion) {
     let exec = ThreadsBackend::new(8);
 
     let run = |cfg: &HierarchicalConfig| {
-        bisect_hierarchical_parallel(
+        bisect_hierarchical(
             &baseline,
             &variable,
             &driver,

@@ -14,9 +14,7 @@
 
 use flit_absint::{certify_pair, Certificate};
 use flit_bench::mfem_study::{default_threads, mfem_sweep};
-use flit_bisect::hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, SearchOutcome,
-};
+use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_core::metrics::l2_compare;
 use flit_exec::{Executor, ThreadsBackend};
 use flit_lint::predict_pair;
@@ -72,6 +70,7 @@ fn audit_pair(program: &SimProgram, test: &str, comp: &Compilation, ctx: &BuildC
         &INPUT,
         &l2_compare,
         &HierarchicalConfig::all().with_ctx(ctx.clone()),
+        &ThreadsBackend::new(1),
     );
     let crashed = matches!(res.outcome, SearchOutcome::Crashed(_));
 
@@ -252,6 +251,7 @@ fn prune_savings(program: &SimProgram) {
             &INPUT,
             &l2_compare,
             &HierarchicalConfig::all().with_ctx(ctx.clone()),
+            &ThreadsBackend::new(1),
         );
         for (mode, total) in totals.iter_mut().enumerate() {
             let trace = TraceSink::enabled();
@@ -274,15 +274,7 @@ fn prune_savings(program: &SimProgram) {
                 }
                 _ => {}
             }
-            let res = bisect_hierarchical_parallel(
-                &base,
-                &var,
-                &driver,
-                &INPUT,
-                &l2_compare,
-                &cfg,
-                &exec,
-            );
+            let res = bisect_hierarchical(&base, &var, &driver, &INPUT, &l2_compare, &cfg, &exec);
             assert_eq!(res.files, gold.files, "prune must not change file blame");
             assert_eq!(
                 res.symbols, gold.symbols,

@@ -10,9 +10,7 @@
 //!    prediction's coverage of every measurable injection.
 
 use flit_bench::mfem_study::{default_threads, mfem_sweep};
-use flit_bisect::hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, SearchOutcome,
-};
+use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_core::metrics::l2_compare;
 use flit_exec::{Executor, ThreadsBackend};
 use flit_inject::study::{run_study, StudyConfig};
@@ -84,6 +82,7 @@ fn table2_audit(program: &SimProgram) {
             &[0.35, 0.62],
             &l2_compare,
             &HierarchicalConfig::all().with_ctx(ctx.clone()),
+            &ThreadsBackend::new(1),
         );
         let crashed = matches!(res.outcome, SearchOutcome::Crashed(_));
         (audit_hierarchy(&pred, &res), pred.abi_hazard, crashed)
@@ -179,7 +178,7 @@ fn seeding_savings(program: &SimProgram) {
             if seed {
                 cfg = cfg.with_prescreen(pred.prescreen(false));
             }
-            let a = bisect_hierarchical_parallel(
+            let a = bisect_hierarchical(
                 &base,
                 &var,
                 &driver,
@@ -195,6 +194,7 @@ fn seeding_savings(program: &SimProgram) {
                 &[0.35, 0.62],
                 &l2_compare,
                 &HierarchicalConfig::all().with_ctx(ctx.clone()),
+                &ThreadsBackend::new(1),
             );
             assert_eq!(a, b, "seeding/width must never change findings");
             *total += trace.snapshot().counter(counter::EXEC_QUERIES_EXECUTED);

@@ -9,6 +9,7 @@
 
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_core::metrics::l2_compare;
+use flit_exec::ThreadsBackend;
 use flit_fpsim::ulp::l2_norm;
 use flit_mfem::examples::{example_driver, mpi_wrappable};
 use flit_mfem::mfem_program;
@@ -103,6 +104,7 @@ fn main() {
                 &INPUT,
                 &l2_compare,
                 &HierarchicalConfig::all(),
+                &ThreadsBackend::new(1),
             )
         };
         let seq = run(1);

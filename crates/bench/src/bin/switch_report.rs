@@ -7,6 +7,7 @@ use flit_bench::mfem_sweep;
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
 use flit_core::analysis::switch_attribution;
 use flit_core::metrics::l2_compare;
+use flit_exec::ThreadsBackend;
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_program;
 use flit_program::build::Build;
@@ -46,6 +47,7 @@ fn main() {
         &[0.35, 0.62],
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     println!("library blame for ex08 under g++ -O3 -mavx2 -mfma -funsafe-math-optimizations:");
     for (lib, value) in res.library_blame() {

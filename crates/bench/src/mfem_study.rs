@@ -7,7 +7,7 @@ use flit_core::db::ResultsDb;
 use flit_core::metrics::l2_compare;
 use flit_core::runner::{run_matrix, RunnerConfig};
 use flit_core::test::FlitTest;
-use flit_exec::Executor;
+use flit_exec::{Executor, ThreadsBackend};
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_examples;
 use flit_program::build::Build;
@@ -100,6 +100,7 @@ pub fn bisect_all_variable_with(
                 &[0.35, 0.62],
                 &l2_compare,
                 &HierarchicalConfig::all().with_ctx(ctx.clone()),
+                &ThreadsBackend::new(1),
             );
             let with_files = !res.files.is_empty();
             let symbol_ok = with_files && res.file_level_only.is_empty() && !res.symbols.is_empty();

@@ -57,6 +57,24 @@ pub enum AssumptionViolation<I> {
     },
 }
 
+impl<I> AssumptionViolation<I> {
+    /// The user-facing diagnostic, naming elements through `name`.
+    pub(crate) fn describe(&self, name: impl Fn(&I) -> String) -> String {
+        match self {
+            AssumptionViolation::SingletonBlame { element } => format!(
+                "singleton-blame assumption violated at `{}` (possible false negatives)",
+                name(element)
+            ),
+            AssumptionViolation::UniqueError {
+                items_value,
+                found_value,
+            } => format!(
+                "unique-error assumption violated: Test(items)={items_value} != Test(found)={found_value}"
+            ),
+        }
+    }
+}
+
 /// Outcome of a `BisectAll` search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BisectOutcome<I> {

@@ -11,8 +11,8 @@
 //! removes the variability, "the search cannot go deeper; we must be
 //! content with reporting the file containing the variability."
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use flit_program::build::Build;
@@ -24,12 +24,13 @@ use flit_trace::sink::TraceSink;
 
 use flit_exec::{run_on, ExecBackend, ExecError};
 
-use crate::algo::{bisect_all, AssumptionViolation, BisectOutcome};
-use crate::biggest::bisect_biggest;
+use crate::algo::BisectOutcome;
 use crate::ledger::{LedgerHandle, SearchKeys};
-use crate::parallel::{drive_plans_seeded, emit_query_spans, SharedOracle, SpeculationScore};
-use crate::planner::{BisectPlan, PlanFailure, PlanOutcome, SearchMode};
-use crate::test_fn::{TestError, TestFn};
+use crate::parallel::{
+    drive_plans_seeded, emit_query_spans, ParallelTestFn, SharedOracle, SpeculationScore,
+};
+use crate::planner::{BisectPlan, SearchMode};
+use crate::test_fn::TestError;
 use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
 /// A static prescreen of the hierarchical search space (produced by
@@ -392,6 +393,137 @@ impl HierarchicalResult {
     }
 }
 
+impl HierarchicalResult {
+    /// End the search early with `outcome = Crashed(message)`, keeping
+    /// everything accumulated so far.
+    fn crashed(mut self, message: String) -> Self {
+        self.outcome = SearchOutcome::Crashed(message);
+        self
+    }
+}
+
+/// The two levels of the search.
+#[derive(Debug, Clone, Copy)]
+enum Level {
+    File,
+    Symbol,
+}
+
+impl Level {
+    fn name(self) -> &'static str {
+        match self {
+            Level::File => "file",
+            Level::Symbol => "symbol",
+        }
+    }
+}
+
+impl Prescreen {
+    /// Book `n` items dropped from a level's search space, under the
+    /// `absint.*` counter for a certified prune and `lint.*` otherwise.
+    fn book_pruned(&self, trace: &TraceSink, level: Level, n: usize) {
+        let name = match (level, self.certificates.is_some()) {
+            (Level::File, true) => counter_names::ABSINT_PRUNED_FILES,
+            (Level::File, false) => counter_names::LINT_PRUNED_FILES,
+            (Level::Symbol, true) => counter_names::ABSINT_PRUNED_SYMBOLS,
+            (Level::Symbol, false) => counter_names::LINT_PRUNED_SYMBOLS,
+        };
+        trace.counter(name).incr(n as u64);
+    }
+
+    /// Algorithm-1-style dynamic verification guarding a pruned level:
+    /// the found set must reproduce the *unpruned* space's Test value
+    /// (`all`, canonical), or the prescreen hid a real culprit. In
+    /// certified mode the certificate replaces one leg of the probe:
+    /// `Test(found)` is mined from the search's own Assumption-1
+    /// verification query, so only the residual `Test(all)` audit
+    /// executes. Every leg is booked into the level's `(executions,
+    /// seconds)` tally whether or not the oracle serves it from memory.
+    fn guard<I>(
+        &self,
+        level: Level,
+        oracle: &SharedOracle<'_, I>,
+        all: &[I],
+        outcome: &BisectOutcome<I>,
+        trace: &TraceSink,
+        tally: &mut (usize, f64),
+    ) -> Result<Option<String>, TestError>
+    where
+        I: Clone + Ord + Hash + Send + Sync,
+    {
+        let mut found: Vec<I> = outcome.found.iter().map(|(i, _)| i.clone()).collect();
+        found.sort();
+        let mut eval = |items: &[I]| {
+            tally.0 += 1;
+            let answer = oracle.eval(items);
+            if let Ok((_, seconds)) = &answer {
+                tally.1 += *seconds;
+            }
+            answer.map(|(value, _)| value)
+        };
+        let certified = self.certificates.is_some();
+        let (full, found_v) = if certified {
+            trace.counter(counter_names::ABSINT_PRUNE_AUDITS).incr(1);
+            let full = eval(all);
+            // BisectBiggest skips the Assumption-1 verification query;
+            // fall back to an explicit one.
+            let found_v = match found_verification_value(outcome) {
+                Some(v) => Ok(v),
+                None => eval(&found),
+            };
+            (full, found_v)
+        } else {
+            trace
+                .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
+                .incr(2);
+            (eval(all), eval(&found))
+        };
+        let (full, found_v) = (full?, found_v?);
+        Ok((full != found_v).then(|| {
+            if certified {
+                certified_audit_violation(level.name(), full, found_v)
+            } else {
+                prune_guard_violation(level.name(), full, found_v)
+            }
+        }))
+    }
+}
+
+/// A search's ledger handle with its canonical keys.
+type Ledgered<'c> = Option<(&'c LedgerHandle, SearchKeys)>;
+
+/// One level's single-flight oracle: answers route through the search's
+/// ledger (under the key `key` digests) when it has one, else through
+/// the oracle's own memo.
+fn level_oracle<'f, I>(
+    raw: impl ParallelTestFn<I> + 'f,
+    trace: &TraceSink,
+    ledger: &Ledgered<'_>,
+    key: impl Fn(&SearchKeys, &[I]) -> String + Sync + 'f,
+) -> SharedOracle<'f, I>
+where
+    I: Clone + Ord + Hash + Send + Sync,
+{
+    match ledger {
+        Some((handle, keys)) => {
+            let keys = keys.clone();
+            SharedOracle::with_ledger(raw, trace, (*handle).clone(), move |items| {
+                key(&keys, items)
+            })
+        }
+        None => SharedOracle::new(raw, trace),
+    }
+}
+
+/// The crash reason of a search whose backend failed: a panicking Test
+/// or an exhausted retry budget.
+fn exec_crash_message(e: ExecError) -> String {
+    match e {
+        ExecError::WorkerPanicked { message, .. } => format!("bisect worker panicked: {message}"),
+        ExecError::Backend { message } => format!("bisect backend failed: {message}"),
+    }
+}
+
 /// Run the full hierarchical search.
 ///
 /// * `baseline` / `variable` — the two builds (identical program
@@ -400,8 +532,26 @@ impl HierarchicalResult {
 /// * `driver` — the test driver (entry points and input scheme).
 /// * `input` — the FLiT test input vector.
 /// * `compare` — the user's comparison metric
-///   (`||baseline − actual||₂` in the MFEM study). `Sync` so the same
-///   metric can drive [`bisect_hierarchical_parallel`].
+///   (`||baseline − actual||₂` in the MFEM study). `Sync` because
+///   queries may evaluate on any worker.
+/// * `exec` — the backend independent Test queries fan out on.
+///   `ThreadsBackend::new(1)` is the serial search: every query runs
+///   inline, exactly the ones Algorithm 1 asks for, with no speculation.
+///
+/// Each stage is *decided* by the planner and *folded* in the serial
+/// order: the file-level search runs as a frontier-driven plan (both
+/// halves of every split, plus speculation up to the backend width,
+/// evaluated through a single-flight [`SharedOracle`]); the `-fPIC`
+/// probes of all found files run as one wave; the per-file symbol
+/// searches run as *joint* plans sharing the backend. The result —
+/// outcome, findings, execution counts, violations, and the `bisect.*`
+/// spans/counters — is byte-identical at any worker count; only the
+/// `exec.*` scheduling telemetry depends on the width. With a remote
+/// [`HierarchicalConfig::backend`] each query evaluates in a worker
+/// subprocess via [`RemotePlane`].
+///
+/// A panicking Test surfaces as [`SearchOutcome::Crashed`], as does a
+/// backend whose retry budget is exhausted.
 pub fn bisect_hierarchical(
     baseline: &Build,
     variable: &Build,
@@ -409,62 +559,51 @@ pub fn bisect_hierarchical(
     input: &[f64],
     compare: &(dyn Fn(&[f64], &[f64]) -> f64 + Sync),
     cfg: &HierarchicalConfig,
+    exec: &dyn ExecBackend,
 ) -> HierarchicalResult {
-    let mut executions = 0usize;
-    let mut violations: Vec<String> = Vec::new();
-
+    let mut res = HierarchicalResult {
+        outcome: SearchOutcome::Completed,
+        files: vec![],
+        symbols: vec![],
+        file_level_only: vec![],
+        executions: 0,
+        violations: vec![],
+    };
     // One search = one file-level span plus one symbol-level span per
     // searched file, labelled by the (driver, variable compilation)
     // pair that identifies the search.
     let search = format!("{}/{}", driver.name, variable.compilation.label());
     let variable_label = variable.compilation.label();
-    let keys = cfg
+    let ledger: Ledgered<'_> = cfg
         .ledger
         .as_ref()
-        .map(|_| search_keys(baseline, variable, driver, input, cfg));
-    let reference_runs = cfg.trace.counter(counter_names::BISECT_REFERENCE_RUNS);
-    let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
+        .map(|l| (l, search_keys(baseline, variable, driver, input, cfg)));
     let plane = cfg.plane(baseline, variable, driver, input);
+    let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
 
     // Reference run under the trusted baseline build. Through a ledger
     // the answer (the full output vector) may be served by another
-    // search or a journal replay; the accounting below is identical
-    // either way.
-    let reference = {
-        let compute = || plane.run_recipe(&ExeRecipe::Baseline);
-        match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => ledger.eval_output(&keys.reference(), compute),
-            _ => compute(),
-        }
+    // search or a journal replay; the accounting is identical either
+    // way, and a failed baseline *link* is not an execution.
+    let compute = || plane.run_recipe(&ExeRecipe::Baseline);
+    let reference = match &ledger {
+        Some((handle, keys)) => handle.eval_output(&keys.reference(), compute),
+        None => compute(),
     };
+    if !matches!(reference, Err(TestError::Link(_))) {
+        res.executions += 1;
+        cfg.trace
+            .counter(counter_names::BISECT_REFERENCE_RUNS)
+            .incr(1);
+    }
     let base_out = match reference {
-        Ok((out, _)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            out
-        }
-        Err(TestError::Link(e)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("baseline link failed: {e}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-        Err(TestError::Crash(e)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("baseline run failed: {e}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            };
-        }
+        Ok((out, _)) => out,
+        Err(TestError::Link(e)) => return res.crashed(format!("baseline link failed: {e}")),
+        Err(TestError::Crash(e)) => return res.crashed(format!("baseline run failed: {e}")),
+    };
+    let mode = match cfg.k {
+        None => SearchMode::All,
+        Some(k) => SearchMode::Biggest(k),
     };
 
     // ---- File Bisect ----
@@ -477,20 +616,11 @@ pub fn bisect_hierarchical(
                 .copied()
                 .filter(|id| p.keep_file(*id))
                 .collect();
-            let pruned_counter = if p.certificates.is_some() {
-                counter_names::ABSINT_PRUNED_FILES
-            } else {
-                counter_names::LINT_PRUNED_FILES
-            };
-            cfg.trace
-                .counter(pruned_counter)
-                .incr((all_file_ids.len() - kept.len()) as u64);
+            p.book_pruned(&cfg.trace, Level::File, all_file_ids.len() - kept.len());
             kept
         }
         None => all_file_ids.clone(),
     };
-    let mut file_execs = 0usize;
-    let file_secs = Cell::new(0.0f64);
     let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
         let recipe = ExeRecipe::FileMixed {
             items: items.to_vec(),
@@ -498,501 +628,9 @@ pub fn bisect_hierarchical(
         let (out, seconds) = plane.run_recipe(&recipe)?;
         Ok((compare(&base_out, &out), seconds))
     };
-    let file_test = |items: &[usize]| -> Result<f64, TestError> {
-        let (value, seconds) = match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => {
-                ledger.eval_score(&keys.file_query(&variable_label, items), || file_raw(items))
-            }
-            _ => file_raw(items),
-        }?;
-        file_secs.set(file_secs.get() + seconds);
-        Ok(value)
-    };
-    let counted_file_test = CountingTest {
-        inner: &file_test,
-        count: &mut file_execs,
-    };
-
-    let mut file_outcome = match cfg.k {
-        None => bisect_all(counted_file_test, &file_ids),
-        Some(k) => bisect_biggest(counted_file_test, &file_ids, k),
-    };
-    // Algorithm-1-style dynamic verification guarding the prune: the
-    // found set must reproduce the *unpruned* space's Test value, or
-    // the static prescreen hid a real culprit. In certified mode the
-    // certificate replaces one leg of the probe: `Test(found)` is mined
-    // from the search's own Assumption-1 verification query, so only
-    // the residual `Test(all)` audit executes.
-    let mut guard_violations: Vec<String> = Vec::new();
-    if let Some(p) = prune.filter(|_| file_ids.len() < all_file_ids.len()) {
-        if let Ok(r) = &file_outcome {
-            let certified = p.certificates.is_some();
-            let mut found_ids: Vec<usize> = r.found.iter().map(|(i, _)| *i).collect();
-            found_ids.sort_unstable();
-            let (full, found_v) = if certified {
-                cfg.trace
-                    .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                    .incr(1);
-                file_execs += 1;
-                let full = file_test(&all_file_ids);
-                let found_v = match found_verification_value(r) {
-                    Some(v) => Ok(v),
-                    None => {
-                        // BisectBiggest skips the Assumption-1
-                        // verification query; fall back to an explicit
-                        // one.
-                        file_execs += 1;
-                        file_test(&found_ids)
-                    }
-                };
-                (full, found_v)
-            } else {
-                file_execs += 2;
-                cfg.trace
-                    .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                    .incr(2);
-                (file_test(&all_file_ids), file_test(&found_ids))
-            };
-            match (full, found_v) {
-                (Ok(full), Ok(found_v)) => {
-                    if full != found_v {
-                        guard_violations.push(if certified {
-                            certified_audit_violation("file", full, found_v)
-                        } else {
-                            prune_guard_violation("file", full, found_v)
-                        });
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => file_outcome = Err(e),
-            }
-        }
-    }
-    executions += file_execs;
-    cfg.trace
-        .counter(counter_names::BISECT_FILE_RUNS)
-        .incr(file_execs as u64);
-    cfg.trace.span(
-        phase::BISECT_FILE,
-        search.clone(),
-        file_execs as u64,
-        file_secs.get(),
-    );
-
-    let file_result = match file_outcome {
-        Ok(r) => r,
-        Err(TestError::Crash(s)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(s),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-        Err(TestError::Link(s)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("link: {s}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-    };
-    for v in &file_result.violations {
-        violations.push(violation_string(v, |id| {
-            baseline.program.files[*id].name.clone()
-        }));
-    }
-    violations.append(&mut guard_violations);
-
-    let files: Vec<FileFinding> = file_result
-        .found
-        .iter()
-        .map(|(id, value)| FileFinding {
-            file_id: *id,
-            file_name: baseline.program.files[*id].name.clone(),
-            value: *value,
-        })
-        .collect();
-    check_certified_bounds(cfg, &files, &mut violations);
-
-    if files.is_empty() {
-        let outcome = if violations.is_empty() {
-            // Nothing found and nothing flagged: the mixed link cannot
-            // reproduce the variability — link-step blame.
-            SearchOutcome::LinkStepOnly
-        } else {
-            SearchOutcome::AssumptionViolated
-        };
-        return HierarchicalResult {
-            outcome,
-            files,
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
-    }
-
-    // ---- Symbol Bisect per found file ----
-    let mut symbols: Vec<SymbolFinding> = Vec::new();
-    let mut file_level_only: Vec<usize> = Vec::new();
-
-    for finding in &files {
-        let fid = finding.file_id;
-        // -fPIC probe: does the variability survive the recompile?
-        let probe_answer = {
-            let compute = || -> Result<(f64, f64), TestError> {
-                let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
-                Ok((compare(&base_out, &out), seconds))
-            };
-            match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => {
-                    ledger.eval_score(&keys.probe(&variable_label, fid), compute)
-                }
-                _ => compute(),
-            }
-        };
-        let probe_value = match probe_answer {
-            Ok((v, _)) => {
-                executions += 1;
-                probe_runs.incr(1);
-                v
-            }
-            // A failed probe *link* is not an execution (the serial
-            // walk returns before counting).
-            Err(TestError::Link(e)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(format!("pic probe link: {e}")),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
-            Err(TestError::Crash(s)) => {
-                executions += 1;
-                probe_runs.incr(1);
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(s),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                };
-            }
-        };
-        if probe_value == 0.0 {
-            file_level_only.push(fid);
-            continue;
-        }
-
-        let all_syms = baseline.program.exported_symbols_of_file(fid);
-        if all_syms.is_empty() {
-            file_level_only.push(fid);
-            continue;
-        }
-        let syms: Vec<String> = match prune {
-            Some(p) => {
-                let kept: Vec<String> = all_syms
-                    .iter()
-                    .filter(|s| p.keep_symbol(s))
-                    .cloned()
-                    .collect();
-                let pruned_counter = if p.certificates.is_some() {
-                    counter_names::ABSINT_PRUNED_SYMBOLS
-                } else {
-                    counter_names::LINT_PRUNED_SYMBOLS
-                };
-                cfg.trace
-                    .counter(pruned_counter)
-                    .incr((all_syms.len() - kept.len()) as u64);
-                kept
-            }
-            None => all_syms.clone(),
-        };
-        let mut sym_execs = 0usize;
-        let sym_secs = Cell::new(0.0f64);
-        let sym_raw = |items: &[String]| -> Result<(f64, f64), TestError> {
-            let recipe = ExeRecipe::SymbolMixed {
-                file: fid,
-                items: items.to_vec(),
-            };
-            let (out, seconds) = plane.run_recipe(&recipe)?;
-            Ok((compare(&base_out, &out), seconds))
-        };
-        let sym_test = |items: &[String]| -> Result<f64, TestError> {
-            let (value, seconds) = match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => ledger
-                    .eval_score(&keys.symbol_query(&variable_label, fid, items), || {
-                        sym_raw(items)
-                    }),
-                _ => sym_raw(items),
-            }?;
-            sym_secs.set(sym_secs.get() + seconds);
-            Ok(value)
-        };
-        let counted_sym_test = CountingTest {
-            inner: &sym_test,
-            count: &mut sym_execs,
-        };
-        let mut sym_outcome = match cfg.k {
-            None => bisect_all(counted_sym_test, &syms),
-            Some(k) => bisect_biggest(counted_sym_test, &syms, k),
-        };
-        // Dynamic verification guarding a symbol-level prune (see the
-        // file-level guard above).
-        let mut guard_violations: Vec<String> = Vec::new();
-        if let Some(p) = prune.filter(|_| syms.len() < all_syms.len()) {
-            if let Ok(r) = &sym_outcome {
-                let certified = p.certificates.is_some();
-                let mut full = all_syms.clone();
-                full.sort();
-                let mut found_syms: Vec<String> = r.found.iter().map(|(s, _)| s.clone()).collect();
-                found_syms.sort();
-                let (a, b) = if certified {
-                    cfg.trace
-                        .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                        .incr(1);
-                    sym_execs += 1;
-                    let a = sym_test(&full);
-                    let b = match found_verification_value(r) {
-                        Some(v) => Ok(v),
-                        None => {
-                            sym_execs += 1;
-                            sym_test(&found_syms)
-                        }
-                    };
-                    (a, b)
-                } else {
-                    sym_execs += 2;
-                    cfg.trace
-                        .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                        .incr(2);
-                    (sym_test(&full), sym_test(&found_syms))
-                };
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        if a != b {
-                            guard_violations.push(if certified {
-                                certified_audit_violation("symbol", a, b)
-                            } else {
-                                prune_guard_violation("symbol", a, b)
-                            });
-                        }
-                    }
-                    (Err(e), _) | (_, Err(e)) => sym_outcome = Err(e),
-                }
-            }
-        }
-        executions += sym_execs;
-        cfg.trace
-            .counter(counter_names::BISECT_SYMBOL_RUNS)
-            .incr(sym_execs as u64);
-        cfg.trace.span(
-            phase::BISECT_SYMBOL,
-            format!("{search}/{}", baseline.program.files[fid].name),
-            sym_execs as u64,
-            sym_secs.get(),
-        );
-        match sym_outcome {
-            Ok(r) => {
-                for v in &r.violations {
-                    violations.push(violation_string(v, Clone::clone));
-                }
-                violations.append(&mut guard_violations);
-                if r.found.is_empty() {
-                    // Exported-symbol interposition cannot reproduce it
-                    // (e.g. variability lives in statics/inlined code).
-                    file_level_only.push(fid);
-                }
-                for (symbol, value) in r.found {
-                    symbols.push(SymbolFinding {
-                        symbol,
-                        file_id: fid,
-                        value,
-                    });
-                }
-            }
-            Err(TestError::Crash(s)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(s),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
-            Err(TestError::Link(s)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(format!("link: {s}")),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
-        }
-    }
-
-    let outcome = if violations.is_empty() {
-        SearchOutcome::Completed
-    } else {
-        SearchOutcome::AssumptionViolated
-    };
-    HierarchicalResult {
-        outcome,
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
-    }
-}
-
-/// What one `-fPIC` probe produced, evaluated off-thread and folded in
-/// file order so the serial path's early-return and counting semantics
-/// are reproduced exactly.
-enum ProbeOutcome {
-    /// The probe link failed (serial: not counted as an execution).
-    LinkFail(String),
-    /// The probe run failed (serial: counted, then the search crashes).
-    RunFail(String),
-    /// The probe's comparison value.
-    Value(f64),
-}
-
-/// [`bisect_hierarchical`] with every independent Test query fanned out
-/// on a shared execution backend.
-///
-/// Three parallel stages, each *decided* by the planner and *folded* in
-/// the serial order: the file-level search runs as a frontier-driven
-/// plan (both halves of every split, plus speculation, evaluated
-/// concurrently through a single-flight [`SharedOracle`]); the `-fPIC`
-/// probes of all found files run as one wave; the per-file symbol
-/// searches run as *joint* plans sharing the backend. The result —
-/// outcome, findings, execution counts, violations, and the `bisect.*`
-/// spans/counters — is byte-identical to [`bisect_hierarchical`] at any
-/// worker count; only the additional `exec.wave` scheduling spans
-/// depend on the backend width. With a remote backend
-/// ([`ExecBackend::is_remote`], e.g. the `process` coordinator), the
-/// same fan-out applies but each query evaluates in a worker
-/// subprocess via [`RemotePlane`].
-///
-/// A panicking Test (which would abort the serial process) surfaces as
-/// [`SearchOutcome::Crashed`], as does a backend whose retry budget is
-/// exhausted.
-pub fn bisect_hierarchical_parallel(
-    baseline: &Build,
-    variable: &Build,
-    driver: &Driver,
-    input: &[f64],
-    compare: &(dyn Fn(&[f64], &[f64]) -> f64 + Sync),
-    cfg: &HierarchicalConfig,
-    backend: &dyn ExecBackend,
-) -> HierarchicalResult {
-    let mut executions = 0usize;
-    let mut violations: Vec<String> = Vec::new();
-
-    let search = format!("{}/{}", driver.name, variable.compilation.label());
-    let reference_runs = cfg.trace.counter(counter_names::BISECT_REFERENCE_RUNS);
-    let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
-
-    let crashed = |message: String,
-                   files: Vec<FileFinding>,
-                   symbols: Vec<SymbolFinding>,
-                   file_level_only: Vec<usize>,
-                   executions: usize,
-                   violations: Vec<String>| HierarchicalResult {
-        outcome: SearchOutcome::Crashed(message),
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
-    };
-
-    let variable_label = variable.compilation.label();
-    let keys = cfg
-        .ledger
-        .as_ref()
-        .map(|_| search_keys(baseline, variable, driver, input, cfg));
-    let plane = cfg.plane(baseline, variable, driver, input);
-
-    // Reference run under the trusted baseline build (serial: it is one
-    // run and everything downstream compares against it).
-    let reference = {
-        let compute = || plane.run_recipe(&ExeRecipe::Baseline);
-        match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => ledger.eval_output(&keys.reference(), compute),
-            _ => compute(),
-        }
-    };
-    let base_out = match reference {
-        Ok((out, _)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            out
-        }
-        // A failed baseline *link* is not an execution.
-        Err(TestError::Link(e)) => {
-            return crashed(
-                format!("baseline link failed: {e}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(TestError::Crash(e)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            return crashed(
-                format!("baseline run failed: {e}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            );
-        }
-    };
-
-    let mode = match cfg.k {
-        None => SearchMode::All,
-        Some(k) => SearchMode::Biggest(k),
-    };
-
-    // ---- File Bisect (planner-driven) ----
-    let prune = cfg.prescreen.as_ref().filter(|p| p.prune);
-    let all_file_ids: Vec<usize> = (0..baseline.program.files.len()).collect();
-    let file_ids: Vec<usize> = match prune {
-        Some(p) => {
-            let kept: Vec<usize> = all_file_ids
-                .iter()
-                .copied()
-                .filter(|id| p.keep_file(*id))
-                .collect();
-            let pruned_counter = if p.certificates.is_some() {
-                counter_names::ABSINT_PRUNED_FILES
-            } else {
-                counter_names::LINT_PRUNED_FILES
-            };
-            cfg.trace
-                .counter(pruned_counter)
-                .incr((all_file_ids.len() - kept.len()) as u64);
-            kept
-        }
-        None => all_file_ids.clone(),
-    };
+    let file_oracle = level_oracle(file_raw, &cfg.trace, &ledger, |keys, items| {
+        keys.file_query(&variable_label, items)
+    });
     let file_score = |items: &[usize]| -> f64 {
         let p = cfg.prescreen.as_ref().expect("seed implies a prescreen");
         items.iter().map(|i| p.file_score(*i)).fold(0.0, f64::max)
@@ -1001,285 +639,136 @@ pub fn bisect_hierarchical_parallel(
         .prescreen
         .as_ref()
         .map(|_| &file_score as SpeculationScore<'_, usize>);
-    let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
-        let recipe = ExeRecipe::FileMixed {
-            items: items.to_vec(),
-        };
-        let (out, seconds) = plane.run_recipe(&recipe)?;
-        Ok((compare(&base_out, &out), seconds))
-    };
-    let file_oracle = match (&cfg.ledger, &keys) {
-        (Some(ledger), Some(keys)) => {
-            let k = keys.clone();
-            let vl = variable_label.clone();
-            SharedOracle::with_ledger(file_raw, &cfg.trace, ledger.clone(), move |items| {
-                k.file_query(&vl, items)
-            })
-        }
-        _ => SharedOracle::new(file_raw, &cfg.trace),
-    };
     let file_label = format!("{search}/file");
-    let mut file_plans = [BisectPlan::new(&file_ids, mode)];
-    let file_driven = drive_plans_seeded(
-        &mut file_plans,
+    let file_result = match drive_plans_seeded(
+        &mut [BisectPlan::new(&file_ids, mode)],
         &[&file_oracle],
-        backend,
+        exec,
         &cfg.trace,
         &file_label,
         file_seed,
-    );
-    let file_result = match file_driven {
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+    ) {
         Ok(mut results) => results.pop().expect("one file-level plan"),
+        Err(e) => return res.crashed(exec_crash_message(e)),
     };
-    // Counters and the level span cover the executions the *serial*
+    // Counters and the level span cover the executions the serial
     // algorithm performs — on failures too — never the speculation.
-    let (mut file_execs, mut file_secs) = match &file_result {
+    let mut tally = match &file_result {
         Ok(p) => (p.outcome.executions, p.seconds),
         Err(f) => (f.executions, f.seconds),
     };
-    // Prune guard, byte-identical to the serial path (the oracle may
-    // serve these from the memo; the accounting is unconditional).
-    let mut guard_violations: Vec<String> = Vec::new();
-    let mut guard_error: Option<TestError> = None;
-    if let Some(pre) = prune.filter(|_| file_ids.len() < all_file_ids.len()) {
-        if let Ok(p) = &file_result {
-            let certified = pre.certificates.is_some();
-            let mut found_ids: Vec<usize> = p.outcome.found.iter().map(|(i, _)| *i).collect();
-            found_ids.sort_unstable();
-            let (full, found_v) = if certified {
-                cfg.trace
-                    .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                    .incr(1);
-                file_execs += 1;
-                let full = file_oracle.eval(&all_file_ids);
-                if let Ok((_, s)) = &full {
-                    file_secs += *s;
-                }
-                let found_v = match found_verification_value(&p.outcome) {
-                    Some(v) => Ok((v, 0.0)),
-                    None => {
-                        file_execs += 1;
-                        let r = file_oracle.eval(&found_ids);
-                        if let Ok((_, s)) = &r {
-                            file_secs += *s;
-                        }
-                        r
-                    }
-                };
-                (full, found_v)
-            } else {
-                file_execs += 2;
-                cfg.trace
-                    .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                    .incr(2);
-                let full = file_oracle.eval(&all_file_ids);
-                if let Ok((_, s)) = &full {
-                    file_secs += *s;
-                }
-                let found_v = file_oracle.eval(&found_ids);
-                if let Ok((_, s)) = &found_v {
-                    file_secs += *s;
-                }
-                (full, found_v)
-            };
-            match (full, found_v) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    if a != b {
-                        guard_violations.push(if certified {
-                            certified_audit_violation("file", a, b)
-                        } else {
-                            prune_guard_violation("file", a, b)
-                        });
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => guard_error = Some(e),
-            }
-        }
-    }
-    executions += file_execs;
+    let guard = match (prune, &file_result) {
+        (Some(p), Ok(plan)) if file_ids.len() < all_file_ids.len() => p.guard(
+            Level::File,
+            &file_oracle,
+            &all_file_ids,
+            &plan.outcome,
+            &cfg.trace,
+            &mut tally,
+        ),
+        _ => Ok(None),
+    };
+    res.executions += tally.0;
     cfg.trace
         .counter(counter_names::BISECT_FILE_RUNS)
-        .incr(file_execs as u64);
-    cfg.trace.span(
-        phase::BISECT_FILE,
-        search.clone(),
-        file_execs as u64,
-        file_secs,
-    );
-    match guard_error {
-        Some(TestError::Crash(s)) => {
-            return crashed(s, vec![], vec![], vec![], executions, violations)
-        }
-        Some(TestError::Link(s)) => {
-            return crashed(
-                format!("link: {s}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        None => {}
-    }
-    let file_outcome: PlanOutcome<usize> = match file_result {
-        Ok(p) => p,
-        Err(PlanFailure {
-            error: TestError::Crash(s),
-            ..
-        }) => return crashed(s, vec![], vec![], vec![], executions, violations),
-        Err(PlanFailure {
-            error: TestError::Link(s),
-            ..
-        }) => {
-            return crashed(
-                format!("link: {s}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+        .incr(tally.0 as u64);
+    cfg.trace
+        .span(phase::BISECT_FILE, search.clone(), tally.0 as u64, tally.1);
+    let (file_plan, guard_violation) = match (file_result, guard) {
+        (Ok(plan), Ok(violation)) => (plan, violation),
+        (Err(failure), _) => return res.crashed(failure.error.into_crash_message()),
+        (_, Err(e)) => return res.crashed(e.into_crash_message()),
     };
-    emit_query_spans(&cfg.trace, &file_label, &file_outcome);
-    for v in &file_outcome.outcome.violations {
-        violations.push(violation_string(v, |id| {
-            baseline.program.files[*id].name.clone()
-        }));
-    }
-    violations.append(&mut guard_violations);
-
-    let files: Vec<FileFinding> = file_outcome
+    emit_query_spans(&cfg.trace, &file_label, &file_plan);
+    let file_name = |id: &usize| baseline.program.files[*id].name.clone();
+    res.violations.extend(
+        file_plan
+            .outcome
+            .violations
+            .iter()
+            .map(|v| v.describe(file_name)),
+    );
+    res.violations.extend(guard_violation);
+    res.files = file_plan
         .outcome
         .found
         .iter()
         .map(|(id, value)| FileFinding {
             file_id: *id,
-            file_name: baseline.program.files[*id].name.clone(),
+            file_name: file_name(id),
             value: *value,
         })
         .collect();
-    check_certified_bounds(cfg, &files, &mut violations);
+    check_certified_bounds(cfg, &res.files, &mut res.violations);
 
-    if files.is_empty() {
-        let outcome = if violations.is_empty() {
+    if res.files.is_empty() {
+        // Nothing found and nothing flagged: the mixed link cannot
+        // reproduce the variability — link-step blame.
+        res.outcome = if res.violations.is_empty() {
             SearchOutcome::LinkStepOnly
         } else {
             SearchOutcome::AssumptionViolated
         };
-        return HierarchicalResult {
-            outcome,
-            files,
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
+        return res;
     }
 
-    // ---- -fPIC probes: one wave over all found files ----
-    let probe_wave = run_on(backend, files.len(), |i| {
-        let fid = files[i].file_id;
+    // ---- -fPIC probes: does the variability survive the recompile?
+    // One wave over all found files.
+    let probes = run_on(exec, res.files.len(), |i| {
+        let fid = res.files[i].file_id;
         let compute = || -> Result<(f64, f64), TestError> {
             let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
             Ok((compare(&base_out, &out), seconds))
         };
-        let answer = match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => {
-                ledger.eval_score(&keys.probe(&variable_label, fid), compute)
-            }
-            _ => compute(),
-        };
-        match answer {
-            Ok((v, _)) => ProbeOutcome::Value(v),
-            Err(TestError::Link(e)) => ProbeOutcome::LinkFail(format!("pic probe link: {e}")),
-            Err(TestError::Crash(s)) => ProbeOutcome::RunFail(s),
+        match &ledger {
+            Some((handle, keys)) => handle.eval_score(&keys.probe(&variable_label, fid), compute),
+            None => compute(),
         }
+        .map(|(value, _)| value)
     });
-    let probes = match probe_wave {
-        Ok(p) => p,
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+    let probes = match probes {
+        Ok(probes) => probes,
+        Err(e) => return res.crashed(exec_crash_message(e)),
     };
 
     // ---- Symbol Bisect: joint plans for every candidate file ----
     // Candidates are chosen optimistically (probe positive, exported
     // symbols present); whether a candidate's result is *consumed* is
-    // decided by the fold below, which replicates the serial walk.
+    // decided by the fold below, which replicates the serial walk. The
+    // walk ends at the first failed probe, so no file after it is a
+    // candidate.
     struct Candidate {
         fid: usize,
-        syms: Vec<String>,
+        all: Vec<String>,
+        kept: Vec<String>,
     }
-    let candidates: Vec<Candidate> = files
+    let candidates: Vec<Candidate> = res
+        .files
         .iter()
-        .enumerate()
-        .filter_map(|(i, finding)| match probes[i] {
-            ProbeOutcome::Value(v) if v != 0.0 => {
-                let syms = baseline.program.exported_symbols_of_file(finding.file_id);
-                if syms.is_empty() {
-                    return None;
-                }
-                // Under pruning the plan searches only the kept symbols
-                // (the fold accounts for what was dropped, in serial
-                // order). A fully-pruned file still gets a plan so the
-                // fold has a result to consume.
-                let syms = match prune {
-                    Some(p) => syms.into_iter().filter(|s| p.keep_symbol(s)).collect(),
-                    None => syms,
-                };
-                Some(Candidate {
-                    fid: finding.file_id,
-                    syms,
-                })
-            }
-            _ => None,
+        .zip(&probes)
+        .take_while(|(_, probe)| probe.is_ok())
+        .filter(|(_, probe)| matches!(probe, Ok(v) if *v != 0.0))
+        .filter_map(|(finding, _)| {
+            let all = baseline.program.exported_symbols_of_file(finding.file_id);
+            // Under pruning the plan searches only the kept symbols. A
+            // fully-pruned file still gets a plan so the fold has a
+            // result to consume.
+            let kept = match prune {
+                Some(p) => all.iter().filter(|s| p.keep_symbol(s)).cloned().collect(),
+                None => all.clone(),
+            };
+            (!all.is_empty()).then_some(Candidate {
+                fid: finding.file_id,
+                all,
+                kept,
+            })
         })
         .collect();
+    let (base_out, plane, variable_label) = (&base_out, &plane, &variable_label);
     let sym_oracles: Vec<SharedOracle<'_, String>> = candidates
         .iter()
         .map(|c| {
             let fid = c.fid;
-            let base_out = &base_out;
-            let plane = &plane;
             let raw = move |items: &[String]| -> Result<(f64, f64), TestError> {
                 let recipe = ExeRecipe::SymbolMixed {
                     file: fid,
@@ -1288,21 +777,14 @@ pub fn bisect_hierarchical_parallel(
                 let (out, seconds) = plane.run_recipe(&recipe)?;
                 Ok((compare(base_out, &out), seconds))
             };
-            match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => {
-                    let k = keys.clone();
-                    let vl = variable_label.clone();
-                    SharedOracle::with_ledger(raw, &cfg.trace, ledger.clone(), move |items| {
-                        k.symbol_query(&vl, fid, items)
-                    })
-                }
-                _ => SharedOracle::new(raw, &cfg.trace),
-            }
+            level_oracle(raw, &cfg.trace, &ledger, move |keys, items| {
+                keys.symbol_query(variable_label, fid, items)
+            })
         })
         .collect();
     let mut sym_plans: Vec<BisectPlan<String>> = candidates
         .iter()
-        .map(|c| BisectPlan::new(&c.syms, mode))
+        .map(|c| BisectPlan::new(&c.kept, mode))
         .collect();
     let oracle_refs: Vec<&SharedOracle<'_, String>> = sym_oracles.iter().collect();
     let sym_score = |items: &[String]| -> f64 {
@@ -1313,300 +795,114 @@ pub fn bisect_hierarchical_parallel(
         .prescreen
         .as_ref()
         .map(|_| &sym_score as SpeculationScore<'_, String>);
-    let oracle_idx_by_fid: std::collections::HashMap<usize, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.fid, i))
-        .collect();
-    let sym_driven = drive_plans_seeded(
+    let sym_results = match drive_plans_seeded(
         &mut sym_plans,
         &oracle_refs,
-        backend,
+        exec,
         &cfg.trace,
         &format!("{search}/symbol"),
         sym_seed,
-    );
-    let sym_results = match sym_driven {
-        Ok(r) => r,
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+    ) {
+        Ok(results) => results,
+        Err(e) => return res.crashed(exec_crash_message(e)),
     };
-    let mut sym_by_fid: std::collections::HashMap<usize, Result<PlanOutcome<String>, PlanFailure>> =
-        candidates.iter().map(|c| c.fid).zip(sym_results).collect();
 
     // ---- Fold in file order: replicate the serial walk byte-for-byte,
     // discarding any speculative results the serial path never reaches.
-    let mut symbols: Vec<SymbolFinding> = Vec::new();
-    let mut file_level_only: Vec<usize> = Vec::new();
-    for (i, finding) in files.iter().enumerate() {
-        let fid = finding.file_id;
-        match &probes[i] {
-            ProbeOutcome::LinkFail(msg) => {
-                return crashed(
-                    msg.clone(),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            ProbeOutcome::RunFail(msg) => {
-                executions += 1;
-                probe_runs.incr(1);
-                return crashed(
-                    msg.clone(),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                );
-            }
-            ProbeOutcome::Value(v) => {
-                executions += 1;
-                probe_runs.incr(1);
-                if *v == 0.0 {
-                    file_level_only.push(fid);
-                    continue;
-                }
-            }
+    // Candidates are in file order, so each file's plan (if any) is the
+    // next one.
+    let mut searched = candidates
+        .iter()
+        .zip(&sym_oracles)
+        .zip(sym_results)
+        .peekable();
+    for (i, probe) in probes.into_iter().enumerate() {
+        let fid = res.files[i].file_id;
+        // A failed probe *link* is not an execution.
+        if !matches!(probe, Err(TestError::Link(_))) {
+            res.executions += 1;
+            probe_runs.incr(1);
         }
-        let all_syms = baseline.program.exported_symbols_of_file(fid);
-        if all_syms.is_empty() {
-            file_level_only.push(fid);
+        match probe {
+            Ok(v) if v != 0.0 => {}
+            Ok(_) => {
+                res.file_level_only.push(fid);
+                continue;
+            }
+            Err(TestError::Link(e)) => return res.crashed(format!("pic probe link: {e}")),
+            Err(TestError::Crash(s)) => return res.crashed(s),
+        }
+        let Some(((c, oracle), sym_result)) = searched.next_if(|((c, _), _)| c.fid == fid) else {
+            // No exported symbols to interpose.
+            res.file_level_only.push(fid);
             continue;
-        }
-        let kept_syms = match prune {
-            Some(p) => {
-                let kept = all_syms.iter().filter(|s| p.keep_symbol(s)).count();
-                let pruned_counter = if p.certificates.is_some() {
-                    counter_names::ABSINT_PRUNED_SYMBOLS
-                } else {
-                    counter_names::LINT_PRUNED_SYMBOLS
-                };
-                cfg.trace
-                    .counter(pruned_counter)
-                    .incr((all_syms.len() - kept) as u64);
-                kept
-            }
-            None => all_syms.len(),
         };
-        let sym_result = sym_by_fid
-            .remove(&fid)
-            .expect("candidate plan for every searched file");
-        let (mut sym_execs, mut sym_secs) = match &sym_result {
+        if let Some(p) = prune {
+            p.book_pruned(&cfg.trace, Level::Symbol, c.all.len() - c.kept.len());
+        }
+        let mut tally = match &sym_result {
             Ok(p) => (p.outcome.executions, p.seconds),
             Err(f) => (f.executions, f.seconds),
         };
-        // Symbol-level prune guard, mirroring the serial path.
-        let mut guard_violations: Vec<String> = Vec::new();
-        let mut guard_error: Option<TestError> = None;
-        if let Some(pre) = prune.filter(|_| kept_syms < all_syms.len()) {
-            if let Ok(p) = &sym_result {
-                let certified = pre.certificates.is_some();
-                let oracle = sym_oracles
-                    .get(oracle_idx_by_fid[&fid])
-                    .expect("oracle for every candidate");
-                let mut full = all_syms.clone();
-                full.sort();
-                let mut found_syms: Vec<String> =
-                    p.outcome.found.iter().map(|(s, _)| s.clone()).collect();
-                found_syms.sort();
-                let (a, b) = if certified {
-                    cfg.trace
-                        .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                        .incr(1);
-                    sym_execs += 1;
-                    let a = oracle.eval(&full);
-                    if let Ok((_, s)) = &a {
-                        sym_secs += *s;
-                    }
-                    let b = match found_verification_value(&p.outcome) {
-                        Some(v) => Ok((v, 0.0)),
-                        None => {
-                            sym_execs += 1;
-                            let r = oracle.eval(&found_syms);
-                            if let Ok((_, s)) = &r {
-                                sym_secs += *s;
-                            }
-                            r
-                        }
-                    };
-                    (a, b)
-                } else {
-                    sym_execs += 2;
-                    cfg.trace
-                        .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                        .incr(2);
-                    let a = oracle.eval(&full);
-                    if let Ok((_, s)) = &a {
-                        sym_secs += *s;
-                    }
-                    let b = oracle.eval(&found_syms);
-                    if let Ok((_, s)) = &b {
-                        sym_secs += *s;
-                    }
-                    (a, b)
-                };
-                match (a, b) {
-                    (Ok((av, _)), Ok((bv, _))) => {
-                        if av != bv {
-                            guard_violations.push(if certified {
-                                certified_audit_violation("symbol", av, bv)
-                            } else {
-                                prune_guard_violation("symbol", av, bv)
-                            });
-                        }
-                    }
-                    (Err(e), _) | (_, Err(e)) => guard_error = Some(e),
-                }
-            }
-        }
-        executions += sym_execs;
+        let guard = match (prune, &sym_result) {
+            // `all` is sorted, i.e. canonical.
+            (Some(p), Ok(plan)) if c.kept.len() < c.all.len() => p.guard(
+                Level::Symbol,
+                oracle,
+                &c.all,
+                &plan.outcome,
+                &cfg.trace,
+                &mut tally,
+            ),
+            _ => Ok(None),
+        };
+        res.executions += tally.0;
         cfg.trace
             .counter(counter_names::BISECT_SYMBOL_RUNS)
-            .incr(sym_execs as u64);
+            .incr(tally.0 as u64);
         let sym_label = format!("{search}/{}", baseline.program.files[fid].name);
         cfg.trace.span(
             phase::BISECT_SYMBOL,
             sym_label.clone(),
-            sym_execs as u64,
-            sym_secs,
+            tally.0 as u64,
+            tally.1,
         );
-        match guard_error {
-            Some(TestError::Crash(s)) => {
-                return crashed(
-                    s,
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            Some(TestError::Link(s)) => {
-                return crashed(
-                    format!("link: {s}"),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            None => {}
+        let (plan, guard_violation) = match (sym_result, guard) {
+            (Ok(plan), Ok(violation)) => (plan, violation),
+            (Err(failure), _) => return res.crashed(failure.error.into_crash_message()),
+            (_, Err(e)) => return res.crashed(e.into_crash_message()),
+        };
+        emit_query_spans(&cfg.trace, &sym_label, &plan);
+        res.violations.extend(
+            plan.outcome
+                .violations
+                .iter()
+                .map(|v| v.describe(Clone::clone)),
+        );
+        res.violations.extend(guard_violation);
+        if plan.outcome.found.is_empty() {
+            // Exported-symbol interposition cannot reproduce it
+            // (e.g. variability lives in statics/inlined code).
+            res.file_level_only.push(fid);
         }
-        match sym_result {
-            Ok(p) => {
-                emit_query_spans(&cfg.trace, &sym_label, &p);
-                for v in &p.outcome.violations {
-                    violations.push(violation_string(v, Clone::clone));
-                }
-                violations.append(&mut guard_violations);
-                if p.outcome.found.is_empty() {
-                    file_level_only.push(fid);
-                }
-                for (symbol, value) in p.outcome.found {
-                    symbols.push(SymbolFinding {
-                        symbol,
-                        file_id: fid,
-                        value,
-                    });
-                }
-            }
-            Err(PlanFailure {
-                error: TestError::Crash(s),
-                ..
-            }) => {
-                return crashed(
-                    s,
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            Err(PlanFailure {
-                error: TestError::Link(s),
-                ..
-            }) => {
-                return crashed(
-                    format!("link: {s}"),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-        }
+        res.symbols.extend(
+            plan.outcome
+                .found
+                .into_iter()
+                .map(|(symbol, value)| SymbolFinding {
+                    symbol,
+                    file_id: fid,
+                    value,
+                }),
+        );
     }
 
-    let outcome = if violations.is_empty() {
+    res.outcome = if res.violations.is_empty() {
         SearchOutcome::Completed
     } else {
         SearchOutcome::AssumptionViolated
     };
-    HierarchicalResult {
-        outcome,
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
-    }
-}
-
-fn violation_string<I>(v: &AssumptionViolation<I>, name: impl Fn(&I) -> String) -> String {
-    match v {
-        AssumptionViolation::SingletonBlame { element } => format!(
-            "singleton-blame assumption violated at `{}` (possible false negatives)",
-            name(element)
-        ),
-        AssumptionViolation::UniqueError {
-            items_value,
-            found_value,
-        } => format!(
-            "unique-error assumption violated: Test(items)={items_value} != Test(found)={found_value}"
-        ),
-    }
-}
-
-/// Adapter: counts real executions through an external counter so the
-/// hierarchical result can report a single total.
-struct CountingTest<'c, F> {
-    inner: F,
-    count: &'c mut usize,
-}
-
-impl<I, F> TestFn<I> for CountingTest<'_, F>
-where
-    F: FnMut(&[I]) -> Result<f64, TestError>,
-{
-    fn test(&mut self, items: &[I]) -> Result<f64, TestError> {
-        *self.count += 1;
-        (self.inner)(items)
-    }
+    res
 }
 
 #[cfg(test)]
@@ -1678,26 +974,45 @@ mod tests {
         l2_diff(a, b)
     }
 
-    #[test]
-    fn finds_both_files_and_their_symbols() {
-        let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
-        let res = bisect_hierarchical(
+    fn unsafe_variable() -> Compilation {
+        Compilation::new(
+            flit_toolchain::compiler::CompilerKind::Gcc,
+            OptLevel::O3,
+            vec![Switch::Avx2FmaUnsafe],
+        )
+    }
+
+    /// Search the fixture against `variable` on a threads backend of
+    /// width `jobs` (1 = the serial search).
+    fn search(
+        p: &SimProgram,
+        variable: Compilation,
+        input: &[f64],
+        cfg: &HierarchicalConfig,
+        jobs: usize,
+    ) -> HierarchicalResult {
+        let base = Build::new(p, Compilation::baseline());
+        let var = Build::tagged(p, variable, 1);
+        bisect_hierarchical(
             &base,
             &var,
             &driver(),
-            &[0.5, 0.25],
+            input,
             &l2_compare,
+            cfg,
+            &flit_exec::ThreadsBackend::new(jobs),
+        )
+    }
+
+    #[test]
+    fn finds_both_files_and_their_symbols() {
+        let p = program();
+        let res = search(
+            &p,
+            unsafe_variable(),
+            &[0.5, 0.25],
             &HierarchicalConfig::all(),
+            1,
         );
         assert_eq!(
             res.outcome,
@@ -1720,23 +1035,12 @@ mod tests {
     #[test]
     fn biggest_k1_finds_the_dominant_file_only() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
+        let res = search(
             &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
-        let res = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
+            unsafe_variable(),
             &[0.5, 0.25],
-            &l2_compare,
             &HierarchicalConfig::biggest(1),
+            1,
         );
         assert_eq!(res.outcome, SearchOutcome::Completed);
         assert_eq!(res.files.len(), 1);
@@ -1748,24 +1052,12 @@ mod tests {
         // Baseline vs plain -O3 (value-safe): nothing to find; the
         // search reports that the mixed link shows no variability.
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![],
-            ),
-            1,
+        let clean = Compilation::new(
+            flit_toolchain::compiler::CompilerKind::Gcc,
+            OptLevel::O3,
+            vec![],
         );
-        let res = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let res = search(&p, clean, &[0.5], &HierarchicalConfig::all(), 1);
         assert_eq!(res.outcome, SearchOutcome::LinkStepOnly);
         assert!(res.files.is_empty());
     }
@@ -1775,24 +1067,12 @@ mod tests {
         // x87 extended-precision variability washes out under the -fPIC
         // probe: the file is reported, no symbols.
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O2,
-                vec![Switch::FpMath387],
-            ),
-            1,
+        let x87 = Compilation::new(
+            flit_toolchain::compiler::CompilerKind::Gcc,
+            OptLevel::O2,
+            vec![Switch::FpMath387],
         );
-        let res = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let res = search(&p, x87, &[0.5], &HierarchicalConfig::all(), 1);
         assert_eq!(res.outcome, SearchOutcome::Completed);
         assert!(!res.files.is_empty());
         assert!(res.symbols.is_empty(), "symbols: {:?}", res.symbols);
@@ -1806,33 +1086,11 @@ mod tests {
     #[test]
     fn cached_search_matches_uncached_and_reuses_builds() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
-        let plain = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let input = &[0.5, 0.25];
+        let plain = search(&p, unsafe_variable(), input, &HierarchicalConfig::all(), 1);
         let ctx = BuildCtx::cached();
-        let cached = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all().with_ctx(ctx.clone()),
-        );
+        let cfg = HierarchicalConfig::all().with_ctx(ctx.clone());
+        let cached = search(&p, unsafe_variable(), input, &cfg, 1);
         assert_eq!(cached.outcome, plain.outcome);
         assert_eq!(cached.files, plain.files);
         assert_eq!(cached.symbols, plain.symbols);
@@ -1842,14 +1100,7 @@ mod tests {
 
         // A repeated search through the same context is served almost
         // entirely from the link memo.
-        let again = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all().with_ctx(ctx.clone()),
-        );
+        let again = search(&p, unsafe_variable(), input, &cfg, 1);
         assert_eq!(again.files, plain.files);
         let second = ctx.stats();
         assert_eq!(
@@ -1862,153 +1113,60 @@ mod tests {
     #[test]
     fn executions_are_counted_and_deterministic() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
-        let r1 = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
-        let r2 = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let cfg = HierarchicalConfig::all();
+        let r1 = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
+        let r2 = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
         assert_eq!(r1.executions, r2.executions);
         assert_eq!(r1.files, r2.files);
         assert_eq!(r1.symbols, r2.symbols);
     }
 
-    /// The parallel search must be indistinguishable from the serial one
-    /// in its entire result struct, at any worker count.
+    /// The search must be indistinguishable in its entire result struct
+    /// at any worker count.
     #[test]
-    fn parallel_hierarchy_matches_serial_at_every_width() {
+    fn result_is_identical_at_every_width() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
         for cfg in [HierarchicalConfig::all(), HierarchicalConfig::biggest(1)] {
-            let serial =
-                bisect_hierarchical(&base, &var, &driver(), &[0.5, 0.25], &l2_compare, &cfg);
-            for jobs in [1, 2, 8] {
-                let par = bisect_hierarchical_parallel(
-                    &base,
-                    &var,
-                    &driver(),
-                    &[0.5, 0.25],
-                    &l2_compare,
-                    &cfg,
-                    &flit_exec::ThreadsBackend::new(jobs),
-                );
+            let serial = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
+            for jobs in [2, 8] {
+                let par = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, jobs);
                 assert_eq!(par, serial, "jobs={jobs} k={:?}", cfg.k);
             }
         }
     }
 
     #[test]
-    fn parallel_hierarchy_matches_serial_on_degenerate_shapes() {
+    fn degenerate_shapes_are_identical_at_every_width() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let exec = flit_exec::ThreadsBackend::new(8);
+        let cfg = HierarchicalConfig::all();
         // Clean compilation: LinkStepOnly, no files.
-        let clean = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![],
-            ),
-            1,
+        let clean = Compilation::new(
+            flit_toolchain::compiler::CompilerKind::Gcc,
+            OptLevel::O3,
+            vec![],
         );
-        let serial = bisect_hierarchical(
-            &base,
-            &clean,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let serial = search(&p, clean.clone(), &[0.5], &cfg, 1);
         assert_eq!(serial.outcome, SearchOutcome::LinkStepOnly);
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &clean,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-            &exec,
-        );
-        assert_eq!(par, serial);
+        assert_eq!(search(&p, clean, &[0.5], &cfg, 8), serial);
 
         // x87 blame: found files wash out under the -fPIC probe, so the
         // probe/file-level-only fold must agree too.
-        let x87 = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O2,
-                vec![Switch::FpMath387],
-            ),
-            1,
+        let x87 = Compilation::new(
+            flit_toolchain::compiler::CompilerKind::Gcc,
+            OptLevel::O2,
+            vec![Switch::FpMath387],
         );
-        let serial = bisect_hierarchical(
-            &base,
-            &x87,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let serial = search(&p, x87.clone(), &[0.5], &cfg, 1);
         assert!(!serial.files.is_empty());
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &x87,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-            &exec,
-        );
-        assert_eq!(par, serial);
+        assert_eq!(search(&p, x87, &[0.5], &cfg, 8), serial);
     }
 
     /// The `bisect.*` counters and level spans — the accounting the
-    /// paper reports — must also match the serial trace exactly; only
+    /// paper reports — must also match exactly at any width; only
     /// `exec.*` scheduling telemetry may differ.
     #[test]
-    fn parallel_hierarchy_emits_identical_bisect_counters() {
+    fn bisect_counters_are_identical_at_every_width() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(
-            &p,
-            Compilation::new(
-                flit_toolchain::compiler::CompilerKind::Gcc,
-                OptLevel::O3,
-                vec![Switch::Avx2FmaUnsafe],
-            ),
-            1,
-        );
         let counters = |trace: &flit_trace::TraceSink| -> Vec<(String, u64)> {
             trace
                 .registry()
@@ -2018,44 +1176,23 @@ mod tests {
                 .filter(|(name, _)| name.starts_with("bisect."))
                 .collect()
         };
-        let serial_trace = flit_trace::TraceSink::enabled();
-        let serial = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all().with_trace(serial_trace.clone()),
-        );
-        let par_trace = flit_trace::TraceSink::enabled();
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all().with_trace(par_trace.clone()),
-            &flit_exec::ThreadsBackend::new(4),
-        );
+        let run = |jobs: usize| {
+            let trace = flit_trace::TraceSink::enabled();
+            let cfg = HierarchicalConfig::all().with_trace(trace.clone());
+            (
+                search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, jobs),
+                trace,
+            )
+        };
+        let (serial, serial_trace) = run(1);
+        let (par, par_trace) = run(4);
         assert_eq!(par, serial);
         assert_eq!(counters(&par_trace), counters(&serial_trace));
-        // The parallel run additionally reports scheduling telemetry.
-        let waves = par_trace
-            .registry()
-            .unwrap()
-            .snapshot()
-            .get("exec.waves")
-            .copied()
-            .unwrap_or(0);
-        assert!(waves > 0, "parallel search should record its waves");
-    }
-
-    fn unsafe_variable() -> Compilation {
-        Compilation::new(
-            flit_toolchain::compiler::CompilerKind::Gcc,
-            OptLevel::O3,
-            vec![Switch::Avx2FmaUnsafe],
-        )
+        // Every width records its scheduling waves.
+        for trace in [&serial_trace, &par_trace] {
+            let waves = trace.snapshot().counter("exec.waves");
+            assert!(waves > 0, "the search should record its waves");
+        }
     }
 
     /// Honest certificates for the fixture pair, wrapped in a pruning
@@ -2082,19 +1219,11 @@ mod tests {
     #[test]
     fn certified_prune_is_byte_identical_and_strictly_cheaper() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(&p, unsafe_variable(), 1);
-        let unpruned = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let input = &[0.5, 0.25];
+        let unpruned = search(&p, unsafe_variable(), input, &HierarchicalConfig::all(), 1);
         let cfg =
-            HierarchicalConfig::all().with_prescreen(certified_prescreen(&p, &var.compilation));
-        let pruned = bisect_hierarchical(&base, &var, &driver(), &[0.5, 0.25], &l2_compare, &cfg);
+            HierarchicalConfig::all().with_prescreen(certified_prescreen(&p, &unsafe_variable()));
+        let pruned = search(&p, unsafe_variable(), input, &cfg, 1);
         assert_eq!(
             pruned.outcome,
             SearchOutcome::Completed,
@@ -2114,18 +1243,8 @@ mod tests {
             pruned.executions,
             unpruned.executions
         );
-        for jobs in [1, 8] {
-            let par = bisect_hierarchical_parallel(
-                &base,
-                &var,
-                &driver(),
-                &[0.5, 0.25],
-                &l2_compare,
-                &cfg,
-                &flit_exec::ThreadsBackend::new(jobs),
-            );
-            assert_eq!(par, pruned, "jobs={jobs}");
-        }
+        let par = search(&p, unsafe_variable(), input, &cfg, 8);
+        assert_eq!(par, pruned, "jobs=8");
     }
 
     /// A certificate that wrongly claims `Invariant` for a real culprit
@@ -2134,14 +1253,12 @@ mod tests {
     #[test]
     fn dishonest_invariant_certificate_fails_loudly() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(&p, unsafe_variable(), 1);
-        let mut screen = certified_prescreen(&p, &var.compilation);
+        let mut screen = certified_prescreen(&p, &unsafe_variable());
         // File 1 (assemble.cpp) genuinely diverges under this pair;
         // forge an Invariant certificate for it.
         screen.certificates.as_mut().unwrap().files[1] = flit_absint::Certificate::Invariant;
         let cfg = HierarchicalConfig::all().with_prescreen(screen);
-        let res = bisect_hierarchical(&base, &var, &driver(), &[0.5, 0.25], &l2_compare, &cfg);
+        let res = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
         assert_eq!(res.outcome, SearchOutcome::AssumptionViolated);
         assert!(
             res.violations
@@ -2150,18 +1267,8 @@ mod tests {
             "expected a loud audit failure, got {:?}",
             res.violations
         );
-        for jobs in [1, 8] {
-            let par = bisect_hierarchical_parallel(
-                &base,
-                &var,
-                &driver(),
-                &[0.5, 0.25],
-                &l2_compare,
-                &cfg,
-                &flit_exec::ThreadsBackend::new(jobs),
-            );
-            assert_eq!(par, res, "jobs={jobs}");
-        }
+        let par = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 8);
+        assert_eq!(par, res, "jobs=8");
     }
 
     /// A dishonest `Invariant` on a culprit *symbol* is caught by the
@@ -2169,9 +1276,7 @@ mod tests {
     #[test]
     fn dishonest_symbol_certificate_fails_loudly() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(&p, unsafe_variable(), 1);
-        let mut screen = certified_prescreen(&p, &var.compilation);
+        let mut screen = certified_prescreen(&p, &unsafe_variable());
         screen
             .certificates
             .as_mut()
@@ -2179,7 +1284,7 @@ mod tests {
             .symbols
             .insert("solver_norm".into(), flit_absint::Certificate::Invariant);
         let cfg = HierarchicalConfig::all().with_prescreen(screen);
-        let res = bisect_hierarchical(&base, &var, &driver(), &[0.5, 0.25], &l2_compare, &cfg);
+        let res = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
         assert_eq!(res.outcome, SearchOutcome::AssumptionViolated);
         assert!(
             res.violations
@@ -2188,16 +1293,7 @@ mod tests {
             "expected a loud audit failure, got {:?}",
             res.violations
         );
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &cfg,
-            &flit_exec::ThreadsBackend::new(8),
-        );
-        assert_eq!(par, res);
+        assert_eq!(search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 8), res);
     }
 
     /// A finite bound contradicted by the observed file divergence is
@@ -2205,14 +1301,12 @@ mod tests {
     #[test]
     fn contradicted_bound_certificate_fails_loudly() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(&p, unsafe_variable(), 1);
-        let mut screen = certified_prescreen(&p, &var.compilation);
+        let mut screen = certified_prescreen(&p, &unsafe_variable());
         // Vastly too tight: the observed divergence of file 1 is many
         // orders of magnitude above this.
         screen.certificates.as_mut().unwrap().files[1] = flit_absint::Certificate::Bounded(1e-300);
         let cfg = HierarchicalConfig::all().with_prescreen(screen);
-        let res = bisect_hierarchical(&base, &var, &driver(), &[0.5, 0.25], &l2_compare, &cfg);
+        let res = search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 1);
         assert_eq!(res.outcome, SearchOutcome::AssumptionViolated);
         assert!(
             res.violations
@@ -2223,16 +1317,7 @@ mod tests {
         );
         // The finding itself is still reported — loud, not lossy.
         assert!(res.files.iter().any(|f| f.file_id == 1));
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &cfg,
-            &flit_exec::ThreadsBackend::new(8),
-        );
-        assert_eq!(par, res);
+        assert_eq!(search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, 8), res);
     }
 
     /// An all-Invariant pair (value-safe flags only) prunes the whole
@@ -2240,50 +1325,29 @@ mod tests {
     #[test]
     fn certified_prune_handles_a_fully_invariant_pair() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
         let clean = Compilation::new(
             flit_toolchain::compiler::CompilerKind::Gcc,
             OptLevel::O3,
             vec![],
         );
-        let var = Build::tagged(&p, clean.clone(), 1);
-        let unpruned = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &HierarchicalConfig::all(),
-        );
+        let unpruned = search(&p, clean.clone(), &[0.5], &HierarchicalConfig::all(), 1);
         assert_eq!(unpruned.outcome, SearchOutcome::LinkStepOnly);
         let cfg = HierarchicalConfig::all().with_prescreen(certified_prescreen(&p, &clean));
-        let pruned = bisect_hierarchical(&base, &var, &driver(), &[0.5], &l2_compare, &cfg);
+        let pruned = search(&p, clean.clone(), &[0.5], &cfg, 1);
         assert_eq!(pruned.outcome, SearchOutcome::LinkStepOnly);
         assert!(pruned.violations.is_empty(), "{:?}", pruned.violations);
         assert!(pruned.executions <= unpruned.executions);
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &var,
-            &driver(),
-            &[0.5],
-            &l2_compare,
-            &cfg,
-            &flit_exec::ThreadsBackend::new(8),
-        );
-        assert_eq!(par, pruned);
+        assert_eq!(search(&p, clean, &[0.5], &cfg, 8), pruned);
     }
 
     /// The `absint.*` accounting: pruned-item and audit counters are
-    /// emitted (not the lint ones), and the parallel trace agrees with
-    /// the serial trace exactly.
+    /// emitted (not the lint ones), identically at every width.
     #[test]
     fn certified_prune_emits_absint_counters_identically() {
         let p = program();
-        let base = Build::new(&p, Compilation::baseline());
-        let var = Build::tagged(&p, unsafe_variable(), 1);
-        let screen = certified_prescreen(&p, &var.compilation);
+        let screen = certified_prescreen(&p, &unsafe_variable());
         // `lint.speculation.skipped` is planner scheduling telemetry
-        // (parallel-only, like `exec.*`); parity is over `absint.*`.
+        // (like `exec.*`); parity is over `absint.*`.
         let snap = |trace: &flit_trace::TraceSink| -> Vec<(String, u64)> {
             trace
                 .registry()
@@ -2293,17 +1357,17 @@ mod tests {
                 .filter(|(name, _)| name.starts_with("absint."))
                 .collect()
         };
-        let serial_trace = flit_trace::TraceSink::enabled();
-        let serial = bisect_hierarchical(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all()
+        let run = |jobs: usize| {
+            let trace = flit_trace::TraceSink::enabled();
+            let cfg = HierarchicalConfig::all()
                 .with_prescreen(screen.clone())
-                .with_trace(serial_trace.clone()),
-        );
+                .with_trace(trace.clone());
+            (
+                search(&p, unsafe_variable(), &[0.5, 0.25], &cfg, jobs),
+                trace,
+            )
+        };
+        let (serial, serial_trace) = run(1);
         assert_eq!(serial.outcome, SearchOutcome::Completed);
         let counters: std::collections::BTreeMap<String, u64> =
             snap(&serial_trace).into_iter().collect();
@@ -2316,18 +1380,7 @@ mod tests {
         assert_eq!(full.get("lint.pruned.files"), None);
         assert_eq!(full.get("lint.prune.verifications"), None);
 
-        let par_trace = flit_trace::TraceSink::enabled();
-        let par = bisect_hierarchical_parallel(
-            &base,
-            &var,
-            &driver(),
-            &[0.5, 0.25],
-            &l2_compare,
-            &HierarchicalConfig::all()
-                .with_prescreen(screen)
-                .with_trace(par_trace.clone()),
-            &flit_exec::ThreadsBackend::new(4),
-        );
+        let (par, par_trace) = run(4);
         assert_eq!(par, serial);
         assert_eq!(snap(&par_trace), snap(&serial_trace));
     }

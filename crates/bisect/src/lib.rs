@@ -52,10 +52,7 @@ pub use algo::{
     bisect_all, bisect_all_unpruned, bisect_one, AssumptionViolation, BisectOutcome, TraceRow,
 };
 pub use biggest::bisect_biggest;
-pub use hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, HierarchicalResult,
-    SearchOutcome,
-};
+pub use hierarchy::{bisect_hierarchical, HierarchicalConfig, HierarchicalResult, SearchOutcome};
 pub use journal::{
     load_journal, JournalAnswer, JournalError, JournalRecord, JournalWriter, JOURNAL_VERSION,
 };

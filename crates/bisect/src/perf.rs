@@ -280,28 +280,6 @@ pub fn predicted_slow_symbols(
         .collect()
 }
 
-fn test_error_message(e: TestError) -> String {
-    match e {
-        TestError::Crash(s) => s,
-        TestError::Link(s) => format!("link: {s}"),
-    }
-}
-
-fn violation_string<I>(v: &AssumptionViolation<I>, name: impl Fn(&I) -> String) -> String {
-    match v {
-        AssumptionViolation::SingletonBlame { element } => format!(
-            "singleton-blame assumption violated at `{}` (possible false negatives)",
-            name(element)
-        ),
-        AssumptionViolation::UniqueError {
-            items_value,
-            found_value,
-        } => format!(
-            "unique-error assumption violated: Test(items)={items_value} != Test(found)={found_value}"
-        ),
-    }
-}
-
 /// Run the performance bisect: confirm the candidate is statistically
 /// slower than the baseline, then search files — and symbols within
 /// found files — for where the slowdown lives. Independent Test queries
@@ -431,7 +409,7 @@ pub fn perf_bisect(
                     samples_drawn.incr(cfg.samples as u64);
                 }
                 return crashed(
-                    format!("candidate reference failed: {}", test_error_message(e)),
+                    format!("candidate reference failed: {}", e.into_crash_message()),
                     None,
                     vec![],
                     vec![],
@@ -547,7 +525,7 @@ pub fn perf_bisect(
                 file_secs,
             );
             return crashed(
-                test_error_message(error),
+                error.into_crash_message(),
                 Some(overall),
                 vec![],
                 vec![],
@@ -585,9 +563,7 @@ pub fn perf_bisect(
             AssumptionViolation::SingletonBlame { .. } => false,
         };
         if !explained {
-            violations.push(violation_string(v, |id| {
-                baseline.program.files[*id].name.clone()
-            }));
+            violations.push(v.describe(|id| baseline.program.files[*id].name.clone()));
         }
     }
     executions += file_execs;
@@ -691,7 +667,7 @@ pub fn perf_bisect(
                     samples_drawn.incr(cfg.samples as u64);
                 }
                 return crashed(
-                    format!("pic reference failed: {}", test_error_message(e)),
+                    format!("pic reference failed: {}", e.into_crash_message()),
                     Some(overall),
                     files,
                     vec![],
@@ -786,7 +762,7 @@ pub fn perf_bisect(
                 cfg.trace
                     .span(phase::PERF_SYMBOL, sym_label, sym_execs as u64, sym_secs);
                 return crashed(
-                    test_error_message(error),
+                    error.into_crash_message(),
                     Some(overall),
                     files,
                     symbols,
@@ -825,7 +801,7 @@ pub fn perf_bisect(
                 AssumptionViolation::SingletonBlame { .. } => false,
             };
             if !explained {
-                violations.push(violation_string(v, Clone::clone));
+                violations.push(v.describe(Clone::clone));
             }
         }
         executions += sym_execs;

@@ -32,6 +32,16 @@ impl std::fmt::Display for TestError {
     }
 }
 
+impl TestError {
+    /// The crash reason a search that aborts on this error reports.
+    pub(crate) fn into_crash_message(self) -> String {
+        match self {
+            TestError::Crash(s) => s,
+            TestError::Link(s) => format!("link: {s}"),
+        }
+    }
+}
+
 impl std::error::Error for TestError {}
 
 /// A Test function over item subsets.

@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use flit_bisect::hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, SearchOutcome,
-};
+use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_bisect::journal::JournalWriter;
 use flit_bisect::ledger::{LedgerHandle, QueryLedger};
 use flit_core::analysis::{
@@ -543,45 +541,28 @@ fn cmd_bisect(
     let input = test.default_input();
     let input = &input[..test.inputs_per_run().min(input.len())];
     let jobs = jobs.unwrap_or(1);
-    // `--jobs` routes through the planner-driven parallel search and
-    // `--backend process` additionally evaluates every query in worker
-    // subprocesses; the result is byte-identical to the serial
-    // algorithm by construction either way.
-    let res = if choice.process {
+    // One search engine at every width: `--jobs 1` is the serial walk,
+    // and `--backend process` additionally evaluates every query in
+    // worker subprocesses; the result is byte-identical either way.
+    let exec: Arc<dyn ExecBackend> = if choice.process {
         let backend = choice.process_backend(&cfg.trace)?;
         cfg = cfg.with_backend(backend.clone());
         if let Some(ledger) = &ledger {
             ledger.set_backend_label("process");
         }
-        bisect_hierarchical_parallel(
-            &baseline,
-            &variable,
-            test.driver(),
-            input,
-            &l2_compare,
-            &cfg,
-            &*backend,
-        )
-    } else if jobs > 1 {
-        bisect_hierarchical_parallel(
-            &baseline,
-            &variable,
-            test.driver(),
-            input,
-            &l2_compare,
-            &cfg,
-            &ThreadsBackend::new(jobs),
-        )
+        backend
     } else {
-        bisect_hierarchical(
-            &baseline,
-            &variable,
-            test.driver(),
-            input,
-            &l2_compare,
-            &cfg,
-        )
+        Arc::new(ThreadsBackend::new(jobs))
     };
+    let res = bisect_hierarchical(
+        &baseline,
+        &variable,
+        test.driver(),
+        input,
+        &l2_compare,
+        &cfg,
+        &*exec,
+    );
 
     let mode_note = {
         let mut note = choice.note();
@@ -830,27 +811,14 @@ fn cmd_perf(
     let input = test.default_input();
     let input = &input[..test.inputs_per_run().min(input.len())];
     let jobs = jobs.unwrap_or(1);
-    let res = if choice.process {
+    let exec: Arc<dyn ExecBackend> = if choice.process {
         let backend = choice.process_backend(&cfg.trace)?;
         cfg = cfg.with_backend(backend.clone());
-        perf_bisect(
-            &baseline,
-            &cand_build,
-            test.driver(),
-            input,
-            &cfg,
-            &*backend,
-        )
+        backend
     } else {
-        perf_bisect(
-            &baseline,
-            &cand_build,
-            test.driver(),
-            input,
-            &cfg,
-            &ThreadsBackend::new(jobs),
-        )
+        Arc::new(ThreadsBackend::new(jobs))
     };
+    let res = perf_bisect(&baseline, &cand_build, test.driver(), input, &cfg, &*exec);
 
     let mut out = format!(
         "flit perf {}: test {} | baseline {} | candidate {} | {} samples @ alpha={}{}\n\n",

@@ -240,7 +240,7 @@ fn process_checkpoint_accounts_exactly_once_and_resumes_dead() {
 
 #[test]
 fn a_poisoned_pool_lock_mid_search_never_aborts_and_accounts_exactly_once() {
-    use flit_bisect::hierarchy::{bisect_hierarchical_parallel, HierarchicalConfig};
+    use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
     use flit_bisect::ledger::{LedgerHandle, QueryLedger};
     use flit_core::test::FlitTest;
     use flit_exec::{ExecBackend, ProcessBackend};
@@ -287,7 +287,7 @@ fn a_poisoned_pool_lock_mid_search_never_aborts_and_accounts_exactly_once() {
             backend: None,
         }
         .with_backend(backend.clone() as Arc<dyn ExecBackend>);
-        let result = bisect_hierarchical_parallel(
+        let result = bisect_hierarchical(
             &baseline,
             &variable,
             test.driver(),

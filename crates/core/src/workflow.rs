@@ -171,11 +171,12 @@ pub enum LintMode {
     /// No static analysis.
     #[default]
     Off,
-    /// Predict each pair's variable set and *seed* the searches:
-    /// speculative execution runs the likely-variable elements first.
-    /// Found sets, violations, and traced bisect counters are
-    /// byte-identical to an unseeded run; only wasted speculative Test
-    /// executions drop.
+    /// Predict each pair's variable set, record the prediction in the
+    /// trace (`lint.*`), and *seed* each search's speculative frontier
+    /// with it. The workflow runs every search at width 1, where nothing
+    /// is speculated, so seeding changes neither the results nor the
+    /// executions here; it saves wasted speculative executions only in
+    /// a wider search (`flit bisect --jobs N --lint-seed`).
     Seed,
     /// Seed, and additionally *prune* files/symbols the analysis
     /// predicts cannot vary. Unsound if the static model under-predicts
@@ -374,6 +375,7 @@ pub fn bisect_variable_rows(
         .clone()
         .unwrap_or_else(|| QueryLedger::new(program.fingerprint(), trace));
     let backend = ThreadsBackend::with_trace(cfg.jobs, trace.clone());
+    let serial = ThreadsBackend::new(1);
     let results = run_on(&backend, rows.len(), |i| {
         let row = rows[i];
         // A database resumed from disk can drift from the suite (a test
@@ -418,6 +420,7 @@ pub fn bisect_variable_rows(
             &input[..test.inputs_per_run().min(input.len())],
             &l2_compare,
             &row_cfg.with_ledger(handle),
+            &serial,
         ))
     })
     .map_err(|e| match e {

@@ -32,8 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flit_bisect::hierarchy::{
-    bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, HierarchicalResult,
-    SearchOutcome,
+    bisect_hierarchical, HierarchicalConfig, HierarchicalResult, SearchOutcome,
 };
 use flit_bisect::journal::{load_journal, JournalWriter};
 use flit_bisect::ledger::{LedgerHandle, QueryLedger};
@@ -145,19 +144,15 @@ fn run_search(
         cfg = cfg.with_backend(backend);
     }
     let input = &[0.3, 0.7];
-    if jobs > 1 {
-        bisect_hierarchical_parallel(
-            &baseline,
-            &variable,
-            &planted.driver,
-            input,
-            compare,
-            &cfg,
-            &ThreadsBackend::new(jobs),
-        )
-    } else {
-        bisect_hierarchical(&baseline, &variable, &planted.driver, input, compare, &cfg)
-    }
+    bisect_hierarchical(
+        &baseline,
+        &variable,
+        &planted.driver,
+        input,
+        compare,
+        &cfg,
+        &ThreadsBackend::new(jobs),
+    )
 }
 
 /// A compare metric that panics after `budget` calls — the in-process

@@ -4,6 +4,7 @@
 use crossbeam::thread;
 
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
+use flit_exec::ThreadsBackend;
 use flit_fpsim::ulp::l2_diff;
 use flit_program::build::Build;
 use flit_program::engine::Engine;
@@ -172,6 +173,7 @@ pub fn run_one(
         &cfg.input,
         &l2_diff,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     let reported: Vec<String> = res.symbols.iter().map(|s| s.symbol.clone()).collect();
     let classification = match res.outcome {

@@ -3,6 +3,7 @@
 
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, HierarchicalResult};
 use flit_core::metrics::{digit_limited_compare, l2_compare};
+use flit_exec::ThreadsBackend;
 use flit_fpsim::ulp::l2_norm;
 use flit_program::build::Build;
 use flit_program::engine::Engine;
@@ -94,6 +95,7 @@ pub fn table4_cell(
         &LAGHOS_INPUT,
         compare.as_ref(),
         &cfg,
+        &ThreadsBackend::new(1),
     );
     let top_is_viscosity = res
         .symbols
@@ -146,6 +148,7 @@ pub fn hunt_xsw_bug() -> HierarchicalResult {
         &LAGHOS_INPUT,
         &l2_compare,
         &HierarchicalConfig::biggest(2),
+        &ThreadsBackend::new(1),
     )
 }
 

@@ -3,8 +3,8 @@
 //! Six exhibits, all derived from a canonically-ordered
 //! [`Trace`]: a per-phase span summary, the top-N slowest sweep
 //! compilations, the bisect execution counts per level (the paper's
-//! Tables 2/4 "number of runs"), the parallel searches' frontier width
-//! over time, the build-cache hit rates, and the query ledger's
+//! Tables 2/4 "number of runs"), the searches' frontier-width
+//! histogram, the build-cache hit rates, and the query ledger's
 //! resume/dedup accounting.
 
 use flit_trace::event::Trace;
@@ -65,21 +65,27 @@ pub fn bisect_executions(trace: &Trace) -> Table {
     t
 }
 
-/// Frontier width over time for the planner-driven parallel searches:
-/// one row per `exec.wave` span in wave order (the zero-padded wave
-/// number in the label makes the canonical order chronological per
-/// search), with a bar visualising how many Test queries were in
-/// flight. Wide early waves narrowing toward 1 are the signature of a
-/// bisection converging on its blame set.
+/// Frontier widths of the planner-driven searches: one row per observed
+/// `exec.wave` width (ascending), with how many waves dispatched that
+/// many Test queries, the queries they carried, and a bar scaled to the
+/// busiest width. A serial search is a single width-1 row; wider
+/// backends spread waves to the right. Empty when the trace holds no
+/// waves.
 pub fn frontier_widths(trace: &Trace) -> Table {
-    let mut t = Table::new(&["wave", "queries", ""])
-        .with_title("Parallel bisect frontier width over time")
-        .with_aligns(&[Align::Left, Align::Right, Align::Left]);
+    let mut t = Table::new(&["width", "waves", "queries", ""])
+        .with_title("Bisect frontier width histogram")
+        .with_aligns(&[Align::Right, Align::Right, Align::Right, Align::Left]);
+    let mut waves_by_width: std::collections::BTreeMap<u64, u64> = Default::default();
     for s in trace.spans_in(phase::EXEC_WAVE) {
+        *waves_by_width.entry(s.cost).or_default() += 1;
+    }
+    let busiest = waves_by_width.values().copied().max().unwrap_or(1);
+    for (width, waves) in waves_by_width {
         t.row(&[
-            s.label.clone(),
-            s.cost.to_string(),
-            "#".repeat(s.cost.min(48) as usize),
+            width.to_string(),
+            waves.to_string(),
+            (width * waves).to_string(),
+            "#".repeat((waves * 48).div_ceil(busiest) as usize),
         ]);
     }
     t
@@ -333,8 +339,11 @@ pub fn render_trace(trace: &Trace, top: usize) -> String {
     out.push('\n');
     out.push_str(&bisect_executions(trace).render());
     out.push('\n');
-    out.push_str(&frontier_widths(trace).render());
-    out.push('\n');
+    let frontier = frontier_widths(trace);
+    if !frontier.is_empty() {
+        out.push_str(&frontier.render());
+        out.push('\n');
+    }
     out.push_str(&cache_hit_rates(trace).render());
     let lint = lint_activity(trace);
     if !lint.is_empty() {
@@ -459,13 +468,62 @@ mod tests {
         assert!(t.contains("20.0%"), "{t}"); // 2 of 10 link requests
     }
 
+    /// The first three cells (width, waves, queries) of each data row
+    /// of a rendered frontier table.
+    fn histogram_rows(t: &Table) -> Vec<Vec<String>> {
+        t.render()
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .skip(1)
+            .map(|l| {
+                l.split('|')
+                    .skip(1)
+                    .take(3)
+                    .map(|c| c.trim().to_string())
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn frontier_widths_render_in_wave_order_with_bars() {
-        let t = frontier_widths(&sample_trace()).render();
-        let w0 = t.lines().position(|l| l.contains("wave-0000")).unwrap();
-        let w1 = t.lines().position(|l| l.contains("wave-0001")).unwrap();
-        assert!(w0 < w1, "{t}");
-        assert!(t.contains("####"), "{t}");
+    fn frontier_widths_histogram_rows_per_width() {
+        let t = frontier_widths(&sample_trace());
+        // Widths ascend; each width saw one wave.
+        assert_eq!(
+            histogram_rows(&t),
+            [["2", "1", "2"], ["4", "1", "4"]],
+            "{}",
+            t.render()
+        );
+        assert!(t.render().contains("####"));
+    }
+
+    #[test]
+    fn width_1_trace_is_a_single_histogram_row() {
+        let spans = (0..1200)
+            .map(|i| Span {
+                phase: phase::EXEC_WAVE.into(),
+                label: format!("ex13/file/wave-{i:04}"),
+                cost: 1,
+                duration: 0.0,
+            })
+            .collect();
+        let trace = Trace::from_parts(spans, BTreeMap::new());
+        let t = frontier_widths(&trace);
+        assert_eq!(
+            histogram_rows(&t),
+            [["1", "1200", "1200"]],
+            "{}",
+            t.render()
+        );
+        assert!(render_trace(&trace, 5).contains("frontier width histogram"));
+    }
+
+    #[test]
+    fn trace_without_waves_omits_the_frontier_section() {
+        assert!(frontier_widths(&Trace::default()).is_empty());
+        let out = render_trace(&Trace::default(), 5);
+        assert!(!out.contains("frontier width"), "{out}");
     }
 
     #[test]
@@ -473,7 +531,6 @@ mod tests {
         let out = render_trace(&Trace::default(), 5);
         assert!(out.contains("Trace summary by phase"));
         assert!(out.contains("Bisect executions by level"));
-        assert!(out.contains("frontier width over time"));
         assert!(out.contains("Build-cache hit rates"));
         // Zero-request layers report "-", not a division by zero.
         assert!(out.contains('-'));

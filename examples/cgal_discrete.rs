@@ -223,6 +223,7 @@ fn main() {
         &[0.37, 0.81],
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     println!(
         "\nBisect blames: {:?} in {} executions",

@@ -51,6 +51,7 @@ fn main() {
         &LAGHOS_INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     println!(
         "  Bisect blames {:?} in {} executions",
@@ -88,6 +89,7 @@ fn main() {
             k: Some(1),
             ..HierarchicalConfig::all()
         },
+        &ThreadsBackend::new(1),
     );
     println!(
         "  Bisect (2 digits, k=1) blames {:?} in {} executions",

@@ -92,6 +92,7 @@ fn main() {
         &[0.4, 0.8],
         &l2_compare,
         &cfg,
+        &ThreadsBackend::new(1),
     );
 
     assert_eq!(result.outcome, SearchOutcome::Completed);
@@ -131,6 +132,7 @@ fn main() {
         &[0.4, 0.8],
         &l2_compare,
         &resumed_cfg,
+        &ThreadsBackend::new(1),
     );
     assert_eq!(resumed, result, "resume must reproduce the search exactly");
     assert_eq!(resumed_ledger.stats().executed, 0);

@@ -84,6 +84,7 @@ fn main() {
         &[0.44],
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     println!(
         "Bisect blames: {:?}",

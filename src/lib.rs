@@ -51,8 +51,7 @@ pub mod prelude {
     pub use flit_bisect::algo::bisect_all;
     pub use flit_bisect::biggest::bisect_biggest;
     pub use flit_bisect::hierarchy::{
-        bisect_hierarchical, bisect_hierarchical_parallel, HierarchicalConfig, HierarchicalResult,
-        Prescreen, SearchOutcome,
+        bisect_hierarchical, HierarchicalConfig, HierarchicalResult, Prescreen, SearchOutcome,
     };
     pub use flit_bisect::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
     pub use flit_bisect::ledger::{LedgerHandle, LedgerStats, QueryLedger, SearchKeys};

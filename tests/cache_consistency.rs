@@ -80,6 +80,7 @@ fn bisect_found_sets_match_with_cache_on_and_off() {
             &[0.35, 0.62],
             &l2_compare,
             &HierarchicalConfig::all().with_ctx(ctx),
+            &ThreadsBackend::new(1),
         )
     };
     let plain = run(BuildCtx::uncached());

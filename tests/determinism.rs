@@ -74,6 +74,7 @@ fn hierarchical_bisect_is_reproducible() {
             &[0.35, 0.62],
             &l2_compare,
             &HierarchicalConfig::all(),
+            &ThreadsBackend::new(1),
         )
     };
     let a = run();

@@ -58,6 +58,7 @@ fn crashing_mixed_executables_abort_the_search_honestly() {
         &[0.5],
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     match res.outcome {
         SearchOutcome::Crashed(why) => assert!(why.contains("mixed-ABI"), "{why}"),
@@ -198,6 +199,7 @@ fn degenerate_programs_build_and_run() {
         &[0.5],
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     assert_eq!(res.outcome, SearchOutcome::LinkStepOnly); // no variability at all
     assert!(res.files.is_empty());

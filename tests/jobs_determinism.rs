@@ -139,39 +139,70 @@ fn biggest_is_identical_at_jobs_1_and_8() {
     }
 }
 
+/// The mfem ex13 fixture shared by the hierarchy tests below.
+fn mfem_ex13() -> (SimProgram, Compilation, Driver) {
+    let variable = Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2Fma]);
+    let driver = flit::mfem::examples::example_driver(13, 1);
+    (flit::mfem::mfem_program(), variable, driver)
+}
+
 #[test]
 fn mfem_hierarchy_is_identical_at_jobs_1_and_8() {
     // The full File → Symbol search on a real study program: the entire
-    // HierarchicalResult struct must match the serial algorithm.
-    let program = flit::mfem::mfem_program();
+    // HierarchicalResult struct must match the width-1 (serial) search.
+    let (program, variable, driver) = mfem_ex13();
     let baseline = Build::new(&program, Compilation::baseline());
-    let variable = Build::tagged(
-        &program,
-        Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2Fma]),
-        1,
-    );
-    let driver = flit::mfem::examples::example_driver(13, 1);
+    let variable = Build::tagged(&program, variable, 1);
     let cfg = HierarchicalConfig::all();
-    let serial = bisect_hierarchical(
-        &baseline,
-        &variable,
-        &driver,
-        &[0.35, 0.62],
-        &l2_compare,
-        &cfg,
-    );
-    for jobs in [1, 8] {
-        let par = bisect_hierarchical_parallel(
+    let run = |jobs: usize| {
+        bisect_hierarchical(
             &baseline,
             &variable,
             &driver,
             &[0.35, 0.62],
             &l2_compare,
             &cfg,
-            &flit::exec::ThreadsBackend::new(jobs),
-        );
-        assert_eq!(par, serial, "mfem ex13 jobs={jobs}");
-    }
+            &ThreadsBackend::new(jobs),
+        )
+    };
+    let serial = run(1);
+    assert_eq!(run(8), serial, "mfem ex13 jobs=8 vs jobs=1");
+}
+
+#[test]
+fn mfem_hierarchy_at_width_1_runs_only_the_serial_walk() {
+    // Width 1 runs every query inline with no speculation, so a fresh
+    // ledger executes — and its journal records — exactly the queries
+    // the serial recursion asks for. The literals are the counts that
+    // recursion (reference run, file level, probes, symbol level)
+    // performs on this fixture.
+    let (program, variable, driver) = mfem_ex13();
+    let fp = program.fingerprint();
+    let baseline = Build::new(&program, Compilation::baseline());
+    let variable = Build::tagged(&program, variable, 1);
+    let dir = std::env::temp_dir().join(format!("flit-jobs-det-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("width1.jsonl");
+    std::fs::remove_file(&path).ok();
+    let ledger = QueryLedger::new(fp, &TraceSink::disabled());
+    ledger.attach_journal(JournalWriter::create(&path, fp).unwrap());
+    let cfg = HierarchicalConfig::all().with_ledger(LedgerHandle::new(ledger.clone(), 1, "ex13"));
+    let res = bisect_hierarchical(
+        &baseline,
+        &variable,
+        &driver,
+        &[0.35, 0.62],
+        &l2_compare,
+        &cfg,
+        &ThreadsBackend::new(1),
+    );
+    assert_eq!(res.executions, 15, "{res:?}");
+    assert!(ledger.journal_error().is_none());
+    assert_eq!(ledger.stats().executed, 15, "{:?}", ledger.stats());
+    drop(cfg);
+    drop(ledger);
+    assert_eq!(load_journal(&path, fp).unwrap().len(), 15);
+    std::fs::remove_file(&path).ok();
 }
 
 proptest! {

@@ -156,6 +156,7 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
         INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     assert!(!serial.files.is_empty(), "fixture must find variability");
 
@@ -166,7 +167,7 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
             if let Some(p) = prescreen {
                 cfg = cfg.with_prescreen(p);
             }
-            let result = bisect_hierarchical_parallel(
+            let result = bisect_hierarchical(
                 &baseline,
                 &variable,
                 &driver,
@@ -220,10 +221,19 @@ fn mfem_pruned_search_matches_and_verifies() {
         INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     let cfg = HierarchicalConfig::all().with_prescreen(pred.prescreen(true));
-    let pruned = bisect_hierarchical(&baseline, &variable, &driver, INPUT, &l2_compare, &cfg);
-    let pruned_par = bisect_hierarchical_parallel(
+    let pruned = bisect_hierarchical(
+        &baseline,
+        &variable,
+        &driver,
+        INPUT,
+        &l2_compare,
+        &cfg,
+        &ThreadsBackend::new(1),
+    );
+    let pruned_par = bisect_hierarchical(
         &baseline,
         &variable,
         &driver,
@@ -259,7 +269,15 @@ fn dishonest_prune_is_caught_by_the_guard() {
         certificates: None,
     };
     let cfg = HierarchicalConfig::all().with_prescreen(lie);
-    let result = bisect_hierarchical(&baseline, &variable, &driver, INPUT, &l2_compare, &cfg);
+    let result = bisect_hierarchical(
+        &baseline,
+        &variable,
+        &driver,
+        INPUT,
+        &l2_compare,
+        &cfg,
+        &ThreadsBackend::new(1),
+    );
     assert!(
         result
             .violations
@@ -286,6 +304,7 @@ fn mfem_audit_recall_is_total() {
         INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     );
     let audit = audit_hierarchy(&pred, &result);
     assert!(audit.sound(), "missed blames: {audit:?}");

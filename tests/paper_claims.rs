@@ -19,6 +19,7 @@ fn bisect_example(program: &SimProgram, ex: usize, comp: Compilation) -> Hierarc
         &MFEM_INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
+        &ThreadsBackend::new(1),
     )
 }
 

@@ -95,7 +95,7 @@ fn run_search(
         );
         cfg = cfg.with_ledger(LedgerHandle::new(ledger.clone(), 1, pair));
     }
-    let res = bisect_hierarchical_parallel(
+    let res = bisect_hierarchical(
         &baseline,
         &variable,
         &fixture_driver(),

@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 if [[ "${1:-}" == "--quick" ]]; then
-  echo "== quick: jobs determinism (planner vs serial, 1 vs 8 workers) =="
+  echo "== quick: jobs determinism (width 1 vs 8 workers, width-1 work pin) =="
   cargo test -q --test jobs_determinism
   echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
   cargo test -q -p flit-lint
@@ -80,8 +80,10 @@ echo "== cargo build --release --workspace =="
 # so a bare `cargo build` would leave target/release/flit stale.
 cargo build --release --workspace
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# --workspace: a bare `cargo test` runs only the root package and would
+# skip every crate's own unit tests.
+cargo test -q --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
