@@ -87,7 +87,7 @@ fn bench_seeded_search(c: &mut Criterion) {
         b.iter(|| run(&HierarchicalConfig::all()));
     });
     group.bench_function("seeded_jobs8", |b| {
-        b.iter(|| run(&HierarchicalConfig::all().with_prescreen(pred.prescreen(false))));
+        b.iter(|| run(&HierarchicalConfig::all().with_prescreen(pred.prescreen())));
     });
     group.finish();
 }

@@ -17,7 +17,7 @@ use flit_bench::mfem_study::{default_threads, mfem_sweep};
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_core::metrics::l2_compare;
 use flit_exec::{Executor, ThreadsBackend};
-use flit_lint::predict_pair;
+use flit_lint::{prescreen_for, LintMode};
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_program;
 use flit_program::build::Build;
@@ -253,27 +253,13 @@ fn prune_savings(program: &SimProgram) {
             &HierarchicalConfig::all().with_ctx(ctx.clone()),
             &ThreadsBackend::new(1),
         );
-        for (mode, total) in totals.iter_mut().enumerate() {
+        let modes = [LintMode::Off, LintMode::Seed, LintMode::Prune];
+        for (mode, total) in modes.into_iter().zip(totals.iter_mut()) {
             let trace = TraceSink::enabled();
             let mut cfg = HierarchicalConfig::all()
                 .with_ctx(ctx.clone())
                 .with_trace(trace.clone());
-            let mut pred = predict_pair(&base, &var, Some(&driver), CompilerKind::Gcc);
-            match mode {
-                1 => cfg = cfg.with_prescreen(pred.prescreen(false)),
-                2 => {
-                    let certs = certify_pair(
-                        program,
-                        program,
-                        &driver,
-                        &Compilation::baseline(),
-                        comp,
-                        CompilerKind::Gcc,
-                    );
-                    cfg = cfg.with_prescreen(pred.certified_prescreen(certs, true));
-                }
-                _ => {}
-            }
+            cfg.prescreen = prescreen_for(mode, &base, &var, &driver, &cfg);
             let res = bisect_hierarchical(&base, &var, &driver, &INPUT, &l2_compare, &cfg, &exec);
             assert_eq!(res.files, gold.files, "prune must not change file blame");
             assert_eq!(

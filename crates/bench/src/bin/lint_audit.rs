@@ -176,7 +176,7 @@ fn seeding_savings(program: &SimProgram) {
                 .with_ctx(ctx.clone())
                 .with_trace(trace.clone());
             if seed {
-                cfg = cfg.with_prescreen(pred.prescreen(false));
+                cfg = cfg.with_prescreen(pred.prescreen());
             }
             let a = bisect_hierarchical(
                 &base,

@@ -35,42 +35,35 @@ use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
 /// A static prescreen of the hierarchical search space (produced by
 /// `flit-lint`, consumed here): predicted-sensitivity scores per file
-/// and per exported symbol.
+/// and per exported symbol, plus — for a pruning search — certified
+/// divergence bounds.
 ///
 /// Scores `> 0.0` mean "predicted variable"; missing entries mean
 /// "predicted invariant". The scores seed the parallel drivers'
 /// speculative frontiers in predicted-sensitivity order — answers only
 /// enter a plan through its answer table, so seeding never changes
-/// found sets, traces, violations, or execution counts. When [`prune`]
-/// is set the predicted-invariant items are additionally removed from
-/// the search space itself; because that *is* observable if the static
-/// analysis was wrong, the search then re-runs Test over the unpruned
-/// space and over the found set (an Algorithm-1-style dynamic
-/// verification) and reports a violation when they disagree.
+/// found sets, traces, violations, or execution counts. A prescreen
+/// prunes exactly when it carries [`certificates`]: the search space
+/// then drops the `Invariant`-certified items, under a residual audit
+/// that reports a dishonest certificate as a violation.
 ///
-/// [`prune`]: Prescreen::prune
+/// [`certificates`]: Prescreen::certificates
 #[derive(Debug, Clone, Default)]
 pub struct Prescreen {
     /// `file_id` → predicted-sensitivity score.
     pub file_priority: BTreeMap<usize, f64>,
     /// Exported symbol → predicted-sensitivity score.
     pub symbol_priority: BTreeMap<String, f64>,
-    /// Prune predicted-invariant items from the search space (opt-in:
-    /// `flit bisect --lint-prune`).
-    pub prune: bool,
     /// Certified divergence bounds from `flit-absint` backing a
-    /// `--prune certified` run. When present together with [`prune`],
-    /// the search space drops `Invariant`-certified items instead of
-    /// score-zero items, the 2-execution dynamic probe is replaced by a
-    /// single residual audit per pruned level (`Test(all)` against the
-    /// search's own found-set verification value), and every file-level
-    /// finding is cross-checked against its certificate — a dishonest
-    /// certificate surfaces as a structured assumption violation, never
+    /// pruning search (`--prune certified`, `--lint prune`). When
+    /// present the search space drops `Invariant`-certified items, a
+    /// single residual audit per pruned level compares `Test(all)`
+    /// with `Test(kept)` (the search's own first query), and every
+    /// file-level finding is cross-checked against its certificate — a
+    /// dishonest certificate surfaces as a structured violation, never
     /// as a silently dropped item. Certificates must have been computed
     /// for the same `(baseline, variable, link_driver)` the search
-    /// uses; the CLI guarantees this.
-    ///
-    /// [`prune`]: Prescreen::prune
+    /// uses.
     pub certificates: Option<flit_absint::PairCertificates>,
 }
 
@@ -84,46 +77,24 @@ impl Prescreen {
     pub fn symbol_score(&self, symbol: &str) -> f64 {
         self.symbol_priority.get(symbol).copied().unwrap_or(0.0)
     }
-
-    /// Keep this file in a pruned search space? Certified mode drops
-    /// exactly the `Invariant`-certified files; lint mode drops
-    /// score-zero files.
-    fn keep_file(&self, file_id: usize) -> bool {
-        match &self.certificates {
-            Some(c) => !c.file(file_id).prunable(),
-            None => self.file_score(file_id) > 0.0,
-        }
-    }
-
-    /// Keep this symbol in a pruned search space? (See [`keep_file`].)
-    ///
-    /// [`keep_file`]: Prescreen::keep_file
-    fn keep_symbol(&self, symbol: &str) -> bool {
-        match &self.certificates {
-            Some(c) => !c.symbol(symbol).prunable(),
-            None => self.symbol_score(symbol) > 0.0,
-        }
-    }
 }
 
-fn prune_guard_violation(level: &str, full: f64, found: f64) -> String {
-    format!(
-        "lint-prune verification failed at {level} level: Test(all)={full} != \
-         Test(found)={found} (the static prescreen pruned a variability-inducing element)"
-    )
-}
+/// Prefixes of the violations that blame a certificate rather than the
+/// search's own assumptions.
+const CERTIFIED_AUDIT_FAILED: &str = "certified-prune audit failed";
+const CERTIFIED_BOUND_VIOLATED: &str = "certified bound violated";
 
-fn certified_audit_violation(level: &str, full: f64, found: f64) -> String {
+fn certified_audit_violation(level: &str, full: f64, kept: f64) -> String {
     format!(
-        "certified-prune audit failed at {level} level: Test(all)={full} != \
-         Test(found)={found} (a certificate wrongly claimed Invariant for a \
+        "{CERTIFIED_AUDIT_FAILED} at {level} level: Test(all)={full} != \
+         Test(kept)={kept} (a certificate wrongly claimed Invariant for a \
          variability-inducing element)"
     )
 }
 
 fn certified_bound_violation(file: &str, cert: &flit_absint::Certificate, value: f64) -> String {
     format!(
-        "certified bound violated for file {file}: certificate {cert:?} \
+        "{CERTIFIED_BOUND_VIOLATED} for file {file}: certificate {cert:?} \
          contradicted by Test = {value:e} (unsound certificate)"
     )
 }
@@ -134,33 +105,16 @@ fn certified_bound_violation(file: &str, cert: &flit_absint::Certificate, value:
 /// symbol certificates' model — symbol dishonesty is caught by the
 /// residual audit instead.)
 fn check_certified_bounds(
-    cfg: &HierarchicalConfig,
+    certs: &flit_absint::PairCertificates,
     files: &[FileFinding],
     violations: &mut Vec<String>,
 ) {
-    let Some(certs) = cfg.prescreen.as_ref().and_then(|p| p.certificates.as_ref()) else {
-        return;
-    };
     for f in files {
         let cert = certs.file(f.file_id);
         if cert.contradicted_by(f.value) {
             violations.push(certified_bound_violation(&f.file_name, &cert, f.value));
         }
     }
-}
-
-/// The Test value the search itself established for its found set (the
-/// Assumption-1 verification query), mined from the trace so the
-/// certified audit does not re-execute it. `None` when the search mode
-/// skipped that verification.
-fn found_verification_value<I: Clone + Ord>(outcome: &BisectOutcome<I>) -> Option<f64> {
-    let mut found: Vec<I> = outcome.found.iter().map(|(i, _)| i.clone()).collect();
-    found.sort();
-    outcome.trace.iter().rev().find_map(|row| {
-        let mut tested = row.tested.clone();
-        tested.sort();
-        (tested == found).then_some(row.value)
-    })
 }
 
 /// Configuration for a hierarchical search.
@@ -181,9 +135,9 @@ pub struct HierarchicalConfig {
     /// paper's Tables 2/4 "number of runs"). Disabled by default.
     pub trace: TraceSink,
     /// Optional static prescreen from `flit-lint`: seeds speculative
-    /// frontiers in predicted-sensitivity order and, when its `prune`
-    /// flag is set, removes predicted-invariant items from the search
-    /// space under dynamic verification.
+    /// frontiers in predicted-sensitivity order and, when it carries
+    /// certificates, removes `Invariant`-certified items from the search
+    /// space under a residual audit.
     pub prescreen: Option<Prescreen>,
     /// Optional handle on a workflow-wide [`QueryLedger`]: every Test
     /// query (reference run, file level, probes, symbol level) is
@@ -373,6 +327,15 @@ impl HierarchicalResult {
         self.outcome == SearchOutcome::Completed && self.violations.is_empty()
     }
 
+    /// The violations that blame a certificate — a failed residual
+    /// audit or a contradicted bound — as opposed to the search's own
+    /// assumption violations, which an unpruned search reports too.
+    pub fn certificate_violations(&self) -> impl Iterator<Item = &String> {
+        self.violations.iter().filter(|v| {
+            v.starts_with(CERTIFIED_AUDIT_FAILED) || v.starts_with(CERTIFIED_BOUND_VIOLATED)
+        })
+    }
+
     /// Library-level blame (the coarsest level of Figure 1's "Library,
     /// Source, and Function Blame"): found files grouped by their
     /// top-level directory, each with the summed Test magnitude.
@@ -402,91 +365,45 @@ impl HierarchicalResult {
     }
 }
 
-/// The two levels of the search.
-#[derive(Debug, Clone, Copy)]
-enum Level {
-    File,
-    Symbol,
-}
-
-impl Level {
-    fn name(self) -> &'static str {
-        match self {
-            Level::File => "file",
-            Level::Symbol => "symbol",
+/// The residual audit guarding a certified-pruned level: the kept
+/// space must reproduce the *unpruned* space's Test value (`all`,
+/// canonical), or a certificate hid a real culprit. Comparing with
+/// `Test(kept)` rather than `Test(found)` blames only the prune, never
+/// a failure of the search's own unique-error assumption (which the
+/// search reports separately). Every leg is booked into the level's
+/// `(executions, seconds)` tally whether or not the oracle serves it
+/// from memory.
+fn certified_audit<I>(
+    level: &str,
+    oracle: &SharedOracle<'_, I>,
+    all: &[I],
+    kept: &[I],
+    outcome: &BisectOutcome<I>,
+    trace: &TraceSink,
+    tally: &mut (usize, f64),
+) -> Result<Option<String>, TestError>
+where
+    I: Clone + Ord + Hash + Send + Sync,
+{
+    let mut eval = |items: &[I]| {
+        tally.0 += 1;
+        let answer = oracle.eval(items);
+        if let Ok((_, seconds)) = &answer {
+            tally.1 += *seconds;
         }
-    }
-}
-
-impl Prescreen {
-    /// Book `n` items dropped from a level's search space, under the
-    /// `absint.*` counter for a certified prune and `lint.*` otherwise.
-    fn book_pruned(&self, trace: &TraceSink, level: Level, n: usize) {
-        let name = match (level, self.certificates.is_some()) {
-            (Level::File, true) => counter_names::ABSINT_PRUNED_FILES,
-            (Level::File, false) => counter_names::LINT_PRUNED_FILES,
-            (Level::Symbol, true) => counter_names::ABSINT_PRUNED_SYMBOLS,
-            (Level::Symbol, false) => counter_names::LINT_PRUNED_SYMBOLS,
-        };
-        trace.counter(name).incr(n as u64);
-    }
-
-    /// Algorithm-1-style dynamic verification guarding a pruned level:
-    /// the found set must reproduce the *unpruned* space's Test value
-    /// (`all`, canonical), or the prescreen hid a real culprit. In
-    /// certified mode the certificate replaces one leg of the probe:
-    /// `Test(found)` is mined from the search's own Assumption-1
-    /// verification query, so only the residual `Test(all)` audit
-    /// executes. Every leg is booked into the level's `(executions,
-    /// seconds)` tally whether or not the oracle serves it from memory.
-    fn guard<I>(
-        &self,
-        level: Level,
-        oracle: &SharedOracle<'_, I>,
-        all: &[I],
-        outcome: &BisectOutcome<I>,
-        trace: &TraceSink,
-        tally: &mut (usize, f64),
-    ) -> Result<Option<String>, TestError>
-    where
-        I: Clone + Ord + Hash + Send + Sync,
-    {
-        let mut found: Vec<I> = outcome.found.iter().map(|(i, _)| i.clone()).collect();
-        found.sort();
-        let mut eval = |items: &[I]| {
-            tally.0 += 1;
-            let answer = oracle.eval(items);
-            if let Ok((_, seconds)) = &answer {
-                tally.1 += *seconds;
-            }
-            answer.map(|(value, _)| value)
-        };
-        let certified = self.certificates.is_some();
-        let (full, found_v) = if certified {
-            trace.counter(counter_names::ABSINT_PRUNE_AUDITS).incr(1);
-            let full = eval(all);
-            // BisectBiggest skips the Assumption-1 verification query;
-            // fall back to an explicit one.
-            let found_v = match found_verification_value(outcome) {
-                Some(v) => Ok(v),
-                None => eval(&found),
-            };
-            (full, found_v)
-        } else {
-            trace
-                .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                .incr(2);
-            (eval(all), eval(&found))
-        };
-        let (full, found_v) = (full?, found_v?);
-        Ok((full != found_v).then(|| {
-            if certified {
-                certified_audit_violation(level.name(), full, found_v)
-            } else {
-                prune_guard_violation(level.name(), full, found_v)
-            }
-        }))
-    }
+        answer.map(|(value, _)| value)
+    };
+    trace.counter(counter_names::ABSINT_PRUNE_AUDITS).incr(1);
+    let full = eval(all);
+    // `BisectAll`'s first query is `Test(kept)`; `BisectBiggest` keeps
+    // no trace, so it gets one booked fallback query.
+    let kept_v = match outcome.trace.first() {
+        Some(row) => Ok(row.value),
+        None => eval(kept),
+    };
+    let (full, kept_v) = (full?, kept_v?);
+    let agree = full == kept_v || (full.is_nan() && kept_v.is_nan());
+    Ok((!agree).then(|| certified_audit_violation(level, full, kept_v)))
 }
 
 /// A search's ledger handle with its canonical keys.
@@ -607,16 +524,18 @@ pub fn bisect_hierarchical(
     };
 
     // ---- File Bisect ----
-    let prune = cfg.prescreen.as_ref().filter(|p| p.prune);
+    let certs = cfg.prescreen.as_ref().and_then(|p| p.certificates.as_ref());
     let all_file_ids: Vec<usize> = (0..baseline.program.files.len()).collect();
-    let file_ids: Vec<usize> = match prune {
-        Some(p) => {
+    let file_ids: Vec<usize> = match certs {
+        Some(c) => {
             let kept: Vec<usize> = all_file_ids
                 .iter()
                 .copied()
-                .filter(|id| p.keep_file(*id))
+                .filter(|id| !c.file(*id).prunable())
                 .collect();
-            p.book_pruned(&cfg.trace, Level::File, all_file_ids.len() - kept.len());
+            cfg.trace
+                .counter(counter_names::ABSINT_PRUNED_FILES)
+                .incr((all_file_ids.len() - kept.len()) as u64);
             kept
         }
         None => all_file_ids.clone(),
@@ -657,11 +576,12 @@ pub fn bisect_hierarchical(
         Ok(p) => (p.outcome.executions, p.seconds),
         Err(f) => (f.executions, f.seconds),
     };
-    let guard = match (prune, &file_result) {
-        (Some(p), Ok(plan)) if file_ids.len() < all_file_ids.len() => p.guard(
-            Level::File,
+    let guard = match &file_result {
+        Ok(plan) if file_ids.len() < all_file_ids.len() => certified_audit(
+            "file",
             &file_oracle,
             &all_file_ids,
+            &file_ids,
             &plan.outcome,
             &cfg.trace,
             &mut tally,
@@ -699,7 +619,9 @@ pub fn bisect_hierarchical(
             value: *value,
         })
         .collect();
-    check_certified_bounds(cfg, &res.files, &mut res.violations);
+    if let Some(c) = certs {
+        check_certified_bounds(c, &res.files, &mut res.violations);
+    }
 
     if res.files.is_empty() {
         // Nothing found and nothing flagged: the mixed link cannot
@@ -753,8 +675,12 @@ pub fn bisect_hierarchical(
             // Under pruning the plan searches only the kept symbols. A
             // fully-pruned file still gets a plan so the fold has a
             // result to consume.
-            let kept = match prune {
-                Some(p) => all.iter().filter(|s| p.keep_symbol(s)).cloned().collect(),
+            let kept = match certs {
+                Some(c) => all
+                    .iter()
+                    .filter(|s| !c.symbol(s).prunable())
+                    .cloned()
+                    .collect(),
                 None => all.clone(),
             };
             (!all.is_empty()).then_some(Candidate {
@@ -837,19 +763,22 @@ pub fn bisect_hierarchical(
             res.file_level_only.push(fid);
             continue;
         };
-        if let Some(p) = prune {
-            p.book_pruned(&cfg.trace, Level::Symbol, c.all.len() - c.kept.len());
+        if certs.is_some() {
+            cfg.trace
+                .counter(counter_names::ABSINT_PRUNED_SYMBOLS)
+                .incr((c.all.len() - c.kept.len()) as u64);
         }
         let mut tally = match &sym_result {
             Ok(p) => (p.outcome.executions, p.seconds),
             Err(f) => (f.executions, f.seconds),
         };
-        let guard = match (prune, &sym_result) {
+        let guard = match &sym_result {
             // `all` is sorted, i.e. canonical.
-            (Some(p), Ok(plan)) if c.kept.len() < c.all.len() => p.guard(
-                Level::Symbol,
+            Ok(plan) if c.kept.len() < c.all.len() => certified_audit(
+                "symbol",
                 oracle,
                 &c.all,
+                &c.kept,
                 &plan.outcome,
                 &cfg.trace,
                 &mut tally,
@@ -1207,7 +1136,6 @@ mod tests {
             flit_toolchain::compiler::CompilerKind::Gcc,
         );
         Prescreen {
-            prune: true,
             certificates: Some(certs),
             ..Prescreen::default()
         }
@@ -1341,7 +1269,7 @@ mod tests {
     }
 
     /// The `absint.*` accounting: pruned-item and audit counters are
-    /// emitted (not the lint ones), identically at every width.
+    /// emitted identically at every width.
     #[test]
     fn certified_prune_emits_absint_counters_identically() {
         let p = program();
@@ -1375,10 +1303,6 @@ mod tests {
         assert_eq!(counters.get("absint.pruned.files"), Some(&2));
         // One file-level audit plus one per symbol-searched file.
         assert!(counters.get("absint.prune.audits").copied().unwrap_or(0) >= 1);
-        // Certified mode must not book lint-prune accounting.
-        let full = serial_trace.registry().expect("enabled").snapshot();
-        assert_eq!(full.get("lint.pruned.files"), None);
-        assert_eq!(full.get("lint.prune.verifications"), None);
 
         let (par, par_trace) = run(4);
         assert_eq!(par, serial);

@@ -1,6 +1,8 @@
 //! Hand-rolled argument parsing (no external dependency; the surface is
 //! small and stable).
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A parsed command line.
@@ -46,13 +48,10 @@ pub enum Command {
         /// Seed speculation from the static prescreen (identical
         /// findings, fewer Test executions).
         lint_seed: bool,
-        /// Additionally prune statically-clean files/symbols (adds a
-        /// dynamic verification probe; implies seeding).
-        lint_prune: bool,
         /// `--prune certified`: drop `Invariant`-certified items using
         /// sound bounds from the abstract interpreter (found sets stay
-        /// byte-identical; a single residual audit replaces the lint
-        /// prune's two-execution probe).
+        /// byte-identical, under a one-query residual audit per pruned
+        /// level; implies seeding).
         prune: Option<String>,
         /// Journal every completed Test answer to this file (atomic
         /// appends; safe to kill the process at any point).
@@ -147,8 +146,8 @@ pub enum Command {
         jobs: Option<usize>,
         /// Write a JSONL trace of the whole workflow here.
         trace: Option<String>,
-        /// Static prescreen mode for the bisection stage: `seed` or
-        /// `prune` (default: off).
+        /// Static prescreen mode for the bisection stage: `seed`, or
+        /// `prune` for the certified prune (default: off).
         lint: Option<String>,
         /// Journal every completed bisection Test answer to this file.
         checkpoint: Option<String>,
@@ -251,7 +250,7 @@ USAGE:
   flit apps
   flit run <app> [--compiler gcc|clang|icpc|xlc] [--json]
   flit analyze <app>
-  flit bisect <app> --compilation \"<compiler -On [flags]>\" [--test <name>] [--biggest <k>] [--jobs <n>] [--lint-seed] [--lint-prune] [--prune certified] [--checkpoint <file.jsonl>] [--resume <file.jsonl>] [--backend threads|process] [--workers <n>]
+  flit bisect <app> --compilation \"<compiler -On [flags]>\" [--test <name>] [--biggest <k>] [--jobs <n>] [--lint-seed] [--prune certified] [--checkpoint <file.jsonl>] [--resume <file.jsonl>] [--backend threads|process] [--workers <n>]
   flit perf <app> --pair \"<base>\" \"<candidate>\" [--test <name>] [--samples <n>] [--alpha <a>] [--seed <s>] [--jobs <n>] [--trace <file.jsonl>] [--backend threads|process] [--workers <n>]
   flit bound <app> --pair \"<base>\" \"<candidate>\" [--test <name>] [--trace <file.jsonl>]
   flit lint <app> [--compilation \"<compiler -On [flags]>\"] [--test <name>]
@@ -270,6 +269,12 @@ The `process` backend evaluates Test/timing queries in `flit worker`
 subprocesses (crash-isolated; results byte-identical to serial).
 `--kill-workers n1,n2,...` installs a deterministic worker-kill
 schedule for recovery testing.
+
+`--lint-seed` (bisect) and `--lint seed` (workflow) order speculation
+by the static prediction; `--prune certified` (bisect) and
+`--lint prune` (workflow) also drop the items the abstract interpreter
+certifies Invariant, under a one-query residual audit per pruned level.
+A flag the command does not take is an error.
 ";
 
 /// Parse a command line (excluding the program name).
@@ -277,13 +282,23 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
     let mut it = args.iter();
     let cmd = it.next().map_or("help", String::as_str);
     let rest: Vec<&String> = it.collect();
+    // Every flag name the command's arm asks for; any other `--token`
+    // is rejected once the arm has parsed.
+    let asked: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
+    let ask = |name: &str| {
+        asked.borrow_mut().insert(name.to_string());
+    };
     let flag_value = |name: &str| -> Option<String> {
+        ask(name);
         rest.iter()
             .position(|a| a.as_str() == name)
             .and_then(|i| rest.get(i + 1))
             .map(ToString::to_string)
     };
-    let has_flag = |name: &str| rest.iter().any(|a| a.as_str() == name);
+    let has_flag = |name: &str| {
+        ask(name);
+        rest.iter().any(|a| a.as_str() == name)
+    };
     let positional = || -> Result<String, ParseError> {
         rest.first()
             .filter(|a| !a.starts_with("--"))
@@ -328,6 +343,7 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
     };
 
     let pair_labels = || -> Result<(String, String), ParseError> {
+        ask("--pair");
         let pair_at = rest
             .iter()
             .position(|a| a.as_str() == "--pair")
@@ -362,7 +378,7 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
             if let Some(mode) = &prune {
                 if mode != "certified" {
                     return Err(ParseError(format!(
-                        "--prune takes `certified`, got `{mode}` (for the static prescreen use --lint-prune)"
+                        "--prune takes `certified`, got `{mode}`"
                     )));
                 }
             }
@@ -373,7 +389,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                 biggest: num_flag("--biggest")?,
                 jobs: num_flag("--jobs")?,
                 lint_seed: has_flag("--lint-seed"),
-                lint_prune: has_flag("--lint-prune"),
                 prune,
                 checkpoint: flag_value("--checkpoint"),
                 resume: flag_value("--resume"),
@@ -542,6 +557,15 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
     };
+    let asked = asked.borrow();
+    if let Some(unknown) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !asked.contains(a.as_str()))
+    {
+        return Err(ParseError(format!(
+            "`{cmd}` does not take {unknown}\n\n{USAGE}"
+        )));
+    }
     Ok(Cli { command })
 }
 
@@ -621,7 +645,6 @@ mod tests {
                 biggest: Some(2),
                 jobs: Some(8),
                 lint_seed: false,
-                lint_prune: false,
                 prune: None,
                 checkpoint: None,
                 resume: None,
@@ -636,8 +659,7 @@ mod tests {
                 "mfem",
                 "--compilation",
                 "icpc -O2",
-                "--lint-seed",
-                "--lint-prune"
+                "--lint-seed"
             ]))
             .unwrap()
             .command,
@@ -648,7 +670,6 @@ mod tests {
                 biggest: None,
                 jobs: None,
                 lint_seed: true,
-                lint_prune: true,
                 prune: None,
                 checkpoint: None,
                 resume: None,
@@ -1091,6 +1112,28 @@ mod tests {
         assert!(parse(&v(&["fuzz", "--seeds", "9..3"])).is_err());
         assert!(parse(&v(&["fuzz", "--seeds", "5..5"])).is_err());
         assert!(parse(&v(&["fuzz", "--seeds", "0..4", "--budget-secs", "soon"])).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_command_does_not_take() {
+        let bisect = |flag: &str| parse(&v(&["bisect", "mfem", "--compilation", "g++ -O2", flag]));
+        // The retired lint prune and a typo of it both fail, naming
+        // the flag, instead of running an unpruned search.
+        for flag in ["--lint-prune", "--lint-prnue"] {
+            let err = bisect(flag).unwrap_err();
+            assert!(
+                err.0.contains(&format!("does not take {flag}")),
+                "{}",
+                err.0
+            );
+        }
+        assert!(bisect("--lint-seed").is_ok());
+        // A typo must not silently run every bisection.
+        let err = parse(&v(&["workflow", "laghos", "--max-bisection", "2"])).unwrap_err();
+        assert!(err.0.contains("--max-bisection"), "{}", err.0);
+        // A flag of another command is not borrowed.
+        assert!(parse(&v(&["workflow", "laghos", "--lint-seed"])).is_err());
+        assert!(parse(&v(&["apps", "--json"])).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use flit_core::runner::{run_matrix, RunnerConfig, RunnerError};
 use flit_core::test::FlitTest;
 use flit_exec::{ExecBackend, ProcessBackend, ThreadsBackend};
 use flit_inject::study::{run_study, StudyConfig};
+use flit_lint::LintMode;
 use flit_program::build::Build;
 use flit_report::table::{fmt_f64, Align, Table};
 use flit_report::trace_view::render_trace;
@@ -44,7 +45,6 @@ pub fn execute(cli: &Cli) -> Result<String, ParseError> {
             biggest,
             jobs,
             lint_seed,
-            lint_prune,
             prune,
             checkpoint,
             resume,
@@ -58,7 +58,6 @@ pub fn execute(cli: &Cli) -> Result<String, ParseError> {
             *biggest,
             *jobs,
             *lint_seed,
-            *lint_prune,
             prune.as_deref() == Some("certified"),
             checkpoint.as_deref(),
             resume.as_deref(),
@@ -469,17 +468,11 @@ fn cmd_bisect(
     biggest: Option<usize>,
     jobs: Option<usize>,
     lint_seed: bool,
-    lint_prune: bool,
     prune_certified: bool,
     checkpoint: Option<&str>,
     resume: Option<&str>,
     choice: &BackendChoice,
 ) -> Result<String, ParseError> {
-    if prune_certified && lint_prune {
-        return Err(ParseError(
-            "--prune certified and --lint-prune are different prune disciplines; pick one".into(),
-        ));
-    }
     let app = get_app(app)?;
     let comp = parse_compilation(compilation)?;
     let test = match test {
@@ -501,34 +494,24 @@ fn cmd_bisect(
         ledger: None,
         backend: None,
     };
-    if prune_certified {
-        // The certificates must model exactly the searched pair: the
-        // search links mixed binaries with the baseline's compiler
-        // (gcc), which is precisely `link_driver` above.
-        let mut certs = flit_absint::certify_pair(
-            &app.program,
-            &app.program,
-            test.driver(),
-            &Compilation::baseline(),
-            &comp,
-            CompilerKind::Gcc,
-        );
-        // Test hook (like FLIT_WORKER_EXIT_AFTER): forge a dishonest
-        // Invariant certificate for the named file so the integration
-        // suite can prove the residual audit fails the process.
-        if let Ok(name) = std::env::var("FLIT_FORGE_INVARIANT") {
-            if let Some(fid) = app.program.files.iter().position(|f| f.name == name) {
-                certs.files[fid] = flit_absint::Certificate::Invariant;
-            }
+    let lint = if prune_certified {
+        LintMode::Prune
+    } else if lint_seed {
+        LintMode::Seed
+    } else {
+        LintMode::Off
+    };
+    cfg.prescreen = flit_lint::prescreen_for(lint, &baseline, &variable, test.driver(), &cfg);
+    // Test hook (like FLIT_WORKER_EXIT_AFTER): forge a dishonest
+    // Invariant certificate for the named file so the integration suite
+    // can prove the residual audit fails the process.
+    if let (Some(certs), Ok(name)) = (
+        cfg.prescreen.as_mut().and_then(|p| p.certificates.as_mut()),
+        std::env::var("FLIT_FORGE_INVARIANT"),
+    ) {
+        if let Some(fid) = app.program.files.iter().position(|f| f.name == name) {
+            certs.files[fid] = flit_absint::Certificate::Invariant;
         }
-        record_certificates(&cfg.trace, &certs);
-        let mut pred =
-            flit_lint::predict_pair(&baseline, &variable, Some(test.driver()), CompilerKind::Gcc);
-        cfg = cfg.with_prescreen(pred.certified_prescreen(certs, true));
-    } else if lint_seed || lint_prune {
-        let pred =
-            flit_lint::predict_pair(&baseline, &variable, Some(test.driver()), CompilerKind::Gcc);
-        cfg = cfg.with_prescreen(pred.prescreen(lint_prune));
     }
     let ledger = ledger_for(app.program.fingerprint(), &cfg.trace, checkpoint, resume)?;
     if let Some(ledger) = &ledger {
@@ -569,12 +552,10 @@ fn cmd_bisect(
         if note.is_empty() && jobs > 1 {
             note.push_str(&format!(" | {jobs} jobs"));
         }
-        if prune_certified {
-            note.push_str(" | certified prune");
-        } else if lint_prune {
-            note.push_str(" | lint prune");
-        } else if lint_seed {
-            note.push_str(" | lint seed");
+        match lint {
+            LintMode::Prune => note.push_str(" | certified prune"),
+            LintMode::Seed => note.push_str(" | lint seed"),
+            LintMode::Off => {}
         }
         note
     };
@@ -622,21 +603,13 @@ fn cmd_bisect(
     if let Some(ledger) = &ledger {
         out.push_str(&ledger_footer(ledger));
     }
-    if prune_certified && !res.violations.is_empty() {
-        // A violated certified prune means a certificate lied: fail the
-        // process (the report, violations included, goes to stderr).
+    if res.certificate_violations().next().is_some() {
+        // A certificate lied: fail the process (the report, violations
+        // included, goes to stderr). The search's own assumption
+        // violations are reported above, as in an unpruned run.
         return Err(ParseError(out));
     }
     Ok(out)
-}
-
-/// Record the `absint.*` certification counters for one pair.
-fn record_certificates(trace: &TraceSink, certs: &flit_absint::PairCertificates) {
-    use flit_trace::names::counter;
-    let (inv, bnd, unk) = certs.counts();
-    trace.counter(counter::ABSINT_CERTIFIED_INVARIANT).incr(inv);
-    trace.counter(counter::ABSINT_CERTIFIED_BOUNDED).incr(bnd);
-    trace.counter(counter::ABSINT_CERTIFIED_UNKNOWN).incr(unk);
 }
 
 /// Render one certificate as (kind, bound) table cells.
@@ -684,7 +657,7 @@ fn cmd_bound(
         &cand_comp,
         CompilerKind::Gcc,
     );
-    record_certificates(&trace, &certs);
+    flit_lint::record_certificates(&trace, &certs);
 
     let (inv, bnd, unk) = certs.counts();
     let (whole_kind, whole_bound) = cert_cells(&certs.whole);
@@ -956,7 +929,7 @@ fn cmd_workflow(
     resume: Option<&str>,
     choice: &BackendChoice,
 ) -> Result<String, ParseError> {
-    use flit_core::workflow::{run_workflow, LintMode, WorkflowConfig};
+    use flit_core::workflow::{run_workflow, WorkflowConfig};
     let app = get_app(app)?;
     let comps = matrix_for(&app, None)?;
     let trace = if trace_path.is_some() || checkpoint.is_some() || resume.is_some() {
@@ -1274,19 +1247,64 @@ mod tests {
         assert_eq!(parallel.replace(" | 8 jobs", ""), pruned);
     }
 
+    /// The certified audit blames only the prune: on this laghos pair
+    /// the search's own unique-error assumption fails (Test(all) =
+    /// Test(kept) != Test(found)), which the pruned run reports exactly
+    /// like the unpruned one, without failing the process.
     #[test]
-    fn certified_prune_rejects_the_lint_prune_combination() {
-        let err = run_cli(&[
-            "bisect",
-            "mfem",
-            "--compilation",
-            "g++ -O3 -mavx2 -mfma",
-            "--prune",
-            "certified",
-            "--lint-prune",
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("different prune disciplines"), "{}", err.0);
+    fn certified_prune_does_not_blame_certificates_for_search_violations() {
+        let args = ["bisect", "laghos", "--compilation", "g++ -O2 -mavx2 -mfma"];
+        let plain = run_cli(&args).unwrap();
+        assert!(
+            plain.contains("unique-error assumption violated"),
+            "{plain}"
+        );
+        let mut pruned_args = args.to_vec();
+        pruned_args.extend(["--prune", "certified"]);
+        let pruned = run_cli(&pruned_args).unwrap();
+        assert!(!pruned.contains("certified-prune audit failed"), "{pruned}");
+        let body = |report: &str| -> Vec<String> {
+            report
+                .lines()
+                .skip(1)
+                .filter(|l| !l.starts_with("program executions: "))
+                .map(ToString::to_string)
+                .collect()
+        };
+        assert_eq!(body(&pruned), body(&plain));
+    }
+
+    /// Workflow `--lint prune` is the certified prune: every bisected
+    /// row reports exactly what the unpruned row does.
+    #[test]
+    fn certified_workflow_prune_matches_every_unpruned_row() {
+        use flit_core::workflow::{bisect_variable_rows, WorkflowConfig};
+        for (name, rows) in [("laghos", usize::MAX), ("mfem", 60)] {
+            let app = get_app(name).unwrap();
+            let comps = matrix_for(&app, None).unwrap();
+            let tests: Vec<&dyn FlitTest> = app.tests.iter().map(|t| t as &dyn FlitTest).collect();
+            let db = run_matrix(&app.program, &tests, &comps, &RunnerConfig::default()).unwrap();
+            let bisect = |lint: LintMode| {
+                let cfg = WorkflowConfig {
+                    max_bisections: rows,
+                    lint,
+                    ..WorkflowConfig::default()
+                };
+                bisect_variable_rows(&app.program, &app.tests, &db, &cfg, &BuildCtx::cached())
+                    .unwrap()
+            };
+            let (off, pruned) = (bisect(LintMode::Off), bisect(LintMode::Prune));
+            assert_eq!(off.len(), pruned.len());
+            assert!(!off.is_empty());
+            for (a, b) in off.iter().zip(&pruned) {
+                let row = format!("{name} {}/{}", a.test, a.compilation.label());
+                assert_eq!(b.result.files, a.result.files, "{row}");
+                assert_eq!(b.result.symbols, a.result.symbols, "{row}");
+                assert_eq!(b.result.file_level_only, a.result.file_level_only, "{row}");
+                assert_eq!(b.result.outcome, a.result.outcome, "{row}");
+                assert_eq!(b.result.violations, a.result.violations, "{row}");
+            }
+        }
     }
 
     #[test]
@@ -1525,31 +1543,6 @@ mod tests {
             seeded.replace(" | lint seed", ""),
             plain,
             "--lint-seed must not change the report"
-        );
-    }
-
-    #[test]
-    fn lint_pruned_bisect_finds_the_same_blame_set() {
-        let args = [
-            "bisect",
-            "mfem",
-            "--test",
-            "ex13",
-            "--compilation",
-            "g++ -O3 -mavx2 -mfma",
-        ];
-        let plain = run_cli(&args).unwrap();
-        let mut pruned_args = args.to_vec();
-        pruned_args.push("--lint-prune");
-        let pruned = run_cli(&pruned_args).unwrap();
-        // Pruning adds verification executions, so compare the findings
-        // rather than the whole report.
-        for line in plain.lines().filter(|l| l.contains("Test = ")) {
-            assert!(pruned.contains(line), "missing `{line}` in:\n{pruned}");
-        }
-        assert!(
-            !pruned.contains("assumption violations"),
-            "prune verification must agree on mfem:\n{pruned}"
         );
     }
 

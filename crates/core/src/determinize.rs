@@ -14,7 +14,9 @@
 //! records the observed arrival orders so a replay run re-executes them
 //! bit-for-bit — after which the FLiT workflow applies unchanged.
 
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
@@ -36,11 +38,15 @@ pub enum RrMode {
 }
 
 /// A log of combination orders (one `Vec<usize>` per kernel execution).
+///
+/// Replay keeps one cursor per thread: the runner executes tests on
+/// parallel workers, and each worker replays the log from the start
+/// without consuming another worker's schedules.
 #[derive(Debug)]
 pub struct ScheduleLog {
     mode: Mutex<RrMode>,
     orders: Mutex<Vec<Vec<usize>>>,
-    cursor: Mutex<usize>,
+    cursors: Mutex<HashMap<ThreadId, usize>>,
 }
 
 impl Default for ScheduleLog {
@@ -55,19 +61,19 @@ impl ScheduleLog {
         ScheduleLog {
             mode: Mutex::new(RrMode::Live),
             orders: Mutex::new(Vec::new()),
-            cursor: Mutex::new(0),
+            cursors: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Switch modes. Entering [`RrMode::Replay`] rewinds the cursor;
-    /// entering [`RrMode::Record`] clears previous recordings.
+    /// Switch modes. Entering [`RrMode::Replay`] rewinds every thread's
+    /// cursor; entering [`RrMode::Record`] clears previous recordings.
     pub fn set_mode(&self, mode: RrMode) {
         *self.mode.lock() = mode;
         match mode {
-            RrMode::Replay => *self.cursor.lock() = 0,
+            RrMode::Replay => self.cursors.lock().clear(),
             RrMode::Record => {
                 self.orders.lock().clear();
-                *self.cursor.lock() = 0;
+                self.cursors.lock().clear();
             }
             RrMode::Live => {}
         }
@@ -88,9 +94,10 @@ impl ScheduleLog {
         self.len() == 0
     }
 
-    /// Rewind the replay cursor (each FLiT run replays from the start).
+    /// Rewind the calling thread's replay cursor (each FLiT run replays
+    /// from the start).
     pub fn rewind(&self) {
-        *self.cursor.lock() = 0;
+        self.cursors.lock().remove(&std::thread::current().id());
     }
 
     fn push(&self, order: Vec<usize>) {
@@ -98,9 +105,9 @@ impl ScheduleLog {
     }
 
     fn next(&self) -> Option<Vec<usize>> {
-        let mut cur = self.cursor.lock();
-        let orders = self.orders.lock();
-        let out = orders.get(*cur).cloned();
+        let mut cursors = self.cursors.lock();
+        let cur = cursors.entry(std::thread::current().id()).or_insert(0);
+        let out = self.orders.lock().get(*cur).cloned();
         if out.is_some() {
             *cur += 1;
         }
@@ -257,6 +264,35 @@ mod tests {
         let (replay2, _) = test.run_impl(&[0.41], &ctx).unwrap();
         assert!(recorded.bitwise_eq(&replay1));
         assert!(replay1.bitwise_eq(&replay2));
+    }
+
+    /// Parallel workers each replay the whole log: a rewind on one
+    /// thread never moves another thread's cursor.
+    #[test]
+    fn concurrent_replays_each_see_the_whole_log() {
+        let log = Arc::new(ScheduleLog::new());
+        let program = racy_program(log.clone());
+        let test = test_for();
+        let build = Build::new(&program, Compilation::baseline());
+        let exe = build.executable().unwrap();
+        let ctx = RunContext {
+            program: &program,
+            exe: &exe,
+        };
+        log.set_mode(RrMode::Record);
+        let (recorded, _) = test.run_impl(&[0.41], &ctx).unwrap();
+        log.set_mode(RrMode::Replay);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..10 {
+                        log.rewind();
+                        let (replayed, _) = test.run_impl(&[0.41], &ctx).unwrap();
+                        assert!(replayed.bitwise_eq(&recorded));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

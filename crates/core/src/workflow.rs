@@ -29,6 +29,11 @@ use crate::metrics::l2_compare;
 use crate::runner::{run_matrix_in, RunnerConfig, RunnerError};
 use crate::test::{DriverTest, FlitTest};
 
+/// How the static prescreen (`flit-lint`) participates in the bisection
+/// stage; [`LintMode::Prune`] runs every search under the certified
+/// prune.
+pub use flit_lint::LintMode;
+
 /// Why a workflow could not produce a report.
 ///
 /// The daemon use case (`flit-serve`) is why this is structured: a
@@ -162,28 +167,6 @@ pub fn render_workflow_report(name: &str, note: &str, report: &WorkflowReport) -
         out.push_str(&format!("    crashed mixed executables: {crashed}\n"));
     }
     out
-}
-
-/// How the static prescreen (`flit-lint`) participates in the
-/// bisection stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintMode {
-    /// No static analysis.
-    #[default]
-    Off,
-    /// Predict each pair's variable set, record the prediction in the
-    /// trace (`lint.*`), and *seed* each search's speculative frontier
-    /// with it. The workflow runs every search at width 1, where nothing
-    /// is speculated, so seeding changes neither the results nor the
-    /// executions here; it saves wasted speculative executions only in
-    /// a wider search (`flit bisect --jobs N --lint-seed`).
-    Seed,
-    /// Seed, and additionally *prune* files/symbols the analysis
-    /// predicts cannot vary. Unsound if the static model under-predicts
-    /// — each pruned search therefore appends a dynamic verification
-    /// probe (two extra executions) and reports any disagreement as an
-    /// assumption violation.
-    Prune,
 }
 
 /// Workflow options.
@@ -396,23 +379,12 @@ pub fn bisect_variable_rows(
             i as u64 + 1,
             format!("{}/{}", row.test, row.compilation.label()),
         );
-        let row_cfg = match cfg.lint {
-            LintMode::Off => bisect_cfg.clone(),
-            mode => {
-                // Bisect links mixed executables with the baseline
-                // compiler: predict under the same model.
-                let pred = flit_lint::predict_pair(
-                    &baseline,
-                    &variable,
-                    Some(driver),
-                    cfg.runner.baseline.compiler,
-                );
-                pred.record(trace, format!("{}/{}", row.test, row.compilation.label()));
-                bisect_cfg
-                    .clone()
-                    .with_prescreen(pred.prescreen(mode == LintMode::Prune))
-            }
-        };
+        let mut row_cfg = bisect_cfg.clone();
+        if let Some(p) =
+            flit_lint::prescreen_for(cfg.lint, &baseline, &variable, driver, &bisect_cfg)
+        {
+            row_cfg.prescreen = Some(p);
+        }
         Ok(bisect_hierarchical(
             &baseline,
             &variable,

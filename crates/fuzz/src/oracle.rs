@@ -10,7 +10,7 @@
 //!   violations;
 //! * **(b) lint recall** — `flit-lint`'s static prediction must cover
 //!   every planted file and symbol (recall 1.0; precision may be lower,
-//!   the prescreen's verification probes absorb that), and its ABI
+//!   an over-prediction only costs speculation), and its ABI
 //!   hazard flag must match the linker predicate;
 //! * **(c) width and resume byte-identity** — the jobs=N planner run
 //!   must equal the serial result structurally (every f64 bit), and a

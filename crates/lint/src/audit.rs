@@ -3,9 +3,8 @@
 //! (Table 5) — and report precision/recall of the prescreen.
 //!
 //! Soundness means **recall = 1.0**: everything Bisect dynamically
-//! blamed must have been statically predicted (otherwise `--lint-prune`
-//! would drop real variability, which the in-search verification probe
-//! exists to catch). Precision is reported honestly but is *expected*
+//! blamed must have been statically predicted (otherwise the seed would
+//! skip speculating on real variability). Precision is reported honestly but is *expected*
 //! to be below 1.0 — the static model cannot know that a numerically
 //! sensitive kernel happens to cancel to the same bits on a particular
 //! input.

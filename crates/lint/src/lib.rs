@@ -27,10 +27,11 @@
 //!    1.0 for pruning to be sound; precision is reported honestly.
 //!
 //! The prediction feeds back into the search as a
-//! [`Prescreen`](flit_bisect::hierarchy::Prescreen): seeding reorders
-//! speculative execution (identical results, fewer Test executions);
-//! opt-in pruning skips unpredicted elements under a dynamic
-//! verification probe.
+//! [`Prescreen`](flit_bisect::hierarchy::Prescreen), built by
+//! [`prescreen_for`] from a [`LintMode`]: seeding reorders speculative
+//! execution (identical results, fewer Test executions); pruning drops
+//! the items `flit-absint` certifies `Invariant`, under a one-query
+//! residual audit.
 //!
 //! [`FpEnv`]: flit_fpsim::env::FpEnv
 
@@ -42,6 +43,9 @@ pub mod sensitivity;
 
 pub use analyze::{analyze_program, reachable, FunctionLint, ProgramLint};
 pub use audit::{audit_hierarchy, audit_injection, HierarchyAudit, InjectionAudit, LevelAudit};
-pub use predict::{predict_pair, FilePrediction, PairPrediction, SymbolPrediction};
+pub use predict::{
+    predict_pair, prescreen_for, record_certificates, FilePrediction, LintMode, PairPrediction,
+    SymbolPrediction,
+};
 pub use render::render_prediction;
 pub use sensitivity::{diff, diff_pic, kernel_sensitivity, Feature, Hazard, SensitivitySet};

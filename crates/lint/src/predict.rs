@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use flit_bisect::hierarchy::Prescreen;
+use flit_bisect::hierarchy::{HierarchicalConfig, Prescreen};
 use flit_program::build::Build;
 use flit_program::model::Driver;
 use flit_toolchain::compiler::CompilerKind;
@@ -112,16 +112,10 @@ impl PairPrediction {
         self.symbols.iter().any(|s| s.symbol == symbol)
     }
 
-    /// Convert into a Bisect prescreen. With `prune = false` the
-    /// prescreen only *orders* speculation (results are byte-identical
-    /// to an unseeded run); with `prune = true` unpredicted elements
-    /// are skipped entirely and the search appends a dynamic
-    /// verification probe (Algorithm 1's assertion discipline).
-    pub fn prescreen(&self, prune: bool) -> Prescreen {
-        let mut p = Prescreen {
-            prune,
-            ..Prescreen::default()
-        };
+    /// Convert into a seeding Bisect prescreen: it only *orders*
+    /// speculation, so results are byte-identical to an unseeded run.
+    pub fn prescreen(&self) -> Prescreen {
+        let mut p = Prescreen::default();
         for f in &self.files {
             p.file_priority.insert(f.file_id, f.score);
         }
@@ -190,17 +184,14 @@ impl PairPrediction {
     }
 
     /// A certificate-backed pruning prescreen: bound-magnitude scores
-    /// order speculation and the certificates themselves decide what a
-    /// `--prune certified` search may drop.
-    pub fn certified_prescreen(
-        &mut self,
-        certs: flit_absint::PairCertificates,
-        prune: bool,
-    ) -> Prescreen {
+    /// order speculation and the certificates themselves decide what
+    /// the search may drop.
+    pub fn certified_prescreen(&mut self, certs: flit_absint::PairCertificates) -> Prescreen {
         self.rescore_with_certificates(&certs);
-        let mut p = self.prescreen(prune);
-        p.certificates = Some(certs);
-        p
+        Prescreen {
+            certificates: Some(certs),
+            ..self.prescreen()
+        }
     }
 
     /// Record this prediction's counters and a span into `trace`.
@@ -219,6 +210,72 @@ impl PairPrediction {
             .incr(self.hazards.len() as u64);
         trace.span(phase::LINT, label, self.functions_analyzed as u64, 0.0);
     }
+}
+
+/// How the static prescreen participates in a hierarchical search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LintMode {
+    /// No static analysis.
+    #[default]
+    Off,
+    /// Predict the pair, record the prediction in the trace (`lint.*`),
+    /// and *seed* the search's speculative frontier with it. Seeding
+    /// only orders speculation, so findings, traces and execution
+    /// counts match an unseeded search. A width-1 search (every
+    /// workflow search) speculates nothing and executes exactly what
+    /// the unseeded one does; a wider search
+    /// (`flit bisect --jobs N --lint-seed`) wastes fewer speculative
+    /// executions.
+    Seed,
+    /// Seed, and *prune*: certify the pair with `flit-absint` and drop
+    /// the `Invariant`-certified files and symbols from the search
+    /// space. Sound by construction — an `Invariant` certificate proves
+    /// its item cannot move the Test value — and guarded by one
+    /// residual audit query per pruned level, which reports a dishonest
+    /// certificate as a violation. Found sets match the unpruned
+    /// search.
+    Prune,
+}
+
+/// The prescreen a search of `(baseline, variable)` under `cfg` runs
+/// with in `mode` (`None` for [`LintMode::Off`]). Predicts the pair
+/// under the search's own link driver and records the prediction into
+/// `cfg.trace`; when pruning, also certifies the pair with that link
+/// driver, records `absint.certified.*`, and attaches the certificates.
+pub fn prescreen_for(
+    mode: LintMode,
+    baseline: &Build<'_>,
+    variable: &Build<'_>,
+    driver: &Driver,
+    cfg: &HierarchicalConfig,
+) -> Option<Prescreen> {
+    if mode == LintMode::Off {
+        return None;
+    }
+    let mut pred = predict_pair(baseline, variable, Some(driver), cfg.link_driver);
+    let label = format!("{}/{}", driver.name, variable.compilation.label());
+    pred.record(&cfg.trace, label);
+    if mode == LintMode::Seed {
+        return Some(pred.prescreen());
+    }
+    let certs = flit_absint::certify_pair(
+        baseline.program,
+        variable.program,
+        driver,
+        &baseline.compilation,
+        &variable.compilation,
+        cfg.link_driver,
+    );
+    record_certificates(&cfg.trace, &certs);
+    Some(pred.certified_prescreen(certs))
+}
+
+/// Record the `absint.certified.*` counters for one pair's certificates.
+pub fn record_certificates(trace: &TraceSink, certs: &flit_absint::PairCertificates) {
+    let (inv, bnd, unk) = certs.counts();
+    trace.counter(counter::ABSINT_CERTIFIED_INVARIANT).incr(inv);
+    trace.counter(counter::ABSINT_CERTIFIED_BOUNDED).incr(bnd);
+    trace.counter(counter::ABSINT_CERTIFIED_UNKNOWN).incr(unk);
 }
 
 /// Predict what Bisect will find for a `(baseline, variable)` pair.
@@ -495,8 +552,7 @@ mod tests {
         let mut pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
         let driver = Driver::new("d", vec!["dot".into(), "idle".into(), "trig".into()], 1, 32);
         let certs = flit_absint::certify_pair(&p, &p, &driver, &o0(), &fast(), CompilerKind::Gcc);
-        let screen = pred.certified_prescreen(certs, true);
-        assert!(screen.prune);
+        let screen = pred.certified_prescreen(certs);
         let certs = screen.certificates.as_ref().expect("certificates attached");
         assert_eq!(screen.file_score(0), certs.file(0).score());
         // Scores on invariant-certified items are gone (0.0 default).
@@ -504,13 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn prescreen_carries_scores_and_prune_flag() {
+    fn prescreen_carries_scores_and_no_certificates() {
         let p = program();
         let baseline = Build::new(&p, o0());
         let variable = Build::new(&p, fast());
         let pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
-        let screen = pred.prescreen(true);
-        assert!(screen.prune);
+        let screen = pred.prescreen();
+        assert!(screen.certificates.is_none());
         assert!(screen.file_score(0) > 0.0);
         assert_eq!(screen.file_score(1), 0.0);
         assert!(screen.symbol_score("dot") > 0.0);

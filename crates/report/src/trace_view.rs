@@ -124,7 +124,7 @@ pub fn cache_hit_rates(trace: &Trace) -> Table {
 }
 
 /// The static-prescreen (`flit lint`) activity: analyzer volume,
-/// prediction counts, and what the prescreen saved or verified inside
+/// prediction counts, and the speculation the seed saved inside
 /// Bisect. Rendered only when the trace recorded lint activity — most
 /// workflows never run the pass, and an all-zero table would read as
 /// "lint ran and found nothing".
@@ -138,9 +138,6 @@ pub fn lint_activity(trace: &Trace) -> Table {
         ("predicted symbols", counter::LINT_PREDICTED_SYMBOLS),
         ("hazard lints", counter::LINT_HAZARDS),
         ("speculations skipped", counter::LINT_SPECULATION_SKIPPED),
-        ("files pruned", counter::LINT_PRUNED_FILES),
-        ("symbols pruned", counter::LINT_PRUNED_SYMBOLS),
-        ("prune verifications", counter::LINT_PRUNE_VERIFICATIONS),
     ];
     let total: u64 = rows.iter().map(|(_, key)| trace.counter(key)).sum();
     if total == 0 {

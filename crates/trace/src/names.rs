@@ -103,12 +103,6 @@ pub mod counter {
     /// lint-predicted invariant (prioritization, not pruning — found
     /// sets are unaffected).
     pub const LINT_SPECULATION_SKIPPED: &str = "lint.speculation.skipped";
-    /// Files excluded from the search space by `--lint-prune`.
-    pub const LINT_PRUNED_FILES: &str = "lint.pruned.files";
-    /// Symbols excluded from the search space by `--lint-prune`.
-    pub const LINT_PRUNED_SYMBOLS: &str = "lint.pruned.symbols";
-    /// Algorithm-1-style dynamic verification runs guarding pruning.
-    pub const LINT_PRUNE_VERIFICATIONS: &str = "lint.prune.verifications";
 
     /// Items certified `Invariant` by the abstract interpreter.
     pub const ABSINT_CERTIFIED_INVARIANT: &str = "absint.certified.invariant";
@@ -116,12 +110,13 @@ pub mod counter {
     pub const ABSINT_CERTIFIED_BOUNDED: &str = "absint.certified.bounded";
     /// Items the abstract interpreter could not certify (`Unknown`).
     pub const ABSINT_CERTIFIED_UNKNOWN: &str = "absint.certified.unknown";
-    /// Files excluded from the search space by `--prune certified`.
+    /// Files excluded from the search space by a certified prune
+    /// (`flit bisect --prune certified`, `flit workflow --lint prune`).
     pub const ABSINT_PRUNED_FILES: &str = "absint.pruned.files";
-    /// Symbols excluded from the search space by `--prune certified`.
+    /// Symbols excluded from the search space by a certified prune.
     pub const ABSINT_PRUNED_SYMBOLS: &str = "absint.pruned.symbols";
-    /// Residual audit queries run by a certified prune (one per pruned
-    /// level, vs the lint prune's two).
+    /// Residual audits run by a certified prune: one per pruned level,
+    /// each comparing `Test(all)` with `Test(kept)`.
     pub const ABSINT_PRUNE_AUDITS: &str = "absint.prune.audits";
 
     /// Hierarchical searches launched by the workflow driver.

@@ -1,15 +1,15 @@
 //! Soundness contract of the static prescreen (`flit-lint`), end to
 //! end: the per-kernel sensitivity model is differentially sound, the
 //! analyzer is total over generated synthetic codebases, and on the
-//! paper's Table-2 MFEM fixture a lint-seeded (and lint-pruned) search
-//! reproduces the unseeded findings byte-for-byte while spending
-//! strictly fewer Test executions at width 8.
-
-use std::collections::BTreeMap;
+//! paper's Table-2 MFEM fixture a lint-seeded search reproduces the
+//! unseeded findings byte-for-byte while spending strictly fewer Test
+//! executions at width 8, and a certified-pruned search reproduces the
+//! findings with fewer executions.
 
 use proptest::prelude::*;
 
 use flit::lint::sensitivity::{env_with, kernel_sensitivity};
+use flit::lint::{prescreen_for, LintMode};
 use flit::prelude::*;
 use flit::program::generate::{filler_files, FillerSpec};
 use flit::trace::names::counter;
@@ -179,7 +179,7 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
             (result, trace.snapshot())
         };
         let (plain, plain_trace) = run(None);
-        let (seeded, seeded_trace) = run(Some(pred.prescreen(false)));
+        let (seeded, seeded_trace) = run(Some(pred.prescreen()));
 
         assert_eq!(plain, serial, "unseeded parallel vs serial, jobs={jobs}");
         assert_eq!(seeded, serial, "seeded parallel vs serial, jobs={jobs}");
@@ -204,15 +204,14 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
     }
 }
 
-/// Opt-in pruning reproduces the same blame sets with zero assumption
-/// violations (the dynamic verification probe passes), on both the
-/// serial and the parallel path.
+/// The certified prune reproduces the same blame sets with zero
+/// violations (the residual audit passes) and strictly fewer
+/// executions, on both the serial and the parallel path.
 #[test]
 fn mfem_pruned_search_matches_and_verifies() {
     let (program, base_c, var_c, driver) = mfem_pair();
     let baseline = Build::new(&program, base_c);
     let variable = Build::tagged(&program, var_c, 1);
-    let pred = predict_pair(&baseline, &variable, Some(&driver), CompilerKind::Gcc);
 
     let plain = bisect_hierarchical(
         &baseline,
@@ -223,7 +222,14 @@ fn mfem_pruned_search_matches_and_verifies() {
         &HierarchicalConfig::all(),
         &ThreadsBackend::new(1),
     );
-    let cfg = HierarchicalConfig::all().with_prescreen(pred.prescreen(true));
+    let cfg = HierarchicalConfig::all();
+    let screen = prescreen_for(LintMode::Prune, &baseline, &variable, &driver, &cfg)
+        .expect("pruning builds a prescreen");
+    assert!(
+        screen.certificates.is_some(),
+        "a pruning prescreen is certified"
+    );
+    let cfg = cfg.with_prescreen(screen);
     let pruned = bisect_hierarchical(
         &baseline,
         &variable,
@@ -249,26 +255,36 @@ fn mfem_pruned_search_matches_and_verifies() {
         assert_eq!(r.outcome, plain.outcome, "{label} pruned outcome");
         assert!(
             r.violations.is_empty(),
-            "{label} prune verification should pass: {:?}",
+            "{label} residual audit should pass: {:?}",
             r.violations
+        );
+        assert!(
+            r.executions < plain.executions,
+            "{label} certified prune must be cheaper: {} vs {}",
+            r.executions,
+            plain.executions
         );
     }
 }
 
-/// A dishonest prescreen (everything pruned) is caught by the
-/// verification probe, not silently believed.
+/// A dishonest prescreen (every file and symbol forged `Invariant`, so
+/// everything is pruned) is caught by the residual audit, not silently
+/// believed.
 #[test]
 fn dishonest_prune_is_caught_by_the_guard() {
     let (program, base_c, var_c, driver) = mfem_pair();
     let baseline = Build::new(&program, base_c);
     let variable = Build::tagged(&program, var_c, 1);
-    let lie = Prescreen {
-        file_priority: BTreeMap::new(),
-        symbol_priority: BTreeMap::new(),
-        prune: true,
-        certificates: None,
-    };
-    let cfg = HierarchicalConfig::all().with_prescreen(lie);
+    let cfg = HierarchicalConfig::all();
+    let mut lie = prescreen_for(LintMode::Prune, &baseline, &variable, &driver, &cfg)
+        .expect("pruning builds a prescreen");
+    let certs = lie.certificates.as_mut().expect("certified");
+    certs
+        .files
+        .iter_mut()
+        .chain(certs.symbols.values_mut())
+        .for_each(|c| *c = flit_absint::Certificate::Invariant);
+    let cfg = cfg.with_prescreen(lie);
     let result = bisect_hierarchical(
         &baseline,
         &variable,
@@ -280,10 +296,9 @@ fn dishonest_prune_is_caught_by_the_guard() {
     );
     assert!(
         result
-            .violations
-            .iter()
-            .any(|v| v.contains("lint-prune verification failed")),
-        "expected a prune-verification violation, got {:?}",
+            .certificate_violations()
+            .any(|v| v.contains("certified-prune audit failed at file level")),
+        "expected a residual-audit violation, got {:?}",
         result.violations
     );
 }

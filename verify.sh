@@ -37,9 +37,19 @@ if [[ "${1:-}" == "--quick" ]]; then
       --backend process --workers 4 > /dev/null
   ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --backend process --workers 4 --kill-workers 1,1,2 > /dev/null
-  echo "== quick: certified-prune + bound-soundness smoke (fuzz layer f) =="
+  echo "== quick: certified-prune (bisect + workflow) + bound-soundness smoke (fuzz layer f) =="
   ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --prune certified > /dev/null
+  # The workflow's prune is the certified prune: same report as no prune.
+  ./target/debug/flit workflow laghos --max-bisections 6 > target/wf-plain.txt
+  ./target/debug/flit workflow laghos --max-bisections 6 --lint prune > target/wf-prune.txt
+  cmp target/wf-plain.txt target/wf-prune.txt
+  # The retired lint prune is an unknown flag, never a silent no-op.
+  if ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
+      --lint-prune > /dev/null 2>&1; then
+    echo "flit bisect accepted the retired --lint-prune flag" >&2
+    exit 1
+  fi
   ./target/debug/flit bound mfem --pair "g++ -O2" "g++ -O3 -mavx2 -mfma" > /dev/null
   ./target/debug/flit fuzz --seeds 0..25 > /dev/null
   echo "== quick: flit-serve (protocol/sched/daemon units + multi-tenant suite) =="
