@@ -10,7 +10,17 @@
 //! two complementarily-weakened copies per Figure 3 (right). If `-fPIC`
 //! removes the variability, "the search cannot go deeper; we must be
 //! content with reporting the file containing the variability."
+//!
+//! Algorithm 1 is written over an arbitrary Test function (§2.2), so one
+//! walk serves every Test metric: [`bisect_hierarchical`] runs it with
+//! the user's `compare` ("which file changes the *answer*"), and
+//! [`crate::perf`] with a timing metric ("which file changes the
+//! *runtime*"). A metric supplies only what differs — its reference,
+//! the per-file gate before a symbol plan, re-verification of a
+//! unique-error violation, and its names; plans, oracles, ledger
+//! routing, fold order, spans and crash bookkeeping exist once.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -24,7 +34,7 @@ use flit_trace::sink::TraceSink;
 
 use flit_exec::{run_on, ExecBackend, ExecError};
 
-use crate::algo::BisectOutcome;
+use crate::algo::{AssumptionViolation, BisectOutcome};
 use crate::ledger::{LedgerHandle, SearchKeys};
 use crate::parallel::{
     drive_plans_seeded, emit_query_spans, ParallelTestFn, SharedOracle, SpeculationScore,
@@ -217,7 +227,7 @@ impl HierarchicalConfig {
     }
 
     /// The query plane this configuration evaluates through.
-    fn plane<'a>(
+    pub(crate) fn plane<'a>(
         &'a self,
         baseline: &'a Build<'a>,
         variable: &'a Build<'a>,
@@ -407,7 +417,7 @@ where
 }
 
 /// A search's ledger handle with its canonical keys.
-type Ledgered<'c> = Option<(&'c LedgerHandle, SearchKeys)>;
+pub(crate) type Ledgered<'c> = Option<(&'c LedgerHandle, SearchKeys)>;
 
 /// One level's single-flight oracle: answers route through the search's
 /// ledger (under the key `key` digests) when it has one, else through
@@ -434,11 +444,165 @@ where
 
 /// The crash reason of a search whose backend failed: a panicking Test
 /// or an exhausted retry budget.
-fn exec_crash_message(e: ExecError) -> String {
+fn exec_crash_message(search: &str, e: ExecError) -> String {
     match e {
-        ExecError::WorkerPanicked { message, .. } => format!("bisect worker panicked: {message}"),
-        ExecError::Backend { message } => format!("bisect backend failed: {message}"),
+        ExecError::WorkerPanicked { message, .. } => format!("{search} worker panicked: {message}"),
+        ExecError::Backend { message } => format!("{search} backend failed: {message}"),
     }
+}
+
+/// What a metric's walk is recorded as: its name in backend crash
+/// messages, its run counters, the span phases of its two levels, and
+/// the label suffixes of their drives.
+pub(crate) struct Names {
+    pub search: &'static str,
+    pub reference_runs: &'static str,
+    pub file_runs: &'static str,
+    pub gate_runs: &'static str,
+    pub symbol_runs: &'static str,
+    pub file_phase: &'static str,
+    pub symbol_phase: &'static str,
+    pub file_drive: &'static str,
+    pub symbol_drive: &'static str,
+}
+
+/// A metric's gate on a found file: skipped (not run) or closed, the file
+/// stays file-level-only; open, it carries its symbol queries' reference.
+pub(crate) enum Gate<'r> {
+    Skipped,
+    Closed,
+    Open(Cow<'r, [f64]>),
+}
+
+/// The Test metric of the File→Symbol walk: a query runs one executable
+/// and scores its output against a reference (0 = no effect). The other
+/// items are the steps where metrics differ; their defaults are the
+/// variability search's.
+pub(crate) trait TestMetric: Sync {
+    /// The names this metric's walk is recorded under.
+    const NAMES: Names = Names {
+        search: "bisect",
+        reference_runs: counter_names::BISECT_REFERENCE_RUNS,
+        file_runs: counter_names::BISECT_FILE_RUNS,
+        gate_runs: counter_names::BISECT_PROBE_RUNS,
+        symbol_runs: counter_names::BISECT_SYMBOL_RUNS,
+        file_phase: phase::BISECT_FILE,
+        symbol_phase: phase::BISECT_SYMBOL,
+        file_drive: "file",
+        symbol_drive: "symbol",
+    };
+
+    /// Run one executable: its output (or timing samples) and seconds.
+    fn run(&self, recipe: &ExeRecipe) -> Result<(Vec<f64>, f64), TestError>;
+
+    /// Score a run's output against a reference.
+    fn score(&self, out: &[f64], reference: &[f64]) -> Result<f64, TestError>;
+
+    /// One Test query: run `recipe` and score it against `reference`.
+    fn query(&self, recipe: &ExeRecipe, reference: &[f64]) -> Result<(f64, f64), TestError> {
+        let (out, seconds) = self.run(recipe)?;
+        Ok((self.score(&out, reference)?, seconds))
+    }
+
+    /// Ledger keys of the reference run, a file-level query, and a
+    /// symbol-level query within `file`.
+    fn reference_key(&self, keys: &SearchKeys) -> String {
+        keys.reference()
+    }
+
+    fn file_key(&self, keys: &SearchKeys, label: &str, items: &[usize]) -> String {
+        keys.file_query(label, items)
+    }
+
+    fn symbol_key(&self, keys: &SearchKeys, label: &str, file: usize, items: &[String]) -> String {
+        keys.symbol_query(label, file, items)
+    }
+
+    /// The step after the baseline `reference`: its booked runs, and
+    /// whether the search goes on (`Err(Some(why))` crashes it,
+    /// `Err(None)` ends it with nothing to search).
+    fn admit(&self, _reference: &[f64]) -> (usize, Result<(), Option<String>>) {
+        (0, Ok(()))
+    }
+
+    /// The gate before the symbol plan of found `file` (which exports
+    /// `symbols`): by default the `-fPIC` probe of §2.3.
+    fn gate<'r>(
+        &self,
+        ledger: &Ledgered<'_>,
+        variable: &str,
+        file: usize,
+        _symbols: &[String],
+        reference: &'r [f64],
+    ) -> Result<Gate<'r>, TestError> {
+        let probe = || self.query(&ExeRecipe::PicProbe { file }, reference);
+        let (value, _) = match ledger {
+            Some((handle, keys)) => handle.eval_score(&keys.probe(variable, file), probe),
+            None => probe(),
+        }?;
+        if value == 0.0 {
+            return Ok(Gate::Closed);
+        }
+        Ok(Gate::Open(Cow::Borrowed(reference)))
+    }
+
+    /// The crash message of a failed gate.
+    fn gate_failure(&self, e: TestError) -> String {
+        match e {
+            TestError::Link(e) => format!("pic probe link: {e}"),
+            TestError::Crash(s) => s,
+        }
+    }
+
+    /// Re-verify a level's unique-error violation by running its `all` and
+    /// `found` executables (`Some(_)` books both): `Some(true)` drops it.
+    fn explains(&self, _all: &ExeRecipe, _found: &ExeRecipe) -> Option<bool> {
+        None
+    }
+}
+
+/// The variability metric: outputs run on a query plane, scored by the
+/// user's `compare` against the baseline output.
+struct Compare<'a>(
+    &'a dyn QueryPlane,
+    &'a (dyn Fn(&[f64], &[f64]) -> f64 + Sync),
+);
+
+impl TestMetric for Compare<'_> {
+    fn run(&self, recipe: &ExeRecipe) -> Result<(Vec<f64>, f64), TestError> {
+        self.0.run_recipe(recipe)
+    }
+
+    fn score(&self, out: &[f64], reference: &[f64]) -> Result<f64, TestError> {
+        Ok((self.1)(reference, out))
+    }
+}
+
+/// A level's violations as messages, minus a unique-error violation the
+/// metric explains away by re-verifying it on the searched space
+/// `kept`. The re-verification's runs go into the level's `tally`.
+fn unexplained<I: Clone + Ord>(
+    metric: &impl TestMetric,
+    outcome: &BisectOutcome<I>,
+    kept: &[I],
+    recipe: impl Fn(Vec<I>) -> ExeRecipe,
+    name: impl Fn(&I) -> String,
+    tally: &mut (usize, f64),
+) -> Vec<String> {
+    let unique = |v: &AssumptionViolation<I>| matches!(v, AssumptionViolation::UniqueError { .. });
+    let explained = outcome.violations.iter().any(unique) && {
+        let mut found: Vec<I> = outcome.found.iter().map(|(i, _)| i.clone()).collect();
+        found.sort();
+        let verdict = metric.explains(&recipe(kept.to_vec()), &recipe(found));
+        tally.0 += if verdict.is_some() { 2 } else { 0 };
+        verdict == Some(true)
+    };
+    outcome
+        .violations
+        .iter()
+        .filter(|v| !(explained && unique(v)))
+        .map(|v| v.describe(&name))
+        .collect()
 }
 
 /// Run the full hierarchical search.
@@ -478,6 +642,24 @@ pub fn bisect_hierarchical(
     cfg: &HierarchicalConfig,
     exec: &dyn ExecBackend,
 ) -> HierarchicalResult {
+    let plane = cfg.plane(baseline, variable, driver, input);
+    let metric = Compare(&*plane, compare);
+    walk(&metric, baseline, variable, driver, input, cfg, exec)
+}
+
+/// The File→Symbol walk of [`bisect_hierarchical`] under any Test
+/// metric: reference, file level, one wave of per-file gates, joint
+/// symbol plans, and the fold in file order.
+pub(crate) fn walk<M: TestMetric>(
+    metric: &M,
+    baseline: &Build,
+    variable: &Build,
+    driver: &Driver,
+    input: &[f64],
+    cfg: &HierarchicalConfig,
+    exec: &dyn ExecBackend,
+) -> HierarchicalResult {
+    let names = &M::NAMES;
     let mut res = HierarchicalResult {
         outcome: SearchOutcome::Completed,
         files: vec![],
@@ -495,29 +677,37 @@ pub fn bisect_hierarchical(
         .ledger
         .as_ref()
         .map(|l| (l, search_keys(baseline, variable, driver, input, cfg)));
-    let plane = cfg.plane(baseline, variable, driver, input);
-    let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
+    // Every search reports its gate counter, even one that ends early.
+    cfg.trace.counter(names.gate_runs);
+    let book = |res: &mut HierarchicalResult, counter: &str, runs: usize| {
+        res.executions += runs;
+        cfg.trace.counter(counter).incr(runs as u64);
+    };
 
     // Reference run under the trusted baseline build. Through a ledger
     // the answer (the full output vector) may be served by another
     // search or a journal replay; the accounting is identical either
     // way, and a failed baseline *link* is not an execution.
-    let compute = || plane.run_recipe(&ExeRecipe::Baseline);
+    let compute = || metric.run(&ExeRecipe::Baseline);
     let reference = match &ledger {
-        Some((handle, keys)) => handle.eval_output(&keys.reference(), compute),
+        Some((handle, keys)) => handle.eval_output(&metric.reference_key(keys), compute),
         None => compute(),
     };
     if !matches!(reference, Err(TestError::Link(_))) {
-        res.executions += 1;
-        cfg.trace
-            .counter(counter_names::BISECT_REFERENCE_RUNS)
-            .incr(1);
+        book(&mut res, names.reference_runs, 1);
     }
     let base_out = match reference {
         Ok((out, _)) => out,
         Err(TestError::Link(e)) => return res.crashed(format!("baseline link failed: {e}")),
         Err(TestError::Crash(e)) => return res.crashed(format!("baseline run failed: {e}")),
     };
+    let (runs, admitted) = metric.admit(&base_out);
+    book(&mut res, names.reference_runs, runs);
+    match admitted {
+        Ok(()) => {}
+        Err(Some(why)) => return res.crashed(why),
+        Err(None) => return res,
+    }
     let mode = match cfg.k {
         None => SearchMode::All,
         Some(k) => SearchMode::Biggest(k),
@@ -540,15 +730,12 @@ pub fn bisect_hierarchical(
         }
         None => all_file_ids.clone(),
     };
-    let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
-        let recipe = ExeRecipe::FileMixed {
-            items: items.to_vec(),
-        };
-        let (out, seconds) = plane.run_recipe(&recipe)?;
-        Ok((compare(&base_out, &out), seconds))
+    let file_raw = |items: &[usize]| {
+        let items = items.to_vec();
+        metric.query(&ExeRecipe::FileMixed { items }, &base_out)
     };
     let file_oracle = level_oracle(file_raw, &cfg.trace, &ledger, |keys, items| {
-        keys.file_query(&variable_label, items)
+        metric.file_key(keys, &variable_label, items)
     });
     let file_score = |items: &[usize]| -> f64 {
         let p = cfg.prescreen.as_ref().expect("seed implies a prescreen");
@@ -558,7 +745,7 @@ pub fn bisect_hierarchical(
         .prescreen
         .as_ref()
         .map(|_| &file_score as SpeculationScore<'_, usize>);
-    let file_label = format!("{search}/file");
+    let file_label = format!("{search}/{}", names.file_drive);
     let file_result = match drive_plans_seeded(
         &mut [BisectPlan::new(&file_ids, mode)],
         &[&file_oracle],
@@ -568,7 +755,7 @@ pub fn bisect_hierarchical(
         file_seed,
     ) {
         Ok(mut results) => results.pop().expect("one file-level plan"),
-        Err(e) => return res.crashed(exec_crash_message(e)),
+        Err(e) => return res.crashed(exec_crash_message(names.search, e)),
     };
     // Counters and the level span cover the executions the serial
     // algorithm performs — on failures too — never the speculation.
@@ -588,26 +775,28 @@ pub fn bisect_hierarchical(
         ),
         _ => Ok(None),
     };
-    res.executions += tally.0;
+    let file_name = |id: &usize| baseline.program.files[*id].name.clone();
+    let violations = match &file_result {
+        Ok(plan) => unexplained(
+            metric,
+            &plan.outcome,
+            &file_ids,
+            |items| ExeRecipe::FileMixed { items },
+            file_name,
+            &mut tally,
+        ),
+        Err(_) => vec![],
+    };
+    book(&mut res, names.file_runs, tally.0);
     cfg.trace
-        .counter(counter_names::BISECT_FILE_RUNS)
-        .incr(tally.0 as u64);
-    cfg.trace
-        .span(phase::BISECT_FILE, search.clone(), tally.0 as u64, tally.1);
+        .span(names.file_phase, search.clone(), tally.0 as u64, tally.1);
     let (file_plan, guard_violation) = match (file_result, guard) {
         (Ok(plan), Ok(violation)) => (plan, violation),
         (Err(failure), _) => return res.crashed(failure.error.into_crash_message()),
         (_, Err(e)) => return res.crashed(e.into_crash_message()),
     };
     emit_query_spans(&cfg.trace, &file_label, &file_plan);
-    let file_name = |id: &usize| baseline.program.files[*id].name.clone();
-    res.violations.extend(
-        file_plan
-            .outcome
-            .violations
-            .iter()
-            .map(|v| v.describe(file_name)),
-    );
+    res.violations.extend(violations);
     res.violations.extend(guard_violation);
     res.files = file_plan
         .outcome
@@ -634,43 +823,38 @@ pub fn bisect_hierarchical(
         return res;
     }
 
-    // ---- -fPIC probes: does the variability survive the recompile?
-    // One wave over all found files.
-    let probes = run_on(exec, res.files.len(), |i| {
+    // ---- Gates (the `-fPIC` probes of the variability search): one
+    // wave over all found files.
+    let gates = match run_on(exec, res.files.len(), |i| {
         let fid = res.files[i].file_id;
-        let compute = || -> Result<(f64, f64), TestError> {
-            let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
-            Ok((compare(&base_out, &out), seconds))
-        };
-        match &ledger {
-            Some((handle, keys)) => handle.eval_score(&keys.probe(&variable_label, fid), compute),
-            None => compute(),
-        }
-        .map(|(value, _)| value)
-    });
-    let probes = match probes {
-        Ok(probes) => probes,
-        Err(e) => return res.crashed(exec_crash_message(e)),
+        let symbols = baseline.program.exported_symbols_of_file(fid);
+        metric.gate(&ledger, &variable_label, fid, &symbols, &base_out)
+    }) {
+        Ok(gates) => gates,
+        Err(e) => return res.crashed(exec_crash_message(names.search, e)),
     };
 
     // ---- Symbol Bisect: joint plans for every candidate file ----
-    // Candidates are chosen optimistically (probe positive, exported
-    // symbols present); whether a candidate's result is *consumed* is
-    // decided by the fold below, which replicates the serial walk. The
-    // walk ends at the first failed probe, so no file after it is a
+    // Candidates are chosen optimistically (gate open, exported symbols
+    // present); whether a candidate's result is *consumed* is decided
+    // by the fold below, which replicates the serial walk. The walk
+    // ends at the first failed gate, so no file after it is a
     // candidate.
-    struct Candidate {
+    struct Candidate<'r> {
         fid: usize,
         all: Vec<String>,
         kept: Vec<String>,
+        reference: Cow<'r, [f64]>,
     }
-    let candidates: Vec<Candidate> = res
+    let candidates: Vec<Candidate<'_>> = res
         .files
         .iter()
-        .zip(&probes)
-        .take_while(|(_, probe)| probe.is_ok())
-        .filter(|(_, probe)| matches!(probe, Ok(v) if *v != 0.0))
-        .filter_map(|(finding, _)| {
+        .zip(&gates)
+        .take_while(|(_, gate)| gate.is_ok())
+        .filter_map(|(finding, gate)| {
+            let Ok(Gate::Open(reference)) = gate else {
+                return None;
+            };
             let all = baseline.program.exported_symbols_of_file(finding.file_id);
             // Under pruning the plan searches only the kept symbols. A
             // fully-pruned file still gets a plan so the fold has a
@@ -683,28 +867,25 @@ pub fn bisect_hierarchical(
                     .collect(),
                 None => all.clone(),
             };
-            (!all.is_empty()).then_some(Candidate {
+            (!all.is_empty()).then(|| Candidate {
                 fid: finding.file_id,
                 all,
                 kept,
+                reference: reference.clone(),
             })
         })
         .collect();
-    let (base_out, plane, variable_label) = (&base_out, &plane, &variable_label);
+    let variable_label = &variable_label;
     let sym_oracles: Vec<SharedOracle<'_, String>> = candidates
         .iter()
         .map(|c| {
-            let fid = c.fid;
-            let raw = move |items: &[String]| -> Result<(f64, f64), TestError> {
-                let recipe = ExeRecipe::SymbolMixed {
-                    file: fid,
-                    items: items.to_vec(),
-                };
-                let (out, seconds) = plane.run_recipe(&recipe)?;
-                Ok((compare(base_out, &out), seconds))
+            let (fid, reference) = (c.fid, &c.reference);
+            let raw = move |items: &[String]| {
+                let (file, items) = (fid, items.to_vec());
+                metric.query(&ExeRecipe::SymbolMixed { file, items }, reference)
             };
             level_oracle(raw, &cfg.trace, &ledger, move |keys, items| {
-                keys.symbol_query(variable_label, fid, items)
+                metric.symbol_key(keys, variable_label, fid, items)
             })
         })
         .collect();
@@ -726,11 +907,11 @@ pub fn bisect_hierarchical(
         &oracle_refs,
         exec,
         &cfg.trace,
-        &format!("{search}/symbol"),
+        &format!("{search}/{}", names.symbol_drive),
         sym_seed,
     ) {
         Ok(results) => results,
-        Err(e) => return res.crashed(exec_crash_message(e)),
+        Err(e) => return res.crashed(exec_crash_message(names.search, e)),
     };
 
     // ---- Fold in file order: replicate the serial walk byte-for-byte,
@@ -742,24 +923,17 @@ pub fn bisect_hierarchical(
         .zip(&sym_oracles)
         .zip(sym_results)
         .peekable();
-    for (i, probe) in probes.into_iter().enumerate() {
+    for (i, gate) in gates.into_iter().enumerate() {
         let fid = res.files[i].file_id;
-        // A failed probe *link* is not an execution.
-        if !matches!(probe, Err(TestError::Link(_))) {
-            res.executions += 1;
-            probe_runs.incr(1);
+        // A skipped gate, or a failed gate *link*, is not an execution.
+        if !matches!(gate, Ok(Gate::Skipped) | Err(TestError::Link(_))) {
+            book(&mut res, names.gate_runs, 1);
         }
-        match probe {
-            Ok(v) if v != 0.0 => {}
-            Ok(_) => {
-                res.file_level_only.push(fid);
-                continue;
-            }
-            Err(TestError::Link(e)) => return res.crashed(format!("pic probe link: {e}")),
-            Err(TestError::Crash(s)) => return res.crashed(s),
+        if let Err(e) = gate {
+            return res.crashed(metric.gate_failure(e));
         }
         let Some(((c, oracle), sym_result)) = searched.next_if(|((c, _), _)| c.fid == fid) else {
-            // No exported symbols to interpose.
+            // Gate not open, or no exported symbols to interpose.
             res.file_level_only.push(fid);
             continue;
         };
@@ -785,13 +959,21 @@ pub fn bisect_hierarchical(
             ),
             _ => Ok(None),
         };
-        res.executions += tally.0;
-        cfg.trace
-            .counter(counter_names::BISECT_SYMBOL_RUNS)
-            .incr(tally.0 as u64);
+        let violations = match &sym_result {
+            Ok(plan) => unexplained(
+                metric,
+                &plan.outcome,
+                &c.kept,
+                |items| ExeRecipe::SymbolMixed { file: fid, items },
+                Clone::clone,
+                &mut tally,
+            ),
+            Err(_) => vec![],
+        };
+        book(&mut res, names.symbol_runs, tally.0);
         let sym_label = format!("{search}/{}", baseline.program.files[fid].name);
         cfg.trace.span(
-            phase::BISECT_SYMBOL,
+            names.symbol_phase,
             sym_label.clone(),
             tally.0 as u64,
             tally.1,
@@ -802,12 +984,7 @@ pub fn bisect_hierarchical(
             (_, Err(e)) => return res.crashed(e.into_crash_message()),
         };
         emit_query_spans(&cfg.trace, &sym_label, &plan);
-        res.violations.extend(
-            plan.outcome
-                .violations
-                .iter()
-                .map(|v| v.describe(Clone::clone)),
-        );
+        res.violations.extend(violations);
         res.violations.extend(guard_violation);
         if plan.outcome.found.is_empty() {
             // Exported-symbol interposition cannot reproduce it

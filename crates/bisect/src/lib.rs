@@ -10,9 +10,9 @@
 //!   at run time (§2.2, §2.4).
 //! * [`biggest`] — `BisectBiggest` (§2.5): uniform-cost search for the
 //!   `k` largest contributors with early exit.
-//! * [`hierarchy`] — the dual-level File→Symbol search (§2.3), built on
-//!   the linker/objcopy machinery: File Bisect mixes object files,
-//!   Symbol Bisect re-compiles the found file with `-fPIC` and links two
+//! * [`hierarchy`] — the dual-level File→Symbol search (§2.3), one walk
+//!   over any Test metric: File Bisect mixes object files, Symbol
+//!   Bisect re-compiles the found file with `-fPIC` and links two
 //!   complementarily-weakened copies.
 //! * [`baselines`] — Zeller–Hildebrandt `ddmin` (delta debugging) and a
 //!   linear scan, implemented for the complexity comparisons
@@ -31,10 +31,10 @@
 //! * [`test_fn`] — the memoizing `Test` wrapper with execution counting
 //!   (the paper reports searches in *program executions*; memoization is
 //!   why the verification assertions cost only `1 + k` extra runs).
-//! * [`perf`] — the performance bisect: the same hierarchy driven by a
-//!   statistical Test function (seeded timing samples + Welch's t-test)
-//!   that root-causes which file/symbol makes a compilation *slower*,
-//!   with a confidence interval and verdict on every speedup claim.
+//! * [`perf`] — the performance bisect: the same hierarchy walk driven by
+//!   a timing metric (seeded timing samples + Welch's t-test) that
+//!   root-causes which file/symbol makes a compilation *slower*, with a
+//!   confidence interval and verdict on every speedup claim.
 
 pub mod algo;
 pub mod baselines;

@@ -4,26 +4,27 @@
 //! The variability hierarchy (§2.3) asks "which file changes the
 //! *answer*"; this module asks "which file changes the *runtime*" — the
 //! paper's §4 performance/reproducibility tradeoff turned into a
-//! search. The Test function times a mixed binary under the seeded
-//! noise model ([`flit_toolchain::perf`]) and compares it against the
-//! baseline timing with Welch's t-test: the planner only blames a set
-//! once the slowdown is statistically significant at the configured α.
-//! Every speedup claim the result carries is a full
-//! [`SpeedupReport`] — point estimate, confidence interval, verdict —
-//! never a bare ratio.
+//! search. It runs the same File→Symbol walk ([`crate::hierarchy`])
+//! with a timing metric: a query times a mixed binary under the seeded
+//! noise model ([`flit_toolchain::perf`]) and scores it with Welch's
+//! t-test against a reference timing, so a set is blamed only once its
+//! slowdown is significant at the configured α. Every speedup claim the
+//! result carries is a full [`SpeedupReport`] — point estimate,
+//! confidence interval, verdict — never a bare ratio.
 //!
-//! Timing runs draw `samples` seeded repetitions per binary
-//! ([`TimingProfile::samples`]); the noise draws are common-mode across
-//! compilations (machine-wide jitter), so two binaries that differ only
-//! in untouched files produce bitwise-identical sample vectors and the
-//! planner's exact `Test(all) == Test(found)` verification holds. When
-//! the two compilations disagree on noise *width* (different opt
-//! levels), an apparent unique-error violation is re-verified with a
-//! second Welch test between the two mixed binaries and dropped when
-//! they are statistically indistinguishable — the found set explains
-//! the regression.
+//! The noise draws are common-mode across compilations (machine-wide
+//! jitter), so binaries that differ only in untouched files time
+//! bitwise-identically and the planner's exact `Test(all) ==
+//! Test(found)` check holds. When the compilations disagree on noise
+//! *width* (different opt levels), an apparent unique-error violation
+//! is re-verified with a Welch test between the two binaries and
+//! dropped when they are statistically indistinguishable.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 use flit_program::build::Build;
 use flit_program::model::{Driver, SimProgram, Visibility};
@@ -36,14 +37,14 @@ use flit_toolchain::perf::speed_factor;
 use flit_trace::names::{counter as counter_names, phase};
 use flit_trace::sink::TraceSink;
 
-use flit_exec::{ExecBackend, ExecError};
+use flit_exec::ExecBackend;
 
-use crate::algo::AssumptionViolation;
+use crate::hierarchy::{
+    walk, Gate, HierarchicalConfig, Ledgered, Names, SearchOutcome, TestMetric,
+};
 use crate::ledger::{LedgerHandle, SearchKeys};
-use crate::parallel::{drive_plans, emit_query_spans, SharedOracle};
-use crate::planner::{BisectPlan, PlanFailure, PlanOutcome, SearchMode};
 use crate::test_fn::TestError;
-use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
+use crate::wire::{ExeRecipe, QueryPlane};
 
 /// Configuration of a performance bisect.
 #[derive(Debug, Clone)]
@@ -130,34 +131,6 @@ impl PerfConfig {
     pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
         self.backend = Some(backend);
         self
-    }
-
-    /// The query plane this configuration times through.
-    fn plane<'a>(
-        &'a self,
-        baseline: &'a Build<'a>,
-        candidate: &'a Build<'a>,
-        driver: &'a Driver,
-        input: &'a [f64],
-    ) -> Box<dyn QueryPlane + 'a> {
-        match &self.backend {
-            Some(b) if b.is_remote() => Box::new(RemotePlane::new(
-                b.clone(),
-                baseline,
-                candidate,
-                driver,
-                input,
-                self.link_driver,
-            )),
-            _ => Box::new(LocalPlane {
-                baseline,
-                variable: candidate,
-                driver,
-                input,
-                link_driver: self.link_driver,
-                ctx: &self.ctx,
-            }),
-        }
     }
 }
 
@@ -280,14 +253,134 @@ pub fn predicted_slow_symbols(
         .collect()
 }
 
+/// The timing metric: a query scores the Welch-gated slowdown effect of
+/// its timing samples against the reference samples.
+struct Timing<'a> {
+    plane: &'a dyn QueryPlane,
+    cfg: &'a PerfConfig,
+    /// The baseline samples and the overall claim, once admitted.
+    admitted: OnceLock<(Vec<f64>, SpeedupReport)>,
+    /// The pic-overhead reference of each symbol-searched file.
+    pic_refs: Mutex<BTreeMap<usize, Vec<f64>>>,
+}
+
+impl TestMetric for Timing<'_> {
+    const NAMES: Names = Names {
+        search: "perf bisect",
+        reference_runs: counter_names::PERF_REFERENCE_RUNS,
+        file_runs: counter_names::PERF_FILE_RUNS,
+        gate_runs: counter_names::PERF_REFERENCE_RUNS,
+        symbol_runs: counter_names::PERF_SYMBOL_RUNS,
+        file_phase: phase::PERF_FILE,
+        symbol_phase: phase::PERF_SYMBOL,
+        file_drive: "perf-file",
+        symbol_drive: "perf-symbol",
+    };
+
+    fn run(&self, recipe: &ExeRecipe) -> Result<(Vec<f64>, f64), TestError> {
+        let c = self.cfg;
+        let samples = self.plane.time_recipe(recipe, c.seed, c.samples)?;
+        let total = samples.iter().sum();
+        Ok((samples, total))
+    }
+
+    fn score(&self, out: &[f64], reference: &[f64]) -> Result<f64, TestError> {
+        SpeedupReport::compare(out, reference, self.cfg.alpha)
+            .map(|report| report.slowdown_effect())
+            .ok_or_else(|| TestError::Crash("degenerate timing samples".into()))
+    }
+
+    fn reference_key(&self, keys: &SearchKeys) -> String {
+        let c = self.cfg;
+        keys.perf_reference(c.samples, c.alpha, c.seed)
+    }
+
+    fn file_key(&self, keys: &SearchKeys, label: &str, items: &[usize]) -> String {
+        let c = self.cfg;
+        keys.perf_file_query(label, items, c.samples, c.alpha, c.seed)
+    }
+
+    fn symbol_key(&self, keys: &SearchKeys, label: &str, file: usize, items: &[String]) -> String {
+        let c = self.cfg;
+        keys.perf_symbol_query(label, file, items, c.samples, c.alpha, c.seed)
+    }
+
+    /// Time the candidate's own binary (not ledgered) and go on only if
+    /// the overall Welch test says it is slower.
+    fn admit(&self, reference: &[f64]) -> (usize, Result<(), Option<String>>) {
+        let candidate = match self.run(&ExeRecipe::Candidate) {
+            Ok((samples, _)) => samples,
+            Err(e) => {
+                let runs = usize::from(matches!(e, TestError::Crash(_)));
+                let why = format!("candidate reference failed: {}", e.into_crash_message());
+                return (runs, Err(Some(why)));
+            }
+        };
+        let Some(overall) = SpeedupReport::compare(&candidate, reference, self.cfg.alpha) else {
+            let why = "degenerate timing samples (need samples >= 1 and positive runtimes)";
+            return (1, Err(Some(why.into())));
+        };
+        count_verdict(&self.cfg.trace, overall.verdict());
+        let slower = overall.verdict() == Verdict::Slower;
+        let _ = self.admitted.set((reference.to_vec(), overall));
+        (1, if slower { Ok(()) } else { Err(None) })
+    }
+
+    /// A file with exported symbols gets a pic-overhead reference: the
+    /// empty-set symbol-mixed binary (the target file compiled `-fPIC`
+    /// under the *baseline* build). Symbol queries compare against it,
+    /// so the pic speed penalty cancels instead of being blamed.
+    fn gate<'r>(
+        &self,
+        _: &Ledgered<'_>,
+        _: &str,
+        file: usize,
+        symbols: &[String],
+        _: &'r [f64],
+    ) -> Result<Gate<'r>, TestError> {
+        if symbols.is_empty() {
+            return Ok(Gate::Skipped);
+        }
+        let items = vec![];
+        let (samples, _) = self.run(&ExeRecipe::SymbolMixed { file, items })?;
+        self.pic_refs.lock().insert(file, samples.clone());
+        Ok(Gate::Open(Cow::Owned(samples)))
+    }
+
+    fn gate_failure(&self, e: TestError) -> String {
+        format!("pic reference failed: {}", e.into_crash_message())
+    }
+
+    /// The violation stands only if the two binaries are statistically
+    /// distinguishable.
+    fn explains(&self, all: &ExeRecipe, found: &ExeRecipe) -> Option<bool> {
+        let (Ok((all, _)), Ok((found, _))) = (self.run(all), self.run(found)) else {
+            return Some(false);
+        };
+        let welch = welch_test(&all, &found, self.cfg.alpha);
+        Some(welch.is_some_and(|w| w.verdict == Verdict::Inconclusive))
+    }
+}
+
+fn count_verdict(trace: &TraceSink, verdict: Verdict) {
+    let name = match verdict {
+        Verdict::Faster => counter_names::PERF_VERDICTS_FASTER,
+        Verdict::Slower => counter_names::PERF_VERDICTS_SLOWER,
+        Verdict::Inconclusive => counter_names::PERF_VERDICTS_INCONCLUSIVE,
+    };
+    trace.counter(name).incr(1);
+}
+
 /// Run the performance bisect: confirm the candidate is statistically
 /// slower than the baseline, then search files — and symbols within
-/// found files — for where the slowdown lives. Independent Test queries
-/// fan out on `backend`; the entire result (findings, reports,
-/// execution counts, `perf.*` counters and spans) is byte-identical at
-/// any worker count because answers fold in the serial planner order —
-/// and identical again under a remote backend, because the seeded
-/// sample vectors cross the wire bit-exactly.
+/// found files — for where the slowdown lives. This is the `BisectAll`
+/// walk of [`bisect_hierarchical`](crate::hierarchy::bisect_hierarchical)
+/// under the timing metric. Independent Test queries fan out on
+/// `backend`; the entire result (findings, reports, execution counts,
+/// `perf.*` counters and spans) is byte-identical at any worker count
+/// because answers fold in the serial planner order — and identical
+/// again under a remote backend, because the seeded sample vectors
+/// cross the wire bit-exactly.
 pub fn perf_bisect(
     baseline: &Build,
     candidate: &Build,
@@ -296,568 +389,86 @@ pub fn perf_bisect(
     cfg: &PerfConfig,
     backend: &dyn ExecBackend,
 ) -> PerfBisectResult {
-    let mut executions = 0usize;
-    let mut violations: Vec<String> = Vec::new();
-
-    let search = format!("{}/{}", driver.name, candidate.compilation.label());
-    let candidate_label = candidate.compilation.label();
-    let keys = cfg.ledger.as_ref().map(|_| {
-        SearchKeys::new(
-            baseline.program.fingerprint(),
-            candidate.program.fingerprint(),
-            &driver.name,
-            input,
-            &baseline.compilation.label(),
-            &format!("{:?}", cfg.link_driver),
-        )
-    });
-    let reference_runs = cfg.trace.counter(counter_names::PERF_REFERENCE_RUNS);
-    let samples_drawn = cfg.trace.counter(counter_names::PERF_SAMPLES_DRAWN);
-    let count_verdict = |v: Verdict| {
-        let name = match v {
-            Verdict::Faster => counter_names::PERF_VERDICTS_FASTER,
-            Verdict::Slower => counter_names::PERF_VERDICTS_SLOWER,
-            Verdict::Inconclusive => counter_names::PERF_VERDICTS_INCONCLUSIVE,
-        };
-        cfg.trace.counter(name).incr(1);
+    let walk_cfg = HierarchicalConfig {
+        link_driver: cfg.link_driver,
+        ctx: cfg.ctx.clone(),
+        trace: cfg.trace.clone(),
+        ledger: cfg.ledger.clone(),
+        backend: cfg.backend.clone(),
+        ..HierarchicalConfig::all()
     };
-
-    let crashed = |message: String,
-                   overall: Option<SpeedupReport>,
-                   files: Vec<PerfFileFinding>,
-                   symbols: Vec<PerfSymbolFinding>,
-                   file_level_only: Vec<usize>,
-                   executions: usize,
-                   violations: Vec<String>| PerfBisectResult {
-        outcome: PerfOutcome::Crashed(message),
-        overall,
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
+    let plane = walk_cfg.plane(baseline, candidate, driver, input);
+    let metric = Timing {
+        plane: &*plane,
+        cfg,
+        admitted: OnceLock::new(),
+        pic_refs: Mutex::default(),
     };
-
-    let plane = cfg.plane(baseline, candidate, driver, input);
-
-    // ---- Timing references: the two real binaries ----
-    // Baseline samples go through the ledger (variable-independent, so
-    // every candidate compared against this baseline shares them).
-    let base_reference = {
-        let compute = || -> Result<(Vec<f64>, f64), TestError> {
-            let s = plane.time_recipe(&ExeRecipe::Baseline, cfg.seed, cfg.samples)?;
-            let total = s.iter().sum();
-            Ok((s, total))
-        };
-        match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => ledger.eval_output(
-                &keys.perf_reference(cfg.samples, cfg.alpha, cfg.seed),
-                compute,
-            ),
-            _ => compute(),
-        }
-    };
-    let base_samples = match base_reference {
-        Ok((s, _)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            samples_drawn.incr(cfg.samples as u64);
-            s
-        }
-        Err(TestError::Link(e)) => {
-            return crashed(
-                format!("baseline link failed: {e}"),
-                None,
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(TestError::Crash(e)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            samples_drawn.incr(cfg.samples as u64);
-            return crashed(
-                format!("baseline run failed: {e}"),
-                None,
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            );
-        }
-    };
-
-    let cand_samples = {
-        let compute = || -> Result<Vec<f64>, TestError> {
-            plane.time_recipe(&ExeRecipe::Candidate, cfg.seed, cfg.samples)
-        };
-        match compute() {
-            Ok(s) => {
-                executions += 1;
-                reference_runs.incr(1);
-                samples_drawn.incr(cfg.samples as u64);
-                s
-            }
-            Err(e) => {
-                if matches!(e, TestError::Crash(_)) {
-                    executions += 1;
-                    reference_runs.incr(1);
-                    samples_drawn.incr(cfg.samples as u64);
-                }
-                return crashed(
-                    format!("candidate reference failed: {}", e.into_crash_message()),
-                    None,
-                    vec![],
-                    vec![],
-                    vec![],
-                    executions,
-                    violations,
-                );
-            }
-        }
-    };
-
-    // ---- The overall gate: is the candidate slower at all? ----
-    let Some(overall) = SpeedupReport::compare(&cand_samples, &base_samples, cfg.alpha) else {
-        return crashed(
-            "degenerate timing samples (need samples >= 1 and positive runtimes)".into(),
-            None,
-            vec![],
-            vec![],
-            vec![],
-            executions,
-            violations,
-        );
-    };
-    count_verdict(overall.verdict());
-    if overall.verdict() != Verdict::Slower {
-        return PerfBisectResult {
-            outcome: PerfOutcome::NoRegression,
-            overall: Some(overall),
-            files: vec![],
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
-    }
-
-    // ---- File-level search ----
-    // Raw sample vectors of a file-mixed binary (shared by the oracle,
-    // the finding reports, and the violation re-verification).
-    let file_samples = |items: &[usize]| -> Result<Vec<f64>, TestError> {
-        let recipe = ExeRecipe::FileMixed {
-            items: items.to_vec(),
-        };
-        plane.time_recipe(&recipe, cfg.seed, cfg.samples)
-    };
-    let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
-        let s = file_samples(items)?;
-        let rep = SpeedupReport::compare(&s, &base_samples, cfg.alpha)
-            .ok_or_else(|| TestError::Crash("degenerate timing samples".into()))?;
-        Ok((rep.slowdown_effect(), s.iter().sum()))
-    };
-    let file_oracle = match (&cfg.ledger, &keys) {
-        (Some(ledger), Some(keys)) => {
-            let k = keys.clone();
-            let label = candidate_label.clone();
-            let (n, a, seed) = (cfg.samples, cfg.alpha, cfg.seed);
-            SharedOracle::with_ledger(file_raw, &cfg.trace, ledger.clone(), move |items| {
-                k.perf_file_query(&label, items, n, a, seed)
-            })
-        }
-        _ => SharedOracle::new(file_raw, &cfg.trace),
-    };
-    let file_ids: Vec<usize> = (0..baseline.program.files.len()).collect();
-    let file_label = format!("{search}/perf-file");
-    let mut file_plans = [BisectPlan::new(&file_ids, SearchMode::All)];
-    let file_result = match drive_plans(
-        &mut file_plans,
-        &[&file_oracle],
-        backend,
-        &cfg.trace,
-        &file_label,
-    ) {
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("perf bisect worker panicked: {message}"),
-                Some(overall),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("perf bisect backend failed: {message}"),
-                Some(overall),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Ok(mut results) => results.pop().expect("one file-level plan"),
-    };
-    let (mut file_execs, file_secs) = match &file_result {
-        Ok(p) => (p.outcome.executions, p.seconds),
-        Err(f) => (f.executions, f.seconds),
-    };
-    let file_outcome: PlanOutcome<usize> = match file_result {
-        Ok(p) => p,
-        Err(PlanFailure { error, .. }) => {
-            executions += file_execs;
-            cfg.trace
-                .counter(counter_names::PERF_FILE_RUNS)
-                .incr(file_execs as u64);
-            samples_drawn.incr(file_execs as u64 * cfg.samples as u64);
-            cfg.trace.span(
-                phase::PERF_FILE,
-                search.clone(),
-                file_execs as u64,
-                file_secs,
-            );
-            return crashed(
-                error.into_crash_message(),
-                Some(overall),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            );
-        }
-    };
-
-    // Welch re-verification of unique-error violations: when the two
-    // compilations disagree on noise width (different opt levels) the
-    // exact-equality check can trip on noise alone; the violation is
-    // real only if the all-candidate and found-only mixed binaries are
-    // statistically distinguishable.
-    let mut found_ids: Vec<usize> = file_outcome.outcome.found.iter().map(|(i, _)| *i).collect();
-    found_ids.sort_unstable();
-    let mut reverified: Option<bool> = None; // Some(true) = explained, drop.
-    for v in &file_outcome.outcome.violations {
-        let explained = match v {
-            AssumptionViolation::UniqueError { .. } => {
-                if reverified.is_none() {
-                    file_execs += 2;
-                    let drop = match (file_samples(&file_ids), file_samples(&found_ids)) {
-                        (Ok(all_s), Ok(found_s)) => {
-                            matches!(welch_test(&all_s, &found_s, cfg.alpha),
-                                     Some(w) if w.verdict == Verdict::Inconclusive)
-                        }
-                        _ => false,
-                    };
-                    reverified = Some(drop);
-                }
-                reverified == Some(true)
-            }
-            AssumptionViolation::SingletonBlame { .. } => false,
-        };
-        if !explained {
-            violations.push(v.describe(|id| baseline.program.files[*id].name.clone()));
-        }
-    }
-    executions += file_execs;
-    cfg.trace
-        .counter(counter_names::PERF_FILE_RUNS)
-        .incr(file_execs as u64);
-    samples_drawn.incr(file_execs as u64 * cfg.samples as u64);
-    cfg.trace.span(
-        phase::PERF_FILE,
-        search.clone(),
-        file_execs as u64,
-        file_secs,
+    let res = walk(
+        &metric, baseline, candidate, driver, input, &walk_cfg, backend,
     );
-    emit_query_spans(&cfg.trace, &file_label, &file_outcome);
 
-    // Attach the full statistical claim to every found file. These are
-    // re-derivations of singleton queries the planner already executed,
-    // so they add no executions.
-    let mut files: Vec<PerfFileFinding> = Vec::new();
-    for (id, effect) in &file_outcome.outcome.found {
-        let Some(report) = file_samples(&[*id])
-            .ok()
-            .and_then(|s| SpeedupReport::compare(&s, &base_samples, cfg.alpha))
-        else {
-            return crashed(
-                format!(
-                    "singleton timing of `{}` failed",
-                    baseline.program.files[*id].name
-                ),
-                Some(overall),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            );
+    // Every booked execution drew `samples` samples.
+    cfg.trace
+        .counter(counter_names::PERF_SAMPLES_DRAWN)
+        .incr(res.executions as u64 * u64::from(cfg.samples));
+    let admitted = metric.admitted.get();
+    let base = admitted.map_or(&[][..], |(base, _)| base);
+    let overall = admitted.map(|(_, overall)| overall.clone());
+    let verdict = overall.as_ref().map(SpeedupReport::verdict);
+    let mut out = PerfBisectResult {
+        outcome: match res.outcome {
+            SearchOutcome::Crashed(why) => PerfOutcome::Crashed(why),
+            _ if verdict.is_some_and(|v| v != Verdict::Slower) => PerfOutcome::NoRegression,
+            SearchOutcome::Completed => PerfOutcome::Completed,
+            SearchOutcome::LinkStepOnly => PerfOutcome::LinkStepOnly,
+            SearchOutcome::AssumptionViolated => PerfOutcome::AssumptionViolated,
+        },
+        overall,
+        files: vec![],
+        symbols: vec![],
+        file_level_only: res.file_level_only,
+        executions: res.executions,
+        violations: res.violations,
+    };
+    // Attach the full statistical claim to every finding by re-timing
+    // its singleton. The planner already ran each one, so this books no
+    // executions.
+    let claim = |recipe: ExeRecipe, reference: &[f64]| {
+        let (samples, _) = metric.run(&recipe).ok()?;
+        let report = SpeedupReport::compare(&samples, reference, cfg.alpha)?;
+        count_verdict(&cfg.trace, report.verdict());
+        Some(report)
+    };
+    let failed = |name: &str| PerfOutcome::Crashed(format!("singleton timing of `{name}` failed"));
+    for f in res.files {
+        let items = vec![f.file_id];
+        let Some(report) = claim(ExeRecipe::FileMixed { items }, base) else {
+            out.outcome = failed(&f.file_name);
+            return out;
         };
-        count_verdict(report.verdict());
-        files.push(PerfFileFinding {
-            file_id: *id,
-            file_name: baseline.program.files[*id].name.clone(),
-            effect: *effect,
+        out.files.push(PerfFileFinding {
+            file_id: f.file_id,
+            file_name: f.file_name,
+            effect: f.value,
             report,
         });
     }
-
-    if files.is_empty() {
-        let outcome = if violations.is_empty() {
-            PerfOutcome::LinkStepOnly
-        } else {
-            PerfOutcome::AssumptionViolated
+    let pic_refs = metric.pic_refs.lock();
+    for s in res.symbols {
+        let (file, items) = (s.file_id, vec![s.symbol.clone()]);
+        let Some(report) = claim(ExeRecipe::SymbolMixed { file, items }, &pic_refs[&file]) else {
+            out.outcome = failed(&s.symbol);
+            return out;
         };
-        return PerfBisectResult {
-            outcome,
-            overall: Some(overall),
-            files,
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
+        out.symbols.push(PerfSymbolFinding {
+            symbol: s.symbol,
+            file_id: s.file_id,
+            effect: s.value,
+            report,
+        });
     }
-
-    // ---- Symbol-level search per found file ----
-    // Each candidate file first gets a pic-overhead reference: the
-    // empty-set symbol-mixed binary (target file compiled `-fPIC` under
-    // the *baseline* build). Comparing symbol sets against it cancels
-    // the pic speed penalty instead of blaming it on the symbols.
-    struct Candidate {
-        fid: usize,
-        syms: Vec<String>,
-        symref: Vec<f64>,
-    }
-    let sym_samples = |fid: usize, items: &[String]| -> Result<Vec<f64>, TestError> {
-        let recipe = ExeRecipe::SymbolMixed {
-            file: fid,
-            items: items.to_vec(),
-        };
-        plane.time_recipe(&recipe, cfg.seed, cfg.samples)
-    };
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut file_level_only: Vec<usize> = Vec::new();
-    for finding in &files {
-        let fid = finding.file_id;
-        let syms = baseline.program.exported_symbols_of_file(fid);
-        if syms.is_empty() {
-            file_level_only.push(fid);
-            continue;
-        }
-        let symref = match sym_samples(fid, &[]) {
-            Ok(s) => {
-                executions += 1;
-                reference_runs.incr(1);
-                samples_drawn.incr(cfg.samples as u64);
-                s
-            }
-            Err(e) => {
-                if matches!(e, TestError::Crash(_)) {
-                    executions += 1;
-                    reference_runs.incr(1);
-                    samples_drawn.incr(cfg.samples as u64);
-                }
-                return crashed(
-                    format!("pic reference failed: {}", e.into_crash_message()),
-                    Some(overall),
-                    files,
-                    vec![],
-                    file_level_only,
-                    executions,
-                    violations,
-                );
-            }
-        };
-        candidates.push(Candidate { fid, syms, symref });
-    }
-
-    let sym_oracles: Vec<SharedOracle<'_, String>> = candidates
-        .iter()
-        .map(|c| {
-            let fid = c.fid;
-            let symref = &c.symref;
-            let raw = move |items: &[String]| -> Result<(f64, f64), TestError> {
-                let s = sym_samples(fid, items)?;
-                let rep = SpeedupReport::compare(&s, symref, cfg.alpha)
-                    .ok_or_else(|| TestError::Crash("degenerate timing samples".into()))?;
-                Ok((rep.slowdown_effect(), s.iter().sum()))
-            };
-            match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => {
-                    let k = keys.clone();
-                    let label = candidate_label.clone();
-                    let (n, a, seed) = (cfg.samples, cfg.alpha, cfg.seed);
-                    SharedOracle::with_ledger(raw, &cfg.trace, ledger.clone(), move |items| {
-                        k.perf_symbol_query(&label, fid, items, n, a, seed)
-                    })
-                }
-                _ => SharedOracle::new(raw, &cfg.trace),
-            }
-        })
-        .collect();
-    let mut sym_plans: Vec<BisectPlan<String>> = candidates
-        .iter()
-        .map(|c| BisectPlan::new(&c.syms, SearchMode::All))
-        .collect();
-    let oracle_refs: Vec<&SharedOracle<'_, String>> = sym_oracles.iter().collect();
-    let sym_driven = drive_plans(
-        &mut sym_plans,
-        &oracle_refs,
-        backend,
-        &cfg.trace,
-        &format!("{search}/perf-symbol"),
-    );
-    let sym_results = match sym_driven {
-        Ok(r) => r,
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("perf bisect worker panicked: {message}"),
-                Some(overall),
-                files,
-                vec![],
-                file_level_only,
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("perf bisect backend failed: {message}"),
-                Some(overall),
-                files,
-                vec![],
-                file_level_only,
-                executions,
-                violations,
-            )
-        }
-    };
-
-    // Fold per candidate file, in file order.
-    let mut symbols: Vec<PerfSymbolFinding> = Vec::new();
-    for (c, sym_result) in candidates.iter().zip(sym_results) {
-        let fid = c.fid;
-        let (mut sym_execs, sym_secs) = match &sym_result {
-            Ok(p) => (p.outcome.executions, p.seconds),
-            Err(f) => (f.executions, f.seconds),
-        };
-        let sym_label = format!("{search}/{}", baseline.program.files[fid].name);
-        let outcome = match sym_result {
-            Ok(p) => p,
-            Err(PlanFailure { error, .. }) => {
-                executions += sym_execs;
-                cfg.trace
-                    .counter(counter_names::PERF_SYMBOL_RUNS)
-                    .incr(sym_execs as u64);
-                samples_drawn.incr(sym_execs as u64 * cfg.samples as u64);
-                cfg.trace
-                    .span(phase::PERF_SYMBOL, sym_label, sym_execs as u64, sym_secs);
-                return crashed(
-                    error.into_crash_message(),
-                    Some(overall),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                );
-            }
-        };
-        // Symbol-level Welch re-verification, mirroring the file level.
-        let mut found_syms: Vec<String> = outcome
-            .outcome
-            .found
-            .iter()
-            .map(|(s, _)| s.clone())
-            .collect();
-        found_syms.sort();
-        let mut reverified: Option<bool> = None;
-        for v in &outcome.outcome.violations {
-            let explained = match v {
-                AssumptionViolation::UniqueError { .. } => {
-                    if reverified.is_none() {
-                        sym_execs += 2;
-                        let drop = match (sym_samples(fid, &c.syms), sym_samples(fid, &found_syms))
-                        {
-                            (Ok(all_s), Ok(found_s)) => {
-                                matches!(welch_test(&all_s, &found_s, cfg.alpha),
-                                         Some(w) if w.verdict == Verdict::Inconclusive)
-                            }
-                            _ => false,
-                        };
-                        reverified = Some(drop);
-                    }
-                    reverified == Some(true)
-                }
-                AssumptionViolation::SingletonBlame { .. } => false,
-            };
-            if !explained {
-                violations.push(v.describe(Clone::clone));
-            }
-        }
-        executions += sym_execs;
-        cfg.trace
-            .counter(counter_names::PERF_SYMBOL_RUNS)
-            .incr(sym_execs as u64);
-        samples_drawn.incr(sym_execs as u64 * cfg.samples as u64);
-        cfg.trace.span(
-            phase::PERF_SYMBOL,
-            sym_label.clone(),
-            sym_execs as u64,
-            sym_secs,
-        );
-        emit_query_spans(&cfg.trace, &sym_label, &outcome);
-        if outcome.outcome.found.is_empty() {
-            file_level_only.push(fid);
-        }
-        for (symbol, effect) in outcome.outcome.found {
-            let Some(report) = sym_samples(fid, std::slice::from_ref(&symbol))
-                .ok()
-                .and_then(|s| SpeedupReport::compare(&s, &c.symref, cfg.alpha))
-            else {
-                return crashed(
-                    format!("singleton timing of `{symbol}` failed"),
-                    Some(overall),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                );
-            };
-            count_verdict(report.verdict());
-            symbols.push(PerfSymbolFinding {
-                symbol,
-                file_id: fid,
-                effect,
-                report,
-            });
-        }
-    }
-
-    let outcome = if violations.is_empty() {
-        PerfOutcome::Completed
-    } else {
-        PerfOutcome::AssumptionViolated
-    };
-    PerfBisectResult {
-        outcome,
-        overall: Some(overall),
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
-    }
+    out
 }
 
 #[cfg(test)]

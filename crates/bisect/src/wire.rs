@@ -2,9 +2,9 @@
 //! abstraction over *where* a search's Test queries evaluate.
 //!
 //! A hierarchical (or perf) search issues exactly five kinds of
-//! executable recipes ([`ExeRecipe`]); every compute closure in
-//! `hierarchy.rs` and `perf.rs` is one recipe plus a coordinator-side
-//! reduction (the comparison metric, Welch statistics, counters). The
+//! executable recipes ([`ExeRecipe`]); every query of the File→Symbol
+//! walk is one recipe plus a coordinator-side reduction (the comparison
+//! metric, Welch statistics, counters). The
 //! [`QueryPlane`] trait captures precisely the part that can move to
 //! another process: *build the recipe's executable and run (or time)
 //! it*, returning raw vectors. Everything downstream of the raw

@@ -1461,6 +1461,52 @@ mod tests {
         );
     }
 
+    /// `g++ -O0` draws wider timing noise than `g++ -O3`, so the exact
+    /// unique-error check trips on noise alone, once at the file level
+    /// and once at the symbol level. Each trip costs two extra timings
+    /// (`Test(all)`, `Test(found)`), and the Welch test between them
+    /// drops the violation as explained: 59 planner timings + 4, and no
+    /// warning.
+    #[test]
+    fn perf_welch_reverification_drops_noise_violations() {
+        let out = run_cli(&["perf", "mfem", "--pair", "g++ -O3", "g++ -O0"]).unwrap();
+        assert!(out.contains("files  (4):"), "{out}");
+        assert!(out.contains("symbols (5):"), "{out}");
+        assert!(
+            out.contains("timed executions: 63 (x8 samples each)"),
+            "{out}"
+        );
+        assert!(!out.contains("WARNING"), "{out}");
+    }
+
+    /// A mixed-ABI file-level timing aborts the search honestly: the
+    /// overall claim stands, the crash is named, and the two reference
+    /// timings plus the 25 file-level timings before the crash are
+    /// counted — identically at any `--jobs` width.
+    #[test]
+    fn perf_crashed_search_reports_the_abort_and_its_executions() {
+        let args = [
+            "perf", "mfem", "--test", "ex08", "--pair", "g++ -O3", "icpc -O0",
+        ];
+        let serial = run_cli(&args).unwrap();
+        assert!(serial.contains("overall: "), "{serial}");
+        assert!(
+            serial.contains(
+                "search ABORTED: timed executable failed (mixed-ABI executable, test `ex08`)\n"
+            ),
+            "{serial}"
+        );
+        assert!(
+            serial.contains("timed executions: 27 (x8 samples each)"),
+            "{serial}"
+        );
+        let mut with_jobs = args.to_vec();
+        with_jobs.extend(["--jobs", "4"]);
+        let parallel = run_cli(&with_jobs).unwrap();
+        let body = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_string());
+        assert_eq!(body(&parallel), body(&serial));
+    }
+
     #[test]
     fn perf_faster_candidate_is_an_honest_no_regression() {
         // Swapping the pair turns the regression into a speedup: the

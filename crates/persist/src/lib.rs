@@ -49,31 +49,26 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
     result
 }
 
-/// Reduce a tenant id to a filesystem-safe directory name: ASCII
-/// alphanumerics, `-`, `_`, and `.` pass through; every other byte
-/// (path separators, traversal dots are covered by the leading-dot
-/// rule below, spaces, control characters) becomes `_`. A name that
-/// would start with `.` is prefixed with `_` so no tenant can produce
-/// a hidden directory or `..`. Empty input becomes `"_"`.
-///
-/// The mapping is not injective (`a/b` and `a_b` collide); the serve
-/// layer keys its in-memory state on the *raw* tenant id and only uses
-/// this for directory names, so a collision merges journals — safe,
-/// because journal records are validated against the program
-/// fingerprint on resume — rather than crossing a trust boundary.
+/// Map a tenant id to a filesystem-safe directory name, injectively.
+/// An id made only of ASCII alphanumerics, `-`, `_` and `.` that does
+/// not start with `.` passes through unchanged. Every other byte — path
+/// separators, `%` itself, a leading `.` (so no tenant can produce a
+/// hidden directory or `..`), spaces, control characters, non-ASCII —
+/// is percent-encoded as `%XX`. The empty id maps to `%`, which no
+/// other id produces. Distinct tenants therefore never share a
+/// directory, and so never share a journal.
 pub fn sanitize_tenant(tenant: &str) -> String {
-    let mut out: String = tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.is_empty() || out.starts_with('.') {
-        out.insert(0, '_');
+    if tenant.is_empty() {
+        return "%".into();
+    }
+    let mut out = String::with_capacity(tenant.len());
+    for (i, b) in tenant.bytes().enumerate() {
+        let plain = b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_') || (b == b'.' && i > 0);
+        if plain {
+            out.push(char::from(b));
+        } else {
+            out.push_str(&format!("%{b:02X}"));
+        }
     }
     out
 }
@@ -467,6 +462,25 @@ mod tests {
             assert!(!dir.to_string_lossy().starts_with('.'), "{path:?}");
         }
         assert_eq!(sanitize_tenant("Team_7.prod"), "Team_7.prod");
-        assert_eq!(sanitize_tenant("../../etc"), "_.._.._etc");
+        // No separator survives, and the name cannot start with `.`.
+        assert_eq!(sanitize_tenant("../../etc"), "%2E.%2F..%2Fetc");
+    }
+
+    #[test]
+    fn tenant_mapping_is_injective() {
+        let base = Path::new("/state");
+        let paths: Vec<PathBuf> = ["a/b", "a_b", "a%2Fb"]
+            .iter()
+            .map(|t| tenant_journal_path(base, t, 1))
+            .collect();
+        assert_ne!(paths[0], paths[1]);
+        assert_ne!(paths[0], paths[2]);
+        assert_ne!(paths[1], paths[2]);
+        let ids = [
+            "", "%", ".", "%2E", "_", "..", "a b", "a%20b", "é", "%C3%A9",
+        ];
+        let names: std::collections::BTreeSet<String> =
+            ids.iter().map(|t| sanitize_tenant(t)).collect();
+        assert_eq!(names.len(), ids.len(), "{names:?}");
     }
 }

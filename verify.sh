@@ -24,15 +24,20 @@ if [[ "${1:-}" == "--quick" ]]; then
   cargo test -q -p flit-cli bound
   echo "== quick: fuzz oracle + campaign plumbing =="
   cargo test -q -p flit-fuzz
-  echo "== quick: perf bisect (planner, stats layer, CLI verdicts) =="
-  cargo test -q -p flit-bisect perf
+  echo "== quick: perf bisect (stats layer, CLI verdicts, process-backend smoke) =="
   cargo test -q -p flit-report
   cargo test -q -p flit-cli perf
+  cargo build -q -p flit-cli
+  # The process backend must not change a perf report (line 1, the
+  # header, names the backend).
+  ./target/debug/flit perf mfem --pair "g++ -O3" "g++ -O0" | tail -n +2 > target/perf-plain.txt
+  ./target/debug/flit perf mfem --pair "g++ -O3" "g++ -O0" \
+      --backend process --workers 2 | tail -n +2 > target/perf-process.txt
+  cmp target/perf-plain.txt target/perf-process.txt
   echo "== quick: process backend (byte-identity, kill schedules, ledger) =="
   cargo test -q -p flit-exec
   cargo test -q -p flit-cli --test process_backend
   echo "== quick: process backend CLI smoke (worker subprocesses + worker-kill) =="
-  cargo build -q -p flit-cli
   ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --backend process --workers 4 > /dev/null
   ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
