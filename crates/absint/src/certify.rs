@@ -51,6 +51,10 @@ pub struct PairCertificates {
     /// The whole-pair certificate: bound on `l2_diff` between the
     /// all-baseline and all-candidate binaries.
     pub whole: Certificate,
+    /// A mixed binary of this pair can crash at link time (the
+    /// linker's mixed-ABI predicate). Every item certificate is then
+    /// `Unknown`: the gate says nothing about arithmetic.
+    pub abi_hazard: bool,
 }
 
 impl PairCertificates {
@@ -111,36 +115,27 @@ pub fn certify_pair(
     cand: &Compilation,
     link_driver: CompilerKind,
 ) -> PairCertificates {
-    let files = (0..base_prog.files.len())
-        .map(|fid| {
-            certify_item(
-                base_prog,
-                cand_prog,
-                driver,
-                base,
-                cand,
-                link_driver,
-                Flip::File(fid),
-            )
-        })
-        .collect();
-    let mut symbols = BTreeMap::new();
-    for file in &base_prog.files {
-        for f in &file.functions {
-            if matches!(f.visibility, Visibility::Exported) {
-                let cert = certify_item(
-                    base_prog,
-                    cand_prog,
-                    driver,
-                    base,
-                    cand,
-                    link_driver,
-                    Flip::Symbol(&f.name),
-                );
-                symbols.insert(f.name.clone(), cert);
-            }
+    // Gate: mixed-ABI crash hazard. A crash on either side of a mixed
+    // comparison is a discrete result change no arithmetic bound covers.
+    let abi_hazard = mixed_abi_hazard(&[base.compiler], link_driver)
+        || mixed_abi_hazard(&[base.compiler, cand.compiler], link_driver);
+    let item = |flip| {
+        if abi_hazard {
+            Certificate::Unknown
+        } else {
+            certify_item(base_prog, cand_prog, driver, base, cand, link_driver, flip)
         }
-    }
+    };
+    let files = (0..base_prog.files.len())
+        .map(|fid| item(Flip::File(fid)))
+        .collect();
+    let symbols = base_prog
+        .files
+        .iter()
+        .flat_map(|file| &file.functions)
+        .filter(|f| matches!(f.visibility, Visibility::Exported))
+        .map(|f| (f.name.clone(), item(Flip::Symbol(&f.name))))
+        .collect();
     let whole = certify_item(
         base_prog,
         cand_prog,
@@ -156,6 +151,7 @@ pub fn certify_pair(
         files,
         symbols,
         whole,
+        abi_hazard,
     }
 }
 
@@ -180,19 +176,13 @@ fn certify_item(
     link_driver: CompilerKind,
     flip: Flip,
 ) -> Certificate {
-    // Gate 1: mixed-ABI crash hazard. A crash on either side of the
-    // comparison is a discrete result change no arithmetic bound covers.
-    let hazard = match flip {
-        Flip::Whole => {
-            mixed_abi_hazard(&[base.compiler], base.compiler)
-                || mixed_abi_hazard(&[cand.compiler], cand.compiler)
-        }
-        _ => {
-            mixed_abi_hazard(&[base.compiler], link_driver)
-                || mixed_abi_hazard(&[base.compiler, cand.compiler], link_driver)
-        }
-    };
-    if hazard {
+    // The whole-pair comparison links each pure binary with its own
+    // driver, so it has its own crash gate (items are gated by the
+    // caller).
+    if matches!(flip, Flip::Whole)
+        && (mixed_abi_hazard(&[base.compiler], base.compiler)
+            || mixed_abi_hazard(&[cand.compiler], cand.compiler))
+    {
         return Certificate::Unknown;
     }
 
@@ -428,6 +418,7 @@ mod tests {
         assert!(certs.files.iter().all(|c| *c == Certificate::Invariant));
         assert!(certs.symbols.values().all(|c| *c == Certificate::Invariant));
         assert_eq!(certs.whole, Certificate::Invariant);
+        assert!(!certs.abi_hazard);
     }
 
     #[test]
@@ -438,6 +429,7 @@ mod tests {
         let certs = certify_pair(&prog, &prog, &driver(), &base, &cand, CompilerKind::Gcc);
         // Mixed gcc/icpc objects under a gcc link: every mixed binary
         // can crash, so no item certificate is sound.
+        assert!(certs.abi_hazard);
         assert!(certs.files.iter().all(|c| *c == Certificate::Unknown));
         assert!(certs.symbols.values().all(|c| *c == Certificate::Unknown));
         // The pure-vs-pure whole comparison never mixes ABIs, and the

@@ -24,7 +24,8 @@ pub struct AbsState {
     /// remain symmetric while `delta == 0`; once `delta > 0` we can no
     /// longer prove that, and the certificate degrades to `Unknown`.
     pub nan: bool,
-    /// Soundness lost entirely (e.g. a `Kernel::Custom` body).
+    /// Soundness lost entirely (e.g. a `Kernel::Custom` body evaluated
+    /// under differing environments).
     pub unknown: bool,
 }
 

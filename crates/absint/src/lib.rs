@@ -17,10 +17,17 @@
 //!   compare-metric (`l2_diff`) divergence, from a Lipschitz-plus-
 //!   saturation walk over the kernel transformers ([`transfer`]).
 //! - [`Certificate::Unknown`] — the analysis cannot say anything sound
-//!   (mixed-ABI crash hazard, UB poison reaching a nonzero delta,
-//!   [`flit_program::Kernel::Custom`] bodies, or a bound that blew up to
-//!   non-finite). `Unknown` is *vacuous on purpose*: it never licenses
-//!   pruning.
+//!   (mixed-ABI crash hazard, UB poison reaching a nonzero delta, a
+//!   [`flit_program::Kernel::Custom`] body evaluated under differing
+//!   environments or on already-diverged state, or a bound that blew up
+//!   to non-finite). `Unknown` is *vacuous on purpose*: it never
+//!   licenses pruning.
+//!
+//! The certificates are the crate's whole static prediction: their
+//! [`Certificate::score`]s seed a Bisect search's speculation order,
+//! their `Invariant` verdicts prune it, and
+//! [`PairCertificates::abi_hazard`] flags a pair whose mixed binaries
+//! can crash at link time.
 //!
 //! ## Soundness argument (sketch)
 //!
@@ -32,6 +39,13 @@
 //! The key exact rule: if `delta == 0` and an evaluation's realization
 //! is identical under both environments, the two runs execute the same
 //! instructions on the same bits, so `delta` stays *exactly* zero.
+//! The rule covers opaque [`flit_program::Kernel::Custom`] bodies too,
+//! under one assumption: a `KernelImpl::eval` is a deterministic
+//! function of its state, environment and injection (the same premise
+//! as the workflow's bitwise determinism pre-check). An opaque body
+//! evaluated under equal environments on a `delta == 0` state keeps
+//! `delta == 0` with an unbounded (top) interval; in every other case it
+//! marks the walk unknown.
 //! Every divergent evaluation adds an explicit environment term (FMA
 //! contraction, reduction-order, mathlib envelopes) plus a rounding
 //! slack, and every saturating kernel caps `delta` at its output
@@ -63,7 +77,7 @@ impl Certificate {
         matches!(self, Certificate::Invariant)
     }
 
-    /// A ranking score for lint seeding: how much divergence this item
+    /// A ranking score for seeding: how much divergence this item
     /// can contribute. `Invariant` items score zero, bounded items score
     /// their bound, `Unknown` items rank above every finite bound.
     pub fn score(&self) -> f64 {

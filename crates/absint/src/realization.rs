@@ -113,8 +113,10 @@ pub fn same_realization(kernel: &Kernel, a: &FpEnv, b: &FpEnv, state_len: usize)
                 && a.reciprocal_math == b.reciprocal_math
                 && same_reduce_paths(a, b, &reduce_lens(kernel, state_len))
         }
-        // Opaque body: never assume anything.
-        Kernel::Custom(_) => false,
+        // Opaque body: the dependency set is unknown, so only identical
+        // environments are known to realize identically (`eval` is a
+        // deterministic function of state, env and injection).
+        Kernel::Custom(_) => a == b,
     }
 }
 

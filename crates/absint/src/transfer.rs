@@ -51,7 +51,8 @@ struct Step {
     extra: Option<f64>,
     /// NaN may appear (beyond what the input already carried).
     poison: bool,
-    /// Soundness lost (opaque body).
+    /// Opaque body: only regime 1 is sound for it; any other case
+    /// loses soundness.
     opaque: bool,
 }
 
@@ -84,6 +85,7 @@ pub fn apply(kernel: &Kernel, st: &mut AbsState, env_a: &FpEnv, env_b: &FpEnv, s
     }
     let differs = !same_realization(kernel, env_a, env_b, state_len);
     let step = step_of(kernel, st.iv, env_a, env_b, differs, state_len);
+    let opaque = step.opaque && (differs || st.delta != 0.0);
 
     let slack = st.slack();
     let out = step
@@ -106,7 +108,7 @@ pub fn apply(kernel: &Kernel, st: &mut AbsState, env_a: &FpEnv, env_b: &FpEnv, s
     };
     st.iv = out;
     st.nan |= step.poison || out.is_nan();
-    st.unknown |= step.opaque;
+    st.unknown |= opaque;
 }
 
 /// Helper so `apply` can chain `.maybe_flush(..)` on intervals.
@@ -341,6 +343,9 @@ fn step_of(
                 },
             }
         }
+        // Opaque: nothing is known about the output range. Regime 1
+        // (equal environments on identical bits) still keeps delta at
+        // exactly 0; `apply` marks every other case unknown.
         Kernel::Custom(_) => Step {
             out: Interval::nan(),
             lip: 1.0,
@@ -423,35 +428,57 @@ mod tests {
         assert!(!st.delta.is_finite() || st.iv.is_nan());
     }
 
-    #[test]
-    fn custom_kernel_is_opaque() {
-        let a = FpEnv::strict();
-        let mut st = start();
-        // Realization already refuses Custom; the transformer marks the
-        // walk unknown even for an unflipped evaluation.
-        struct Nop;
-        impl flit_program::kernel::KernelImpl for Nop {
-            fn name(&self) -> &str {
-                "nop"
-            }
-            fn eval(&self, _: &mut [f64], _: &FpEnv, _: Option<flit_program::Injection>) {}
-            fn fp_sites(&self) -> usize {
-                0
-            }
-            fn work(&self) -> f64 {
-                1.0
-            }
-            fn class(&self) -> flit_toolchain::KernelClass {
-                flit_toolchain::KernelClass::Memory
-            }
+    struct Nop;
+    impl flit_program::kernel::KernelImpl for Nop {
+        fn name(&self) -> &str {
+            "nop"
         }
+        fn eval(&self, _: &mut [f64], _: &FpEnv, _: Option<flit_program::Injection>) {}
+        fn fp_sites(&self) -> usize {
+            0
+        }
+        fn work(&self) -> f64 {
+            1.0
+        }
+        fn class(&self) -> flit_toolchain::KernelClass {
+            flit_toolchain::KernelClass::Memory
+        }
+    }
+
+    fn custom() -> Kernel {
+        Kernel::Custom(std::sync::Arc::new(Nop))
+    }
+
+    #[test]
+    fn custom_kernel_under_equal_envs_stays_exact() {
+        let env = FpEnv::fast();
+        let mut st = start();
+        apply(&custom(), &mut st, &env, &env, 64);
+        assert_eq!(st.delta, 0.0);
+        assert!(!st.unknown);
+        assert!(st.iv.is_nan(), "the opaque output range is top");
+    }
+
+    #[test]
+    fn custom_kernel_under_differing_envs_is_unknown() {
+        let mut st = start();
+        apply(&custom(), &mut st, &FpEnv::strict(), &FpEnv::fast(), 64);
+        assert!(st.unknown);
+    }
+
+    #[test]
+    fn custom_kernel_on_diverged_runs_is_not_invariant() {
+        let strict = FpEnv::strict();
+        let mut st = start();
         apply(
-            &Kernel::Custom(std::sync::Arc::new(Nop)),
+            &Kernel::DotMix { stride: 3 },
             &mut st,
-            &a,
-            &a,
+            &strict,
+            &FpEnv::fast(),
             64,
         );
-        assert!(st.unknown);
+        assert!(st.delta > 0.0);
+        apply(&custom(), &mut st, &strict, &strict, 64);
+        assert!(st.unknown, "an opaque body may amplify any difference");
     }
 }

@@ -44,14 +44,14 @@ use crate::test_fn::TestError;
 use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
 /// A static prescreen of the hierarchical search space (produced by
-/// `flit-lint`, consumed here): predicted-sensitivity scores per file
-/// and per exported symbol, plus — for a pruning search — certified
-/// divergence bounds.
+/// `flit-lint` from `flit-absint` certificates, consumed here):
+/// speculation scores per file and per exported symbol, plus — for a
+/// pruning search — the certified divergence bounds themselves.
 ///
-/// Scores `> 0.0` mean "predicted variable"; missing entries mean
-/// "predicted invariant". The scores seed the parallel drivers'
-/// speculative frontiers in predicted-sensitivity order — answers only
-/// enter a plan through its answer table, so seeding never changes
+/// Scores `> 0.0` mean "may vary"; missing entries mean "certified
+/// invariant" (or, for a mixed-ABI pair, "nothing to rank"). The scores
+/// seed the parallel drivers' speculative frontiers in descending score
+/// order — answers only enter a plan through its answer table, so seeding never changes
 /// found sets, traces, violations, or execution counts. A prescreen
 /// prunes exactly when it carries [`certificates`]: the search space
 /// then drops the `Invariant`-certified items, under a residual audit

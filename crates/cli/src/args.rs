@@ -115,8 +115,9 @@ pub enum Command {
         /// Write a JSONL trace (with `absint.*` counters) here.
         trace: Option<String>,
     },
-    /// Static FP-sensitivity analysis: predict the variable set for a
-    /// compilation pair without running anything.
+    /// Static analysis report: the certificates of a compilation pair
+    /// against the baseline, its warnings and the hazard lints, without
+    /// running anything.
     Lint {
         /// Application name.
         app: String,
@@ -270,10 +271,13 @@ subprocesses (crash-isolated; results byte-identical to serial).
 `--kill-workers n1,n2,...` installs a deterministic worker-kill
 schedule for recovery testing.
 
+`flit bound` prints the abstract interpreter's certificates for a
+pair; `flit lint` prints the same tables against the g++ -O0 baseline,
+then mixed-ABI and link-step warnings and the hazard lints.
 `--lint-seed` (bisect) and `--lint seed` (workflow) order speculation
-by the static prediction; `--prune certified` (bisect) and
-`--lint prune` (workflow) also drop the items the abstract interpreter
-certifies Invariant, under a one-query residual audit per pruned level.
+by the certificates' bounds; `--prune certified` (bisect) and
+`--lint prune` (workflow) also drop the items certified Invariant,
+under a one-query residual audit per pruned level.
 A flag the command does not take is an error.
 ";
 

@@ -403,10 +403,14 @@ fn cmd_lint(
             .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name)))?,
         None => &app.tests[0],
     };
-    let baseline = Build::new(&app.program, Compilation::baseline());
-    let variable = Build::tagged(&app.program, comp.clone(), 1);
-    let pred =
-        flit_lint::predict_pair(&baseline, &variable, Some(test.driver()), CompilerKind::Gcc);
+    let certs = flit_absint::certify_pair(
+        &app.program,
+        &app.program,
+        test.driver(),
+        &Compilation::baseline(),
+        &comp,
+        CompilerKind::Gcc,
+    );
     let title = format!(
         "{} | test {} | {} vs {}",
         app.name,
@@ -414,7 +418,12 @@ fn cmd_lint(
         Compilation::baseline().label(),
         comp.label()
     );
-    Ok(flit_lint::render_prediction(&title, &pred))
+    Ok(flit_lint::render_lint(
+        &title,
+        &app.program,
+        test.driver(),
+        &certs,
+    ))
 }
 
 /// Build the query ledger behind `--checkpoint` / `--resume`:
@@ -612,15 +621,6 @@ fn cmd_bisect(
     Ok(out)
 }
 
-/// Render one certificate as (kind, bound) table cells.
-fn cert_cells(cert: &flit_absint::Certificate) -> (String, String) {
-    let bound = match cert {
-        flit_absint::Certificate::Bounded(e) => format!("{e:.3e}"),
-        _ => "-".to_string(),
-    };
-    (cert.kind().to_string(), bound)
-}
-
 fn cmd_bound(
     app: &str,
     test: Option<&str>,
@@ -659,8 +659,6 @@ fn cmd_bound(
     );
     flit_lint::record_certificates(&trace, &certs);
 
-    let (inv, bnd, unk) = certs.counts();
-    let (whole_kind, whole_bound) = cert_cells(&certs.whole);
     let mut out = format!(
         "flit bound {}: test {} | {} vs {} | link driver g++\n\n",
         app.name,
@@ -668,50 +666,7 @@ fn cmd_bound(
         base_comp.label(),
         cand_comp.label()
     );
-    out.push_str(&format!(
-        "whole pair: {whole_kind}{}\n",
-        if whole_bound == "-" {
-            String::new()
-        } else {
-            format!(" (l2_diff <= {whole_bound})")
-        }
-    ));
-    out.push_str(&format!(
-        "items: {inv} invariant, {bnd} bounded, {unk} unknown\n\n"
-    ));
-
-    // Invariant items are the (usually vast) boring majority; list only the
-    // items that can actually move the result.
-    let mut files = Table::new(&["#", "file", "certificate", "bound"])
-        .with_title("Certified bounds — files (invariant files omitted)")
-        .with_aligns(&[Align::Right, Align::Left, Align::Left, Align::Right]);
-    let mut invariant_files = 0usize;
-    for (fid, file) in app.program.files.iter().enumerate() {
-        let cert = certs.file(fid);
-        if cert == flit_absint::Certificate::Invariant {
-            invariant_files += 1;
-            continue;
-        }
-        let (kind, bound) = cert_cells(&cert);
-        files.row(&[fid.to_string(), file.name.clone(), kind, bound]);
-    }
-    out.push_str(&files.render());
-    out.push_str(&format!("{invariant_files} invariant files omitted\n\n"));
-
-    let mut symbols = Table::new(&["symbol", "certificate", "bound"])
-        .with_title("Certified bounds — symbols (invariant symbols omitted)")
-        .with_aligns(&[Align::Left, Align::Left, Align::Right]);
-    let mut invariant_symbols = 0usize;
-    for (name, cert) in &certs.symbols {
-        if *cert == flit_absint::Certificate::Invariant {
-            invariant_symbols += 1;
-            continue;
-        }
-        let (kind, bound) = cert_cells(cert);
-        symbols.row(&[name.clone(), kind, bound]);
-    }
-    out.push_str(&symbols.render());
-    out.push_str(&format!("{invariant_symbols} invariant symbols omitted\n"));
+    out.push_str(&flit_lint::render_certificates(&app.program, &certs));
 
     if let Some(path) = trace_path {
         let jsonl = trace.snapshot().to_jsonl();
@@ -1279,7 +1234,7 @@ mod tests {
     #[test]
     fn certified_workflow_prune_matches_every_unpruned_row() {
         use flit_core::workflow::{bisect_variable_rows, WorkflowConfig};
-        for (name, rows) in [("laghos", usize::MAX), ("mfem", 60)] {
+        for (name, rows) in [("laghos", usize::MAX), ("mfem", 60), ("lulesh", usize::MAX)] {
             let app = get_app(name).unwrap();
             let comps = matrix_for(&app, None).unwrap();
             let tests: Vec<&dyn FlitTest> = app.tests.iter().map(|t| t as &dyn FlitTest).collect();
@@ -1560,15 +1515,43 @@ mod tests {
             "g++ -O3 -mavx2 -mfma",
         ])
         .unwrap();
-        assert!(out.contains("Predicted-variable files"), "{out}");
+        assert!(out.contains("Certified bounds — files"), "{out}");
         assert!(out.contains("linalg/densemat.cpp"), "{out}");
         assert!(out.contains("DenseMatrix_AddMultAAt"), "{out}");
+        // The report is `flit bound`'s tables for the same pair.
+        let bound = run_cli(&[
+            "bound",
+            "mfem",
+            "--test",
+            "ex13",
+            "--pair",
+            "g++ -O0",
+            "g++ -O3 -mavx2 -mfma",
+        ])
+        .unwrap();
+        let tables = bound.split_once("\n\n").unwrap().1;
+        assert!(out.contains(tables), "{out}");
+        assert!(!out.contains("mixed-ABI"), "{out}");
     }
 
     #[test]
     fn lint_defaults_are_usable_end_to_end() {
         let out = run_cli(&["lint", "mfem"]).unwrap();
-        assert!(out.contains("Predicted-variable symbols"), "{out}");
+        assert!(out.contains("Certified bounds — symbols"), "{out}");
+    }
+
+    #[test]
+    fn lint_warns_about_a_mixed_abi_pair() {
+        let out = run_cli(&[
+            "lint",
+            "mfem",
+            "--test",
+            "ex13",
+            "--compilation",
+            "icpc -O2",
+        ])
+        .unwrap();
+        assert!(out.contains("mixed-ABI link predicted to CRASH"), "{out}");
     }
 
     #[test]
@@ -1651,14 +1634,14 @@ mod tests {
         );
         assert!(rendered.contains("Build-cache hit rates"), "{rendered}");
         assert!(
-            !rendered.contains("Static prescreen (lint)"),
-            "lint section must be absent without --lint: {rendered}"
+            !rendered.contains("Certified bounds (absint)"),
+            "certificate section must be absent without --lint: {rendered}"
         );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn lint_seeded_workflow_trace_shows_lint_counters() {
+    fn lint_seeded_workflow_trace_shows_certificate_counters() {
         let path = std::env::temp_dir().join("flit-cli-lint-trace-test.jsonl");
         let path_s = path.to_string_lossy().to_string();
         run_cli(&[
@@ -1674,10 +1657,11 @@ mod tests {
         .unwrap();
         let rendered = run_cli(&["trace", &path_s, "--top", "3"]).unwrap();
         assert!(
-            rendered.contains("Static prescreen (lint)"),
-            "lint.* counters must surface in flit trace: {rendered}"
+            rendered.contains("Certified bounds (absint)"),
+            "absint.* counters must surface in flit trace: {rendered}"
         );
-        assert!(rendered.contains("functions analyzed"), "{rendered}");
+        assert!(rendered.contains("certified invariant"), "{rendered}");
+        assert!(rendered.contains("speculations skipped"), "{rendered}");
         std::fs::remove_file(&path).ok();
         assert!(run_cli(&["workflow", "laghos", "--lint", "turbo"]).is_err());
     }

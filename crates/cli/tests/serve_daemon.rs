@@ -329,3 +329,44 @@ fn version_mismatch_and_unknown_app_are_structured_refusals() {
     shutdown_daemon(child, &addr);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_overlong_request_frame_is_refused_and_the_daemon_survives() {
+    use std::io::{Read, Write};
+    let dir = state_dir("frame-cap");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+
+    // One byte past the cap, and no newline: the daemon must answer
+    // with a structured error naming the cap instead of buffering on.
+    let cap = flit_serve::protocol::MAX_REQUEST_FRAME as usize;
+    let mut stream = std::net::TcpStream::connect(addr.as_str()).expect("daemon accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&vec![b'x'; cap + 1])
+        .expect("daemon reads");
+    let mut reply = String::new();
+    let mut reader = std::io::BufReader::new(&stream);
+    std::io::BufRead::read_line(&mut reader, &mut reply).expect("daemon answers within 10 s");
+    let response: flit_serve::protocol::Response =
+        flit_serve::protocol::read_frame(&mut reply.as_bytes())
+            .expect("a well-formed frame")
+            .expect("a response");
+    match response {
+        flit_serve::protocol::Response::Error { message } => {
+            assert!(message.contains(&format!("{cap}-byte cap")), "{message}");
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    // The daemon closes the refused connection.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "nothing follows the refusal");
+
+    // The daemon still serves other clients.
+    let status = flit(&["serve", "--status", "--connect", &addr]);
+    assert_eq!(fleet_executed(&status), 0, "{status}");
+    shutdown_daemon(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}

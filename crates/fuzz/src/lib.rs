@@ -5,15 +5,19 @@
 //! ([`flit_program::generate::random_planted`]): FP-sensitive kernels
 //! behind exported, static, inlinable, and cross-file entry shapes,
 //! plus mixed-ABI hazards, all recorded as ground truth. The oracle
-//! ([`oracle::check_seed`]) then checks four layers against that truth:
+//! ([`oracle::check_seed`]) then checks its layers against that truth:
 //!
 //! 1. the hierarchical bisection's found set equals the planted blame
 //!    set (files and symbols),
-//! 2. `flit-lint`'s static prediction keeps recall 1.0 over it,
-//! 3. `--jobs 8` returns byte-identical results to `--jobs 1`, and a
+//! 2. `--jobs 8` returns byte-identical results to `--jobs 1`, and a
 //!    seeded kill-and-resume through the checkpoint journal replays to
 //!    the same bytes,
-//! 4. the journal round-trips: the file on disk reloads cleanly.
+//! 3. the journal round-trips: the file on disk reloads cleanly,
+//! 4. with `--backend process`, the search through `flit worker`
+//!    subprocesses is byte-identical to the in-process one,
+//! 5. `flit-absint`'s certificates are sound against the planted truth
+//!    and the observed divergences, and flag the ABI hazard exactly
+//!    when the linker does.
 //!
 //! Divergent seeds feed a delta-debugging shrinker ([`shrink::shrink`])
 //! that minimizes the planted spec and emits a self-contained fixture

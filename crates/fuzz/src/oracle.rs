@@ -8,10 +8,6 @@
 //!   symbols must equal the planted blame set exactly (no misses, no
 //!   extras), with no `file_level_only` caps and no assumption
 //!   violations;
-//! * **(b) lint recall** — `flit-lint`'s static prediction must cover
-//!   every planted file and symbol (recall 1.0; precision may be lower,
-//!   an over-prediction only costs speculation), and its ABI
-//!   hazard flag must match the linker predicate;
 //! * **(c) width and resume byte-identity** — the jobs=N planner run
 //!   must equal the serial result structurally (every f64 bit), and a
 //!   kill-and-resume through a checkpoint journal must land on the
@@ -19,11 +15,13 @@
 //! * **(d) journal round-trip** — the journal written by (c) must
 //!   reload cleanly and replay without executing a single extra query;
 //! * **(f) certified-bound soundness** — `flit-absint`'s certificates
-//!   must never contradict this seed's ground truth or observations: no
-//!   planted-blame item may be certified `Invariant`, every file-level
-//!   singleton Test value must sit inside its certified bound, and the
-//!   measured whole-pair divergence must sit inside the whole-pair
-//!   bound.
+//!   must never contradict this seed's ground truth or observations:
+//!   their ABI-hazard flag must match the linker predicate (every
+//!   seed), and unless the search crashed as that predicate explains,
+//!   no planted-blame item may be certified `Invariant` (the seed and
+//!   prune lose nothing), every file-level singleton Test value must
+//!   sit inside its certified bound, and the measured whole-pair
+//!   divergence must sit inside the whole-pair bound.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -259,34 +257,6 @@ pub fn check_spec(seed: u64, spec: &PlantedSpec, cfg: &OracleConfig) -> SeedVerd
         }
     }
 
-    // Layer (b): lint recall 1.0 against the planted truth.
-    {
-        let baseline = Build::new(&planted.program, Compilation::baseline());
-        let variable = Build::tagged(&planted.program, pair.variable.clone(), 1);
-        let pred = flit_lint::predict_pair(
-            &baseline,
-            &variable,
-            Some(&planted.driver),
-            CompilerKind::Gcc,
-        );
-        for file_id in &expected_files {
-            if !pred.file_predicted(*file_id) {
-                divergences.push(format!("lint recall miss: file {file_id} not predicted"));
-            }
-        }
-        for symbol in &expected_symbols {
-            if !pred.symbol_predicted(symbol) {
-                divergences.push(format!("lint recall miss: symbol {symbol} not predicted"));
-            }
-        }
-        if pred.abi_hazard != pair.abi_hazard {
-            divergences.push(format!(
-                "lint abi_hazard {} but linker predicate says {}",
-                pred.abi_hazard, pair.abi_hazard
-            ));
-        }
-    }
-
     // Layers (c2) + (d): kill-and-resume byte-identity through a
     // checkpoint journal, then a clean journal round-trip.
     if cfg.check_resume && !crashed_explained {
@@ -363,17 +333,24 @@ pub fn check_spec(seed: u64, spec: &PlantedSpec, cfg: &OracleConfig) -> SeedVerd
     // Layer (f): certified-bound soundness. The certifier models the
     // same contract the search runs (mixed binaries linked by gcc), so
     // its verdicts are checkable against both the planted truth and the
-    // values the serial search actually measured. Skipped on explained
-    // ABI crashes — there the observed side is a crash, not a number.
+    // values the serial search actually measured. The bound checks are
+    // skipped on explained ABI crashes — there the observed side is a
+    // crash, not a number.
+    let certs = flit_absint::certify_pair(
+        &planted.program,
+        &planted.program,
+        &planted.driver,
+        &Compilation::baseline(),
+        &pair.variable,
+        CompilerKind::Gcc,
+    );
+    if certs.abi_hazard != pair.abi_hazard {
+        divergences.push(format!(
+            "certificate abi_hazard {} but linker predicate says {}",
+            certs.abi_hazard, pair.abi_hazard
+        ));
+    }
     if !crashed_explained {
-        let certs = flit_absint::certify_pair(
-            &planted.program,
-            &planted.program,
-            &planted.driver,
-            &Compilation::baseline(),
-            &pair.variable,
-            CompilerKind::Gcc,
-        );
         // (f1) No planted-blame item may be certified Invariant: the
         // ground truth says it diverges, so an Invariant there would be
         // an unsound certificate (and would wrongly prune the search).

@@ -1,51 +1,30 @@
 //! # flit-lint
 //!
-//! Static FP-sensitivity analysis over the simulated program IR: the
-//! *prescreen* to Bisect's dynamic search.
+//! The static prescreen to Bisect's dynamic search, built on the one
+//! static analysis: `flit-absint`'s certified per-pair divergence
+//! bounds.
 //!
 //! The paper's Bisect (§2.3–2.4) is purely dynamic: it learns which
-//! files and symbols induce variability by running the program. But
-//! the simulated IR is fully transparent — every kernel's numeric
-//! structure, every call edge, every visibility annotation is known
-//! statically. This crate exploits that:
+//! files and symbols induce variability by running the program. The
+//! simulated IR is fully transparent, so `flit-absint` certifies every
+//! bisect item of a compilation pair before anything runs. This crate
+//! turns those certificates into what the search and the user see:
 //!
-//! 1. [`sensitivity`] — an abstract interpretation of each kernel: the
-//!    set of [`FpEnv`] features (FMA contraction, SIMD reassociation,
-//!    x87 extended precision, FTZ, reciprocal math, vendor mathlib, UB
-//!    exploitation) whose change *can* alter its output, plus
-//!    structural hazard lints (exact FP compares, UB kernels).
-//! 2. [`analyze`] — propagation through the call graph under the
-//!    toolchain's intra-TU binding rules (static and inlinable callees
-//!    inherit their caller's compilation; `-fPIC` disables the
-//!    inlining half).
-//! 3. [`predict`] — intersect with a compilation pair's FpEnv diff to
-//!    rank the files/symbols Bisect should blame, flag link-step-only
-//!    (mathlib) variability, and predict mixed-ABI link crashes with
-//!    the linker's own predicate.
-//! 4. [`audit`] — score those predictions against dynamic ground truth
-//!    (a hierarchical bisection or an injection study): recall must be
-//!    1.0 for pruning to be sound; precision is reported honestly.
-//!
-//! The prediction feeds back into the search as a
-//! [`Prescreen`](flit_bisect::hierarchy::Prescreen), built by
-//! [`prescreen_for`] from a [`LintMode`]: seeding reorders speculative
-//! execution (identical results, fewer Test executions); pruning drops
-//! the items `flit-absint` certifies `Invariant`, under a one-query
-//! residual audit.
-//!
-//! [`FpEnv`]: flit_fpsim::env::FpEnv
+//! 1. [`prescreen`] — the [`LintMode`] and [`prescreen_for`], which
+//!    certifies a pair once and builds a
+//!    [`Prescreen`](flit_bisect::hierarchy::Prescreen): certificate
+//!    scores seed speculation (identical results, fewer wasted Test
+//!    executions), and in `Prune` mode the `Invariant` items leave the
+//!    search space under a one-query residual audit;
+//! 2. [`hazards`] — structural hazard lints (exact FP compares, UB
+//!    kernels, opaque kernels) on the functions a driver reaches;
+//! 3. [`render`] — the one report: the certificate tables `flit bound`
+//!    prints, and `flit lint`'s report around them.
 
-pub mod analyze;
-pub mod audit;
-pub mod predict;
+pub mod hazards;
+pub mod prescreen;
 pub mod render;
-pub mod sensitivity;
 
-pub use analyze::{analyze_program, reachable, FunctionLint, ProgramLint};
-pub use audit::{audit_hierarchy, audit_injection, HierarchyAudit, InjectionAudit, LevelAudit};
-pub use predict::{
-    predict_pair, prescreen_for, record_certificates, FilePrediction, LintMode, PairPrediction,
-    SymbolPrediction,
-};
-pub use render::render_prediction;
-pub use sensitivity::{diff, diff_pic, kernel_sensitivity, Feature, Hazard, SensitivitySet};
+pub use hazards::{kernel_hazards, reachable, reachable_hazards, Hazard};
+pub use prescreen::{prescreen_for, record_certificates, LintMode};
+pub use render::{render_certificates, render_lint};

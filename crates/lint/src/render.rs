@@ -1,106 +1,103 @@
-//! Human-readable rendering of a [`PairPrediction`] through the shared
-//! `flit-report` table machinery (the same look as the sweep and trace
-//! reports).
+//! The one static-analysis report, through the shared `flit-report`
+//! table machinery: `flit bound` prints the certificate tables, and
+//! `flit lint` prints them followed by the pair's warnings and the
+//! hazard lints.
 
-use flit_report::table::{fmt_f64, Align, Table};
+use flit_absint::{Certificate, PairCertificates};
+use flit_program::model::{Driver, SimProgram};
+use flit_report::table::{Align, Table};
 
-use crate::predict::PairPrediction;
+use crate::hazards::reachable_hazards;
 
-/// Cap on rows in the file/symbol ranking tables; the full counts stay
-/// visible in the header line.
-const MAX_ROWS: usize = 20;
+fn cert_cells(cert: &Certificate) -> (String, String) {
+    let bound = match cert {
+        Certificate::Bounded(e) => format!("{e:.3e}"),
+        _ => "-".to_string(),
+    };
+    (cert.kind().to_string(), bound)
+}
 
-/// Render the full lint report for one compilation pair.
-pub fn render_prediction(title: &str, pred: &PairPrediction) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# flit lint — {title}\n\n"));
+/// The certificate tables for one pair: the whole-pair verdict, the
+/// item counts, and every file and symbol that can move the result
+/// (`Invariant` items, usually the vast majority, are only counted).
+pub fn render_certificates(program: &SimProgram, certs: &PairCertificates) -> String {
+    let (inv, bnd, unk) = certs.counts();
+    let (whole_kind, whole_bound) = cert_cells(&certs.whole);
+    let mut out = format!("whole pair: {whole_kind}");
+    if whole_bound != "-" {
+        out.push_str(&format!(" (l2_diff <= {whole_bound})"));
+    }
     out.push_str(&format!(
-        "env diff (bisect link): {}    env diff (-fPIC): {}    sweep diff: {}\n",
-        pred.env_diff, pred.env_diff_pic, pred.sweep_diff
+        "\nitems: {inv} invariant, {bnd} bounded, {unk} unknown\n\n"
     ));
-    out.push_str(&format!(
-        "functions analyzed: {}    predicted files: {}    predicted symbols: {}\n",
-        pred.functions_analyzed,
-        pred.files.len(),
-        pred.symbols.len()
-    ));
-    if pred.abi_hazard {
+
+    let mut files = Table::new(&["#", "file", "certificate", "bound"])
+        .with_title("Certified bounds — files (invariant files omitted)")
+        .with_aligns(&[Align::Right, Align::Left, Align::Left, Align::Right]);
+    let mut invariant_files = 0usize;
+    for (fid, file) in program.files.iter().enumerate() {
+        let cert = certs.file(fid);
+        if cert.prunable() {
+            invariant_files += 1;
+            continue;
+        }
+        let (kind, bound) = cert_cells(&cert);
+        files.row(&[fid.to_string(), file.name.clone(), kind, bound]);
+    }
+    out.push_str(&files.render());
+    out.push_str(&format!("{invariant_files} invariant files omitted\n\n"));
+
+    let mut symbols = Table::new(&["symbol", "certificate", "bound"])
+        .with_title("Certified bounds — symbols (invariant symbols omitted)")
+        .with_aligns(&[Align::Left, Align::Left, Align::Right]);
+    let mut invariant_symbols = 0usize;
+    for (name, cert) in &certs.symbols {
+        if cert.prunable() {
+            invariant_symbols += 1;
+            continue;
+        }
+        let (kind, bound) = cert_cells(cert);
+        symbols.row(&[name.clone(), kind, bound]);
+    }
+    out.push_str(&symbols.render());
+    out.push_str(&format!("{invariant_symbols} invariant symbols omitted\n"));
+    out
+}
+
+/// `flit lint`'s report for one pair: the certificate tables, then a
+/// mixed-ABI crash warning, a link-step note when only the whole pair
+/// can diverge, and the hazard lints on functions reachable from
+/// `driver`.
+pub fn render_lint(
+    title: &str,
+    program: &SimProgram,
+    driver: &Driver,
+    certs: &PairCertificates,
+) -> String {
+    let mut out = format!("# flit lint — {title}\n\n");
+    out.push_str(&render_certificates(program, certs));
+    if certs.abi_hazard {
         out.push_str(
-            "WARNING: mixed-ABI link predicted to CRASH (Intel objects under a \
+            "\nWARNING: mixed-ABI link predicted to CRASH (Intel objects under a \
              GNU-compatible link, Table 2's File Bisect failures)\n",
         );
     }
-    if pred
-        .sweep_diff
-        .minus(pred.env_diff)
-        .contains(crate::sensitivity::Feature::Mathlib)
-    {
+    if !certs.whole.prunable() && certs.files.iter().all(Certificate::prunable) {
         out.push_str(
-            "note: mathlib differs only at the link step — File Bisect will report \
+            "\nnote: the pair differs only at the link step — File Bisect will report \
              `link-step only` rather than blame a file\n",
         );
     }
-    out.push('\n');
-
-    let mut files = Table::new(&["#", "file", "features", "injected", "score"])
-        .with_title("Predicted-variable files (ranked)")
-        .with_aligns(&[
-            Align::Right,
-            Align::Left,
-            Align::Left,
-            Align::Left,
-            Align::Right,
-        ]);
-    for (i, f) in pred.files.iter().take(MAX_ROWS).enumerate() {
-        files.row(&[
-            format!("{}", i + 1),
-            f.file_name.clone(),
-            f.relevant.to_string(),
-            if f.injected { "yes" } else { "" }.into(),
-            fmt_f64(f.score, 1),
-        ]);
-    }
-    out.push_str(&files.render());
-    if pred.files.len() > MAX_ROWS {
-        out.push_str(&format!("… {} more files\n", pred.files.len() - MAX_ROWS));
-    }
-    out.push('\n');
-
-    let mut symbols = Table::new(&["#", "symbol", "features", "injected", "score"])
-        .with_title("Predicted-variable symbols (ranked)")
-        .with_aligns(&[
-            Align::Right,
-            Align::Left,
-            Align::Left,
-            Align::Left,
-            Align::Right,
-        ]);
-    for (i, s) in pred.symbols.iter().take(MAX_ROWS).enumerate() {
-        symbols.row(&[
-            format!("{}", i + 1),
-            s.symbol.clone(),
-            s.relevant.to_string(),
-            if s.injected { "yes" } else { "" }.into(),
-            fmt_f64(s.score, 1),
-        ]);
-    }
-    out.push_str(&symbols.render());
-    if pred.symbols.len() > MAX_ROWS {
-        out.push_str(&format!(
-            "… {} more symbols\n",
-            pred.symbols.len() - MAX_ROWS
-        ));
-    }
-
-    if !pred.hazards.is_empty() {
-        out.push('\n');
-        let mut hz = Table::new(&["symbol", "hazard"])
+    let hazards = reachable_hazards(program, driver);
+    if !hazards.is_empty() {
+        let mut table = Table::new(&["symbol", "hazard"])
             .with_title("Hazard lints")
             .with_aligns(&[Align::Left, Align::Left]);
-        for (symbol, h) in &pred.hazards {
-            hz.row(&[symbol.clone(), h.name().to_string()]);
+        for (symbol, h) in &hazards {
+            table.row(&[symbol.clone(), h.name().to_string()]);
         }
-        out.push_str(&hz.render());
+        out.push('\n');
+        out.push_str(&table.render());
     }
     out
 }
@@ -108,40 +105,72 @@ pub fn render_prediction(title: &str, pred: &PairPrediction) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::predict_pair;
-    use flit_program::build::Build;
     use flit_program::kernel::Kernel;
-    use flit_program::model::{Function, SimProgram, SourceFile};
+    use flit_program::model::{Function, SourceFile};
     use flit_toolchain::compilation::Compilation;
     use flit_toolchain::compiler::{CompilerKind, OptLevel};
     use flit_toolchain::flags::Switch;
 
+    fn program() -> SimProgram {
+        SimProgram::new(
+            "render-test",
+            vec![
+                SourceFile::new(
+                    "k.cpp",
+                    vec![
+                        Function::exported("dot", Kernel::DotMix { stride: 3 }),
+                        Function::exported("gate", Kernel::ZeroGate { boost: 2.0 }),
+                    ],
+                ),
+                SourceFile::new(
+                    "trig.cpp",
+                    vec![Function::exported("trig", Kernel::TranscMap { freq: 2.0 })],
+                ),
+            ],
+        )
+    }
+
+    fn lint(driver: &Driver, variable: Compilation) -> String {
+        let p = program();
+        let base = Compilation::new(CompilerKind::Gcc, OptLevel::O0, vec![]);
+        let certs = flit_absint::certify_pair(&p, &p, driver, &base, &variable, CompilerKind::Gcc);
+        render_lint("render-test", &p, driver, &certs)
+    }
+
     #[test]
     fn renders_all_sections() {
-        let p = SimProgram::new(
-            "render-test",
-            vec![SourceFile::new(
-                "k.cpp",
-                vec![
-                    Function::exported("dot", Kernel::DotMix { stride: 3 }),
-                    Function::exported("gate", Kernel::ZeroGate { boost: 2.0 }),
-                ],
-            )],
+        let driver = Driver::new("d", vec!["dot".into(), "gate".into()], 1, 32);
+        let icpc = Compilation::new(CompilerKind::Icpc, OptLevel::O2, vec![Switch::FastMath]);
+        let text = lint(&driver, icpc);
+        assert!(text.contains("Certified bounds — files"), "{text}");
+        assert!(text.contains("Certified bounds — symbols"), "{text}");
+        assert!(text.contains("mixed-ABI link predicted to CRASH"), "{text}");
+        assert!(text.contains("Hazard lints"), "{text}");
+        assert!(text.contains("exact-fp-compare"), "{text}");
+        assert!(!text.contains("link step"), "{text}");
+    }
+
+    #[test]
+    fn whole_pair_only_divergence_is_a_link_step_note() {
+        let p = program();
+        let driver = Driver::new("d", vec!["trig".into()], 1, 32);
+        let certs = PairCertificates {
+            base_label: "g++ -O0".into(),
+            cand_label: "icpc -O1".into(),
+            files: vec![Certificate::Invariant; p.files.len()],
+            symbols: Default::default(),
+            whole: Certificate::Bounded(1e-12),
+            abi_hazard: false,
+        };
+        let text = render_lint("render-test", &p, &driver, &certs);
+        assert!(
+            text.contains("whole pair: bounded (l2_diff <= 1.000e-12)"),
+            "{text}"
         );
-        let baseline = Build::new(
-            &p,
-            Compilation::new(CompilerKind::Gcc, OptLevel::O0, vec![]),
+        assert!(text.contains("differs only at the link step"), "{text}");
+        assert!(
+            !text.contains("Hazard lints"),
+            "trig reaches no hazard: {text}"
         );
-        let variable = Build::new(
-            &p,
-            Compilation::new(CompilerKind::Icpc, OptLevel::O2, vec![Switch::FastMath]),
-        );
-        let pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
-        let text = render_prediction("render-test", &pred);
-        assert!(text.contains("Predicted-variable files"));
-        assert!(text.contains("Predicted-variable symbols"));
-        assert!(text.contains("Hazard lints"));
-        assert!(text.contains("exact-fp-compare"));
-        assert!(text.contains("mixed-ABI link predicted to CRASH"));
     }
 }

@@ -1,16 +1,12 @@
-//! Byte-exact regression pin for the serialized lint report.
-//!
-//! The `SensitivitySet` bitset was widened from `u8` to `u16` to leave
-//! room for certificate-derived features; this test pins the full
-//! rendered output of a representative prediction so any change to the
-//! serialized form (feature names, ordering, table layout, scores)
-//! shows up as a diff against a known-good snapshot.
+//! Byte-exact regression pin for the serialized `flit lint` report: the
+//! certificate tables `flit bound` shares, then the hazard lints. Any
+//! change to the serialized form (certificate kinds, bound formatting,
+//! table layout, section order) shows up as a diff against a
+//! known-good snapshot.
 
-use flit_lint::predict::predict_pair;
-use flit_lint::render::render_prediction;
-use flit_program::build::Build;
+use flit_lint::render::render_lint;
 use flit_program::kernel::Kernel;
-use flit_program::model::{Function, SimProgram, SourceFile};
+use flit_program::model::{Driver, Function, SimProgram, SourceFile};
 use flit_toolchain::compilation::Compilation;
 use flit_toolchain::compiler::{CompilerKind, OptLevel};
 use flit_toolchain::flags::Switch;
@@ -18,22 +14,33 @@ use flit_toolchain::flags::Switch;
 const EXPECTED: &str = "\
 # flit lint — pin
 
-env diff (bisect link): fma+simd+recip    env diff (-fPIC): fma+simd+recip    sweep diff: fma+simd+recip
-functions analyzed: 2    predicted files: 1    predicted symbols: 1
+whole pair: bounded (l2_diff <= 1.511e1)
+items: 1 invariant, 4 bounded, 0 unknown
 
-Predicted-variable files (ranked)
-+---+---------+----------+----------+-------+
-| # | file    | features | injected | score |
-+---+---------+----------+----------+-------+
-| 1 | hot.cpp | fma+simd |          |   2.0 |
-+---+---------+----------+----------+-------+
+Certified bounds — files (invariant files omitted)
++---+----------+-------------+---------+
+| # | file     | certificate | bound   |
++---+----------+-------------+---------+
+| 0 | hot.cpp  | bounded     | 1.202e0 |
+| 1 | trig.cpp | bounded     | 1.511e1 |
++---+----------+-------------+---------+
+0 invariant files omitted
 
-Predicted-variable symbols (ranked)
-+---+--------+----------+----------+-------+
-| # | symbol | features | injected | score |
-+---+--------+----------+----------+-------+
-| 1 | dot    | fma+simd |          |   2.0 |
-+---+--------+----------+----------+-------+
+Certified bounds — symbols (invariant symbols omitted)
++--------+-------------+---------+
+| symbol | certificate | bound   |
++--------+-------------+---------+
+| dot    | bounded     | 1.202e0 |
+| gate   | bounded     | 1.511e1 |
++--------+-------------+---------+
+1 invariant symbols omitted
+
+Hazard lints
++--------+------------------+
+| symbol | hazard           |
++--------+------------------+
+| gate   | exact-fp-compare |
++--------+------------------+
 ";
 
 #[test]
@@ -47,19 +54,22 @@ fn serialized_lint_output_is_byte_identical() {
             ),
             SourceFile::new(
                 "trig.cpp",
-                vec![Function::exported("trig", Kernel::TranscMap { freq: 2.0 })],
+                vec![
+                    Function::exported("trig", Kernel::TranscMap { freq: 2.0 }),
+                    Function::exported("gate", Kernel::ZeroGate { boost: 2.0 }),
+                ],
             ),
         ],
     );
-    let baseline = Build::new(
-        &p,
-        Compilation::new(CompilerKind::Gcc, OptLevel::O0, vec![]),
+    let driver = Driver::new(
+        "pin",
+        vec!["dot".into(), "trig".into(), "gate".into()],
+        1,
+        32,
     );
-    let variable = Build::new(
-        &p,
-        Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2FmaUnsafe]),
-    );
-    let pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
-    let text = render_prediction("pin", &pred);
+    let baseline = Compilation::new(CompilerKind::Gcc, OptLevel::O0, vec![]);
+    let variable = Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2FmaUnsafe]);
+    let certs = flit_absint::certify_pair(&p, &p, &driver, &baseline, &variable, CompilerKind::Gcc);
+    let text = render_lint("pin", &p, &driver, &certs);
     assert_eq!(text, EXPECTED);
 }

@@ -123,37 +123,12 @@ pub fn cache_hit_rates(trace: &Trace) -> Table {
     t
 }
 
-/// The static-prescreen (`flit lint`) activity: analyzer volume,
-/// prediction counts, and the speculation the seed saved inside
-/// Bisect. Rendered only when the trace recorded lint activity — most
-/// workflows never run the pass, and an all-zero table would read as
-/// "lint ran and found nothing".
-pub fn lint_activity(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Static prescreen (lint)")
-        .with_aligns(&[Align::Left, Align::Right]);
-    let rows = [
-        ("functions analyzed", counter::LINT_FUNCTIONS_ANALYZED),
-        ("predicted files", counter::LINT_PREDICTED_FILES),
-        ("predicted symbols", counter::LINT_PREDICTED_SYMBOLS),
-        ("hazard lints", counter::LINT_HAZARDS),
-        ("speculations skipped", counter::LINT_SPECULATION_SKIPPED),
-    ];
-    let total: u64 = rows.iter().map(|(_, key)| trace.counter(key)).sum();
-    if total == 0 {
-        return t;
-    }
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
-}
-
 /// Certified-bounds accounting (`flit-absint`): how many items the
-/// abstract interpreter certified per kind, and what a
-/// `--prune certified` search did with them. Rendered only when a
-/// certification pass actually ran — an all-zero table would read as
-/// "the analysis ran and certified nothing".
+/// abstract interpreter certified per kind, the speculation a seeded
+/// search skipped, and what a pruning search did with the
+/// certificates. Rendered only when a certification pass actually ran
+/// — an all-zero table would read as "the analysis ran and certified
+/// nothing".
 pub fn certified_bounds(trace: &Trace) -> Table {
     let mut t = Table::new(&["counter", "value"])
         .with_title("Certified bounds (absint)")
@@ -165,6 +140,7 @@ pub fn certified_bounds(trace: &Trace) -> Table {
         ("files pruned", counter::ABSINT_PRUNED_FILES),
         ("symbols pruned", counter::ABSINT_PRUNED_SYMBOLS),
         ("residual audits", counter::ABSINT_PRUNE_AUDITS),
+        ("speculations skipped", counter::LINT_SPECULATION_SKIPPED),
     ];
     let total: u64 = rows.iter().map(|(_, key)| trace.counter(key)).sum();
     if total == 0 {
@@ -326,8 +302,9 @@ pub fn fuzz_campaign(trace: &Trace) -> Table {
 
 /// The full `flit trace` report: all exhibits, separated by blank
 /// lines. Sections with no data render with their headers so the
-/// output shape is stable (except the lint and ledger sections, which
-/// only appear when a prescreen or a query ledger actually ran).
+/// output shape is stable (except the certified-bounds and ledger
+/// sections, which only appear when a certification pass or a query
+/// ledger actually ran, and the later activity-gated sections).
 pub fn render_trace(trace: &Trace, top: usize) -> String {
     let mut out = String::new();
     out.push_str(&phase_summary(trace).render());
@@ -342,11 +319,6 @@ pub fn render_trace(trace: &Trace, top: usize) -> String {
         out.push('\n');
     }
     out.push_str(&cache_hit_rates(trace).render());
-    let lint = lint_activity(trace);
-    if !lint.is_empty() {
-        out.push('\n');
-        out.push_str(&lint.render());
-    }
     let certified = certified_bounds(trace);
     if !certified.is_empty() {
         out.push('\n');
@@ -531,8 +503,8 @@ mod tests {
         assert!(out.contains("Build-cache hit rates"));
         // Zero-request layers report "-", not a division by zero.
         assert!(out.contains('-'));
-        // No lint activity → no lint section.
-        assert!(!out.contains("Static prescreen"));
+        // No certification pass → no certified-bounds section.
+        assert!(!out.contains("Certified bounds"));
         // No ledger activity → no resume/dedup section.
         assert!(!out.contains("Resume & dedup"));
     }
@@ -660,20 +632,20 @@ mod tests {
     }
 
     #[test]
-    fn lint_section_appears_only_with_activity() {
+    fn certified_section_appears_only_with_activity() {
         let counters: BTreeMap<String, u64> = [
-            (counter::LINT_FUNCTIONS_ANALYZED.to_string(), 120),
-            (counter::LINT_PREDICTED_FILES.to_string(), 7),
-            (counter::LINT_PREDICTED_SYMBOLS.to_string(), 9),
+            (counter::ABSINT_CERTIFIED_INVARIANT.to_string(), 120),
+            (counter::ABSINT_CERTIFIED_BOUNDED.to_string(), 7),
             (counter::LINT_SPECULATION_SKIPPED.to_string(), 31),
         ]
         .into_iter()
         .collect();
-        let trace = Trace::from_parts(vec![], counters);
-        let out = render_trace(&trace, 5);
-        assert!(out.contains("Static prescreen (lint)"), "{out}");
+        let out = render_trace(&Trace::from_parts(vec![], counters), 5);
+        assert!(out.contains("Certified bounds (absint)"), "{out}");
         let line = |name: &str| out.lines().find(|l| l.contains(name)).unwrap().to_string();
-        assert!(line("functions analyzed").contains("120"));
+        assert!(line("certified invariant").contains("120"));
         assert!(line("speculations skipped").contains("31"));
+        let out = render_trace(&Trace::from_parts(vec![], BTreeMap::new()), 5);
+        assert!(!out.contains("Certified bounds (absint)"), "{out}");
     }
 }

@@ -33,8 +33,8 @@ use flit_trace::registry::Counter;
 use flit_trace::sink::TraceSink;
 
 use crate::protocol::{
-    read_frame, write_frame, FleetStats, LatencySummary, Request, Response, StatusReport,
-    PROTOCOL_VERSION,
+    read_frame_within, write_frame, FleetStats, LatencySummary, Request, Response, StatusReport,
+    MAX_REQUEST_FRAME, PROTOCOL_VERSION,
 };
 use crate::sched::FairQueue;
 
@@ -437,7 +437,7 @@ impl Inner {
         };
         let mut writer = writer_stream;
         let mut reader = BufReader::new(stream);
-        let request: Request = match read_frame(&mut reader) {
+        let request: Request = match read_frame_within(&mut reader, MAX_REQUEST_FRAME) {
             Ok(Some(req)) => req,
             Ok(None) => return,
             Err(e) => {

@@ -13,7 +13,7 @@
 //! version field. Bump the constant whenever a request or response
 //! variant changes shape; never reinterpret an old number.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use serde::{Deserialize, Serialize};
@@ -22,6 +22,11 @@ use flit_persist::{frame_record, unframe_record};
 
 /// The protocol schema version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// Largest request frame the daemon reads, newline included (64 KiB).
+/// A client that sends more without a newline is refused instead of
+/// growing the daemon's memory.
+pub const MAX_REQUEST_FRAME: u64 = 64 * 1024;
 
 /// Client → daemon messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,15 +163,32 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, value: &T) -> std::io::Resu
 /// Read one framed message line; `Ok(None)` on a clean EOF. A corrupt
 /// frame or an unknown message shape is `InvalidData`, never a panic.
 pub fn read_frame<T: serde::Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    read_frame_within(r, u64::MAX)
+}
+
+/// [`read_frame`] that reads at most `cap` bytes of the line: a longer
+/// line is `InvalidData` naming the cap, and its excess is never
+/// buffered.
+pub(crate) fn read_frame_within<T: serde::Deserialize>(
+    r: &mut impl BufRead,
+    cap: u64,
+) -> std::io::Result<Option<T>> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let mut line = Vec::new();
+    if r.by_ref()
+        .take(cap.saturating_add(1))
+        .read_until(b'\n', &mut line)?
+        == 0
+    {
         return Ok(None);
     }
-    let payload = unframe_record(line.trim_end_matches(['\n', '\r'])).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}"))
-    })?;
-    let value = serde_json::from_str(payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    if line.len() as u64 > cap {
+        return Err(invalid(format!("frame exceeds the {cap}-byte cap")));
+    }
+    let line = String::from_utf8(line).map_err(|e| invalid(e.to_string()))?;
+    let payload = unframe_record(line.trim_end_matches(['\n', '\r']))
+        .map_err(|e| invalid(format!("bad frame: {e}")))?;
+    let value = serde_json::from_str(payload).map_err(|e| invalid(e.to_string()))?;
     Ok(Some(value))
 }
 
@@ -289,6 +311,35 @@ mod tests {
             read_frame::<Request>(&mut std::io::BufReader::new(&b""[..]))
                 .unwrap()
                 .is_none()
+        );
+    }
+
+    #[test]
+    fn capped_read_refuses_an_overlong_frame_by_name() {
+        let mut buf = Vec::new();
+        write_frame(
+            &mut buf,
+            &Request::Status {
+                version: PROTOCOL_VERSION,
+            },
+        )
+        .unwrap();
+        let fits = buf.len() as u64;
+        let back: Request = read_frame_within(&mut std::io::BufReader::new(&buf[..]), fits)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            back,
+            Request::Status {
+                version: PROTOCOL_VERSION
+            }
+        );
+        let err = read_frame_within::<Request>(&mut std::io::BufReader::new(&buf[..]), fits - 1)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&format!("{}-byte cap", fits - 1)),
+            "{err}"
         );
     }
 }

@@ -20,9 +20,6 @@ pub mod phase {
     /// serial consumption order (cost = item-set size, duration =
     /// simulated seconds) — byte-identical at any `--jobs` value.
     pub const EXEC_QUERY: &str = "exec.query";
-    /// Static lint-analysis spans: one per analyzed (baseline,
-    /// variable) compilation pair (cost = functions analyzed).
-    pub const LINT: &str = "lint";
     /// Fuzz-campaign spans: one per checked seed (cost = program
     /// executions the seed's serial search spent).
     pub const FUZZ: &str = "fuzz";
@@ -91,17 +88,9 @@ pub mod counter {
     /// Checkpoint-journal records appended during this run.
     pub const JOURNAL_APPENDED: &str = "journal.records.appended";
 
-    /// Functions statically analyzed by `flit-lint`.
-    pub const LINT_FUNCTIONS_ANALYZED: &str = "lint.functions_analyzed";
-    /// Symbols the lint pass predicts variable for a compilation pair.
-    pub const LINT_PREDICTED_SYMBOLS: &str = "lint.predicted.symbols";
-    /// Files the lint pass predicts variable for a compilation pair.
-    pub const LINT_PREDICTED_FILES: &str = "lint.predicted.files";
-    /// Hazard lints raised (exact FP compares, UB-dependent kernels).
-    pub const LINT_HAZARDS: &str = "lint.hazards";
-    /// Speculative planner queries skipped because every item was
-    /// lint-predicted invariant (prioritization, not pruning — found
-    /// sets are unaffected).
+    /// Speculative planner queries a seeded search skipped because
+    /// every item was certified `Invariant` (prioritization, not
+    /// pruning — found sets are unaffected).
     pub const LINT_SPECULATION_SKIPPED: &str = "lint.speculation.skipped";
 
     /// Items certified `Invariant` by the abstract interpreter.

@@ -71,10 +71,6 @@ pub mod prelude {
     pub use flit_fuzz::{
         check_seed, run_campaign, CampaignConfig, CampaignResult, OracleConfig, SeedVerdict,
     };
-    pub use flit_lint::{
-        analyze_program, audit_hierarchy, audit_injection, predict_pair, Feature, PairPrediction,
-        SensitivitySet,
-    };
     pub use flit_program::build::Build;
     pub use flit_program::engine::Engine;
     pub use flit_program::kernel::Kernel;

@@ -1,18 +1,20 @@
-//! Soundness contract of the static prescreen (`flit-lint`), end to
-//! end: the per-kernel sensitivity model is differentially sound, the
-//! analyzer is total over generated synthetic codebases, and on the
-//! paper's Table-2 MFEM fixture a lint-seeded search reproduces the
-//! unseeded findings byte-for-byte while spending strictly fewer Test
-//! executions at width 8, and a certified-pruned search reproduces the
-//! findings with fewer executions.
+//! Soundness contract of the static prescreen, end to end. The one
+//! static analysis is `flit-absint`: its per-kernel realization model is
+//! differentially sound, its certificates are total over generated
+//! synthetic codebases, and on the paper's Table-2 MFEM fixture a
+//! certificate-seeded search reproduces the unseeded findings
+//! byte-for-byte while spending strictly fewer Test executions at width
+//! 8, a certified-pruned search reproduces the findings with fewer
+//! executions, and a mixed-ABI pair speculates nothing.
 
 use proptest::prelude::*;
 
-use flit::lint::sensitivity::{env_with, kernel_sensitivity};
 use flit::lint::{prescreen_for, LintMode};
 use flit::prelude::*;
 use flit::program::generate::{filler_files, FillerSpec};
 use flit::trace::names::counter;
+use flit_absint::realization::same_realization;
+use flit_absint::{certify_pair, Certificate};
 
 /// One representative of every non-custom kernel variant.
 fn kernel_zoo() -> Vec<Kernel> {
@@ -54,19 +56,75 @@ fn sample_state(len: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Differential soundness of the abstract interpretation: whenever a
-/// kernel's output changes bitwise under a single-feature environment
-/// flip, the model must claim that feature. (The converse — claimed
-/// but unobserved on this one state — is allowed: the model is a
-/// *may*-analysis.)
+/// The strict environment with exactly one feature flipped, for each
+/// of the seven `FpEnv` features.
+fn single_flips() -> Vec<(&'static str, FpEnv)> {
+    let strict = FpEnv::strict();
+    vec![
+        (
+            "fma",
+            FpEnv {
+                fma: true,
+                ..strict
+            },
+        ),
+        (
+            "simd",
+            FpEnv {
+                simd_width: SimdWidth::W4,
+                ..strict
+            },
+        ),
+        (
+            "extended",
+            FpEnv {
+                extended_precision: true,
+                ..strict
+            },
+        ),
+        (
+            "recip",
+            FpEnv {
+                reciprocal_math: true,
+                ..strict
+            },
+        ),
+        (
+            "ftz",
+            FpEnv {
+                flush_to_zero: true,
+                ..strict
+            },
+        ),
+        (
+            "mathlib",
+            FpEnv {
+                mathlib: MathLib::Vendor,
+                ..strict
+            },
+        ),
+        (
+            "ub",
+            FpEnv {
+                exploit_ub: true,
+                ..strict
+            },
+        ),
+    ]
+}
+
+/// Differential soundness of the realization model `flit-absint`'s
+/// `Invariant` certificates rest on: whenever a kernel's output changes
+/// bitwise under a single-feature environment flip, the model must say
+/// the two environments realize the kernel differently. (The converse
+/// — a differing realization that happens to give equal bits on one
+/// state — is allowed: the model over-approximates.)
 #[test]
 fn kernel_sensitivity_is_differentially_sound() {
     let strict = FpEnv::strict();
     let mut observed_diffs = 0usize;
     for kernel in kernel_zoo() {
-        let claimed = kernel_sensitivity(&kernel);
-        for feature in SensitivitySet::FULL.iter() {
-            let flipped = env_with(feature);
+        for (feature, flipped) in single_flips() {
             for salt in [1u64, 17, 4242] {
                 let mut a = sample_state(32, salt);
                 let mut b = a.clone();
@@ -76,8 +134,9 @@ fn kernel_sensitivity_is_differentially_sound() {
                 if differs {
                     observed_diffs += 1;
                     assert!(
-                        claimed.contains(feature),
-                        "{kernel:?} differs under {feature:?} but the model does not claim it"
+                        !same_realization(&kernel, &strict, &flipped, 32),
+                        "{kernel:?} differs under {feature} but the model claims \
+                         an identical realization"
                     );
                 }
             }
@@ -90,9 +149,10 @@ fn kernel_sensitivity_is_differentially_sound() {
     );
 }
 
-/// Exact-by-construction kernels really are: no single-feature flip
-/// may ever move them (this is the precision half for the kernels the
-/// prescreen prunes).
+/// Exact-by-construction kernels really are: the model realizes them
+/// identically under every environment, and no single-feature flip may
+/// ever move them (this is the precision half for the kernels a
+/// certified prune drops).
 #[test]
 fn invariant_kernels_never_move() {
     let strict = FpEnv::strict();
@@ -105,19 +165,19 @@ fn invariant_kernels_never_move() {
             steps: 12,
         },
     ] {
-        assert!(
-            kernel_sensitivity(&kernel).is_empty(),
-            "{kernel:?} should model as invariant"
-        );
-        for feature in SensitivitySet::FULL.iter() {
+        for (feature, flipped) in single_flips() {
+            assert!(
+                same_realization(&kernel, &strict, &flipped, 24),
+                "{kernel:?} should model as invariant under {feature}"
+            );
             let mut a = sample_state(24, 7);
             let mut b = a.clone();
             kernel.eval(&mut a, &strict, None);
-            kernel.eval(&mut b, &env_with(feature), None);
+            kernel.eval(&mut b, &flipped, None);
             assert_eq!(
                 a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "{kernel:?} moved under {feature:?}"
+                "{kernel:?} moved under {feature}"
             );
         }
     }
@@ -138,7 +198,7 @@ fn mfem_pair() -> (
 
 const INPUT: &[f64] = &[0.35, 0.62];
 
-/// The Table-2 MFEM fixture: a lint-seeded parallel search is
+/// The Table-2 MFEM fixture: a certificate-seeded parallel search is
 /// byte-identical to the unseeded serial search at widths 1 and 8,
 /// and at width 8 it spends strictly fewer Test executions (the
 /// speculation filter is the entire point of seeding).
@@ -147,7 +207,15 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
     let (program, base_c, var_c, driver) = mfem_pair();
     let baseline = Build::new(&program, base_c);
     let variable = Build::tagged(&program, var_c, 1);
-    let pred = predict_pair(&baseline, &variable, Some(&driver), CompilerKind::Gcc);
+    let seed = prescreen_for(
+        LintMode::Seed,
+        &baseline,
+        &variable,
+        &driver,
+        &HierarchicalConfig::all(),
+    )
+    .expect("seeding builds a prescreen");
+    assert!(seed.certificates.is_none(), "seeding never prunes");
 
     let serial = bisect_hierarchical(
         &baseline,
@@ -179,7 +247,7 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
             (result, trace.snapshot())
         };
         let (plain, plain_trace) = run(None);
-        let (seeded, seeded_trace) = run(Some(pred.prescreen()));
+        let (seeded, seeded_trace) = run(Some(seed.clone()));
 
         assert_eq!(plain, serial, "unseeded parallel vs serial, jobs={jobs}");
         assert_eq!(seeded, serial, "seeded parallel vs serial, jobs={jobs}");
@@ -202,6 +270,52 @@ fn mfem_seeded_search_is_identical_and_cheaper() {
             );
         }
     }
+}
+
+/// A mixed-ABI pair (ex13 against `icpc -O2` under the gcc link) is
+/// gated: its certificates say nothing about arithmetic, so the seed
+/// ranks nothing, and a width-8 seeded search executes exactly the
+/// queries of the width-1 unseeded one, with identical findings.
+#[test]
+fn abi_hazard_pair_seeded_search_speculates_nothing() {
+    let (program, base_c, _, driver) = mfem_pair();
+    let baseline = Build::new(&program, base_c);
+    let variable = Build::tagged(
+        &program,
+        Compilation::new(CompilerKind::Icpc, OptLevel::O2, vec![]),
+        1,
+    );
+    let run = |mode: LintMode, jobs: usize| {
+        let trace = TraceSink::enabled();
+        let mut cfg = HierarchicalConfig::all().with_trace(trace.clone());
+        cfg.prescreen = prescreen_for(mode, &baseline, &variable, &driver, &cfg);
+        if let Some(screen) = &cfg.prescreen {
+            assert!(
+                screen.file_priority.is_empty(),
+                "{:?}",
+                screen.file_priority
+            );
+            assert!(screen.symbol_priority.is_empty());
+        }
+        let result = bisect_hierarchical(
+            &baseline,
+            &variable,
+            &driver,
+            INPUT,
+            &l2_compare,
+            &cfg,
+            &ThreadsBackend::new(jobs),
+        );
+        let executed = trace.snapshot().counter(counter::EXEC_QUERIES_EXECUTED);
+        (result, executed)
+    };
+    let (serial, serial_exec) = run(LintMode::Off, 1);
+    let (seeded, seeded_exec) = run(LintMode::Seed, 8);
+    assert_eq!(seeded, serial, "seeding must not change findings");
+    assert_eq!(
+        seeded_exec, serial_exec,
+        "an ABI-hazard pair must speculate nothing"
+    );
 }
 
 /// The certified prune reproduces the same blame sets with zero
@@ -303,31 +417,67 @@ fn dishonest_prune_is_caught_by_the_guard() {
     );
 }
 
-/// The audit on the Table-2 fixture: static recall must be 1.0 at both
-/// levels (everything the dynamic search blames was predicted), with
-/// honestly-reported precision.
+/// Soundness on the Table-2 fixture: no file or symbol the dynamic
+/// search blames may be certified `Invariant` (recall 1.0 of the
+/// non-`Invariant` set, which is what seeding ranks and pruning keeps).
 #[test]
 fn mfem_audit_recall_is_total() {
     let (program, base_c, var_c, driver) = mfem_pair();
-    let baseline = Build::new(&program, base_c);
-    let variable = Build::tagged(&program, var_c, 1);
-    let pred = predict_pair(&baseline, &variable, Some(&driver), CompilerKind::Gcc);
+    let certs = certify_pair(
+        &program,
+        &program,
+        &driver,
+        &base_c,
+        &var_c,
+        CompilerKind::Gcc,
+    );
     let result = bisect_hierarchical(
-        &baseline,
-        &variable,
+        &Build::new(&program, base_c),
+        &Build::tagged(&program, var_c, 1),
         &driver,
         INPUT,
         &l2_compare,
         &HierarchicalConfig::all(),
         &ThreadsBackend::new(1),
     );
-    let audit = audit_hierarchy(&pred, &result);
-    assert!(audit.sound(), "missed blames: {audit:?}");
-    assert_eq!(audit.files.recall(), 1.0);
-    assert_eq!(audit.symbols.recall(), 1.0);
-    assert!(audit.files.precision() > 0.0 && audit.files.precision() <= 1.0);
-    assert!(audit.symbols.precision() > 0.0 && audit.symbols.precision() <= 1.0);
-    assert!(!audit.files.found.is_empty(), "fixture must blame files");
+    assert!(!result.files.is_empty(), "fixture must blame files");
+    for f in &result.files {
+        assert!(
+            !certs.file(f.file_id).prunable(),
+            "blamed file {} certified Invariant",
+            f.file_name
+        );
+    }
+    for s in &result.symbols {
+        assert!(
+            !certs.symbol(&s.symbol).prunable(),
+            "blamed symbol {} certified Invariant",
+            s.symbol
+        );
+    }
+}
+
+/// LULESH's kernels are opaque (`Kernel::Custom`), yet an identical
+/// pair certifies every item `Invariant` (an opaque body is a
+/// deterministic function of state, environment and injection), and an
+/// injected body is never certified `Invariant`.
+#[test]
+fn lulesh_opaque_kernels_certify_under_identical_environments() {
+    let program = flit::lulesh::lulesh_program();
+    let driver = flit::lulesh::lulesh_driver();
+    let comp = Compilation::perf_reference();
+    let certs = certify_pair(&program, &program, &driver, &comp, &comp, comp.compiler);
+    let (inv, bnd, unk) = certs.counts();
+    assert_eq!((bnd, unk), (0, 0), "{certs:?}");
+    assert_eq!(inv as usize, certs.files.len() + certs.symbols.len());
+    assert_eq!(certs.whole, Certificate::Invariant);
+
+    let mut edited = program.clone();
+    let victim = driver.entries[0].clone();
+    edited.function_mut(&victim).unwrap().kernel = Kernel::Benign { flavor: 3 };
+    let certs = certify_pair(&program, &edited, &driver, &comp, &comp, comp.compiler);
+    assert!(!certs.symbol(&victim).prunable(), "{victim} body differs");
+    assert!(!certs.whole.prunable());
 }
 
 /// Splice a uniquely-named sensitive exported function into one of the
@@ -345,15 +495,27 @@ fn splice(
     fid
 }
 
+/// A driver entering every exported function of `program`.
+fn every_entry(program: &SimProgram) -> Driver {
+    let entries = program
+        .files
+        .iter()
+        .flat_map(|f| &f.functions)
+        .filter(|f| f.visibility == Visibility::Exported)
+        .map(|f| f.name.clone())
+        .collect();
+    Driver::new("every-entry", entries, 1, 32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The analyzer is total over `flit_program::generate` synthetic
-    /// codebases — never panics, covers every function — and recall is
-    /// 1.0 by construction: filler is `Benign` (statically invariant,
-    /// nothing predicted), while spliced sensitive kernels are always
-    /// predicted at both file and symbol level for an env diff that
-    /// touches their sensitivity set.
+    /// The certifier is total over `flit_program::generate` synthetic
+    /// codebases — never panics, certifies every file and exported
+    /// symbol — and recalls every spliced kernel: filler is `Benign`
+    /// (certified `Invariant` everywhere), while spliced `DotMix`
+    /// files and symbols are never certified `Invariant` under an
+    /// FMA-contracting pair.
     #[test]
     fn analyzer_is_total_and_recalls_spliced_kernels(
         nfiles in 2usize..7,
@@ -371,24 +533,23 @@ proptest! {
             prefix: "gen".into(),
         };
         let mut files = filler_files(&spec);
-        let total_filler: usize = files.iter().map(|f| f.functions.len()).sum();
-
-        // Filler-only program: statically invariant by construction.
-        let quiet = SimProgram::new("synthetic", files.clone());
-        let quiet_lint = flit::lint::analyze_program(&quiet);
-        prop_assert_eq!(quiet_lint.len(), total_filler);
-        prop_assert_eq!(quiet_lint.hazard_count(), 0);
-
         let base_c = Compilation::baseline();
         let var_c = Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2Fma]);
-        {
-            let baseline = Build::new(&quiet, base_c.clone());
-            let variable = Build::tagged(&quiet, var_c.clone(), 1);
-            let pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
-            prop_assert!(pred.files.is_empty(), "benign filler predicted: {:?}", pred.files);
-            prop_assert!(pred.symbols.is_empty());
-            prop_assert_eq!(pred.functions_analyzed, total_filler);
-        }
+
+        // Filler-only program: certified invariant by construction.
+        let quiet = SimProgram::new("synthetic", files.clone());
+        let exported = quiet
+            .files
+            .iter()
+            .flat_map(|f| &f.functions)
+            .filter(|f| f.visibility == Visibility::Exported)
+            .count();
+        let certs = certify_pair(&quiet, &quiet, &every_entry(&quiet), &base_c, &var_c, CompilerKind::Gcc);
+        prop_assert_eq!(certs.files.len(), nfiles);
+        prop_assert_eq!(certs.symbols.len(), exported);
+        prop_assert!(certs.files.iter().all(Certificate::prunable), "{:?}", certs.files);
+        prop_assert!(certs.symbols.values().all(Certificate::prunable));
+        prop_assert_eq!(certs.whole, Certificate::Invariant);
 
         // Now splice sensitive kernels and demand total recall.
         let mut hot_files = Vec::new();
@@ -399,26 +560,25 @@ proptest! {
             hot_syms.push(name);
         }
         let noisy = SimProgram::new("synthetic", files);
-        let baseline = Build::new(&noisy, base_c);
-        let variable = Build::tagged(&noisy, var_c, 1);
-        let pred = predict_pair(&baseline, &variable, None, CompilerKind::Gcc);
-        prop_assert_eq!(pred.functions_analyzed, total_filler + hot_syms.len());
+        let certs = certify_pair(&noisy, &noisy, &every_entry(&noisy), &base_c, &var_c, CompilerKind::Gcc);
+        prop_assert_eq!(certs.symbols.len(), exported + hot_syms.len());
         for fid in &hot_files {
             prop_assert!(
-                pred.file_predicted(*fid),
-                "spliced file {} not predicted", fid
+                !certs.file(*fid).prunable(),
+                "spliced file {} certified Invariant", fid
             );
         }
         for sym in &hot_syms {
             prop_assert!(
-                pred.symbol_predicted(sym),
-                "spliced symbol {} not predicted", sym
+                !certs.symbol(sym).prunable(),
+                "spliced symbol {} certified Invariant", sym
             );
         }
         // Precision stays total on this construction: nothing but the
-        // spliced files/symbols may be predicted.
-        prop_assert_eq!(pred.files.len(),
+        // spliced files/symbols may be certified to move.
+        let moving_files = certs.files.iter().filter(|c| !c.prunable()).count();
+        prop_assert_eq!(moving_files,
             hot_files.iter().collect::<std::collections::BTreeSet<_>>().len());
-        prop_assert_eq!(pred.symbols.len(), hot_syms.len());
+        prop_assert_eq!(certs.symbols.values().filter(|c| !c.prunable()).count(), hot_syms.len());
     }
 }

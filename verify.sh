@@ -49,6 +49,11 @@ if [[ "${1:-}" == "--quick" ]]; then
   ./target/debug/flit workflow laghos --max-bisections 6 > target/wf-plain.txt
   ./target/debug/flit workflow laghos --max-bisections 6 --lint prune > target/wf-prune.txt
   cmp target/wf-plain.txt target/wf-prune.txt
+  # LULESH's opaque kernels certify under identical environments, so
+  # its prune drops items too — and must not change the report either.
+  ./target/debug/flit workflow lulesh > target/wf-lulesh-plain.txt
+  ./target/debug/flit workflow lulesh --lint prune > target/wf-lulesh-prune.txt
+  cmp target/wf-lulesh-plain.txt target/wf-lulesh-prune.txt
   # The retired lint prune is an unknown flag, never a silent no-op.
   if ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --lint-prune > /dev/null 2>&1; then
@@ -115,6 +120,9 @@ cargo run --release --example determinize_replay
 echo "== table2 characterization (emits BENCH_table2.json) =="
 cargo run --release -p flit-bench --bin table2
 test -s BENCH_table2.json
+
+echo "== absint_audit (Table-2 soundness, seeding/prune query counts, Table-5 coverage) =="
+cargo run --release -p flit-bench --bin absint_audit
 
 echo "== flit-serve fleet characterization (emits BENCH_serve.json; enforces dedup + p95 targets) =="
 cargo run --release -p flit-bench --bin serve_bench
