@@ -1,9 +1,16 @@
 //! Hand-rolled argument parsing (no external dependency; the surface is
-//! small and stable).
+//! small and stable). Each subcommand's flags parse once, into the
+//! struct its command function takes.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::str::FromStr;
+use std::sync::Arc;
+
+use flit_bisect::journal::BACKEND_LOCAL;
+use flit_exec::{ExecBackend, ProcessBackend, ThreadsBackend};
+use flit_lint::LintMode;
+use flit_trace::sink::TraceSink;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,219 +25,343 @@ pub enum Command {
     /// List bundled applications.
     Apps,
     /// Sweep the compilation matrix for one application.
-    Run {
-        /// Application name.
-        app: String,
-        /// Restrict to one compiler (`gcc`, `clang`, `icpc`, `xlc`).
-        compiler: Option<String>,
-        /// Emit the results database as JSON instead of a table.
-        json: bool,
-    },
+    Run(RunArgs),
     /// Performance-vs-reproducibility analysis.
-    Analyze {
-        /// Application name.
-        app: String,
-    },
+    Analyze(AnalyzeArgs),
     /// Hierarchical File → Symbol bisection of one variable compilation.
-    Bisect {
-        /// Application name.
-        app: String,
-        /// Test name (defaults to the app's first test).
-        test: Option<String>,
-        /// The variable compilation, e.g. `"icpc -O2"` or
-        /// `"g++ -O3 -mavx2 -mfma"`.
-        compilation: String,
-        /// `BisectBiggest(k)` instead of the verifying `BisectAll`.
-        biggest: Option<usize>,
-        /// Worker threads for the search's Test queries (1 = the serial
-        /// algorithm; the result is identical either way).
-        jobs: Option<usize>,
-        /// Seed speculation from the static prescreen (identical
-        /// findings, fewer Test executions).
-        lint_seed: bool,
-        /// `--prune certified`: drop `Invariant`-certified items using
-        /// sound bounds from the abstract interpreter (found sets stay
-        /// byte-identical, under a one-query residual audit per pruned
-        /// level; implies seeding).
-        prune: Option<String>,
-        /// Journal every completed Test answer to this file (atomic
-        /// appends; safe to kill the process at any point).
-        checkpoint: Option<String>,
-        /// Replay a checkpoint journal before issuing any live query,
-        /// continuing a killed search exactly where it stopped.
-        resume: Option<String>,
-        /// Execution backend for Test queries: `threads` (default) or
-        /// `process` (coordinator + `flit worker` subprocesses).
-        backend: Option<String>,
-        /// Worker count for the process backend.
-        workers: Option<usize>,
-        /// Deterministic worker-kill schedule (testing): the i-th
-        /// spawned worker exits right before its n_i-th answer.
-        kill_workers: Option<Vec<u64>>,
-    },
+    Bisect(BisectArgs),
     /// Statistical performance bisect: confirm a compilation is slower
     /// than another, then root-cause the slowdown to files and symbols
     /// with a confidence interval and Welch verdict on every claim.
-    Perf {
-        /// Application name.
-        app: String,
-        /// Test name (defaults to the app's first test).
-        test: Option<String>,
-        /// Baseline compilation label, e.g. `"icpc -O2"`.
-        base: String,
-        /// Candidate compilation label, e.g. `"icpc -O2 -prec-div"`.
-        candidate: String,
-        /// Timing samples per executable (default 8).
-        samples: Option<usize>,
-        /// Significance level for the Welch tests (default 0.05).
-        alpha: Option<f64>,
-        /// Noise-model seed (default 42).
-        seed: Option<u64>,
-        /// Worker threads for the search's timing queries (the result
-        /// is byte-identical at any width).
-        jobs: Option<usize>,
-        /// Write a JSONL trace of the search here.
-        trace: Option<String>,
-        /// Execution backend for timing queries: `threads` (default) or
-        /// `process`.
-        backend: Option<String>,
-        /// Worker count for the process backend.
-        workers: Option<usize>,
-        /// Deterministic worker-kill schedule (testing).
-        kill_workers: Option<Vec<u64>>,
-    },
+    Perf(PerfArgs),
     /// Certified per-pair divergence bounds: run the abstract
     /// interpreter over one compilation pair and print every item's
     /// certificate without executing anything.
-    Bound {
-        /// Application name.
-        app: String,
-        /// Test name scoping the driver (defaults to the app's first
-        /// test).
-        test: Option<String>,
-        /// Baseline compilation label, e.g. `"g++ -O0"`.
-        base: String,
-        /// Candidate compilation label, e.g. `"g++ -O3 -mavx2 -mfma"`.
-        candidate: String,
-        /// Write a JSONL trace (with `absint.*` counters) here.
-        trace: Option<String>,
-    },
+    Bound(PairArgs),
     /// Static analysis report: the certificates of a compilation pair
     /// against the baseline, its warnings and the hazard lints, without
     /// running anything.
-    Lint {
-        /// Application name.
-        app: String,
-        /// Test name scoping reachability (defaults to the app's first
-        /// test).
-        test: Option<String>,
-        /// The variable compilation (defaults to
-        /// `g++ -O3 -mavx2 -mfma -funsafe-math-optimizations`).
-        compilation: Option<String>,
-    },
+    Lint(LintArgs),
     /// Run the perturbation-injection study.
-    Inject {
-        /// Application name.
-        app: String,
-        /// Cap the number of sites (all four OP's still run per site).
-        limit: Option<usize>,
-    },
+    Inject(InjectArgs),
     /// The full Figure-1 workflow: determinism check → sweep → analysis
     /// → bisect everything variable.
-    Workflow {
-        /// Application name.
-        app: String,
-        /// Cap on bisections (default: all).
-        max_bisections: Option<usize>,
-        /// Worker threads for the bisection stage (searches fan out on
-        /// one shared executor; the report is identical at any width).
-        jobs: Option<usize>,
-        /// Write a JSONL trace of the whole workflow here.
-        trace: Option<String>,
-        /// Static prescreen mode for the bisection stage: `seed`, or
-        /// `prune` for the certified prune (default: off).
-        lint: Option<String>,
-        /// Journal every completed bisection Test answer to this file.
-        checkpoint: Option<String>,
-        /// Replay a checkpoint journal before the bisection stage.
-        resume: Option<String>,
-        /// Execution backend for the bisection stage's Test queries:
-        /// `threads` (default) or `process`.
-        backend: Option<String>,
-        /// Worker count for the process backend.
-        workers: Option<usize>,
-        /// Deterministic worker-kill schedule (testing).
-        kill_workers: Option<Vec<u64>>,
-    },
+    Workflow(WorkflowArgs),
     /// Generative differential-testing campaign: random codebases with
     /// planted blame sets, checked against the whole pipeline.
-    Fuzz {
-        /// Seed range, inclusive start, exclusive end.
-        seeds: (u64, u64),
-        /// Wall-clock budget in seconds (default: run the whole range).
-        budget_secs: Option<u64>,
-        /// Shrink divergent seeds and print fixture snippets.
-        shrink: bool,
-        /// Width of the parallel cross-check (default 8; 1 skips it).
-        jobs: Option<usize>,
-        /// Write a JSONL trace of the campaign here.
-        trace: Option<String>,
-        /// `process` additionally cross-checks every corpus seed
-        /// against `flit worker` subprocesses (default: threads only).
-        backend: Option<String>,
-    },
+    Fuzz(FuzzArgs),
     /// Summarize a JSONL trace produced by `flit workflow --trace`.
-    Trace {
-        /// Path to the JSONL trace file.
-        file: String,
-        /// How many slowest compilations to show (default 10).
-        top: Option<usize>,
-    },
+    Trace(TraceArgs),
     /// Serve Test/Time queries over stdin/stdout for a coordinator
     /// (the worker half of the `process` execution backend).
     Worker,
     /// The multi-tenant workflow daemon and its control endpoints.
-    Serve {
-        /// Listen address (e.g. `127.0.0.1:7070`, port 0 for
-        /// ephemeral). Present = run the daemon (blocks until a
-        /// shutdown request drains it).
-        listen: Option<String>,
-        /// Query a running daemon's fleet status instead.
-        status: bool,
-        /// Drain and stop a running daemon instead.
-        shutdown: bool,
-        /// Daemon address for `--status` / `--shutdown`.
-        connect: Option<String>,
-        /// Root of the daemon's persistent state (per-tenant journals
-        /// live under `<dir>/tenants/`). Default `flit-serve-state`.
-        state_dir: Option<String>,
-        /// Concurrent submissions executed (runner threads).
-        max_inflight: Option<usize>,
-        /// Execution backend for submissions' bisection queries:
-        /// `threads` (default) or `process` (one shared worker pool,
-        /// drained at shutdown).
-        backend: Option<String>,
-        /// Worker count for the process backend.
-        workers: Option<usize>,
-        /// Export the daemon's JSONL trace here during shutdown drain
-        /// (render with `flit trace`; includes the Fleet table).
-        trace: Option<String>,
-    },
+    Serve(ServeArgs),
     /// Submit one workflow to a running daemon and print the report.
-    Submit {
-        /// Application name.
-        app: String,
-        /// Daemon address.
-        connect: String,
-        /// Tenant id (namespaces the daemon-side checkpoint journal).
-        tenant: String,
-        /// Cap on bisections (default: all).
-        max_bisections: Option<usize>,
-        /// Worker threads for the workflow's bisection stage.
-        jobs: Option<usize>,
-    },
+    Submit(SubmitArgs),
     /// Print usage.
     Help,
+}
+
+/// `flit run`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Application name.
+    pub app: String,
+    /// Restrict to one compiler (`gcc`, `clang`, `icpc`, `xlc`).
+    pub compiler: Option<String>,
+    /// Emit the results database as JSON instead of a table.
+    pub json: bool,
+}
+
+/// `flit analyze`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnalyzeArgs {
+    /// Application name.
+    pub app: String,
+}
+
+/// `flit bisect`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BisectArgs {
+    /// Application name.
+    pub app: String,
+    /// Test name (defaults to the app's first test).
+    pub test: Option<String>,
+    /// The variable compilation, e.g. `"icpc -O2"` or
+    /// `"g++ -O3 -mavx2 -mfma"`.
+    pub compilation: String,
+    /// `BisectBiggest(k)` instead of the verifying `BisectAll`.
+    pub biggest: Option<usize>,
+    /// `--lint-seed` seeds speculation from the certificates (identical
+    /// findings, fewer Test executions); `--prune certified` also drops
+    /// `Invariant`-certified items (found sets stay byte-identical,
+    /// under a one-query residual audit per pruned level) and wins
+    /// over `--lint-seed`.
+    pub lint: LintMode,
+    /// Journal every completed Test answer to this file (atomic
+    /// appends; safe to kill the process at any point).
+    pub checkpoint: Option<String>,
+    /// Replay a checkpoint journal before issuing any live query,
+    /// continuing a killed search exactly where it stopped.
+    pub resume: Option<String>,
+    /// Where the search's Test queries execute (the result is
+    /// identical on every backend and at any width).
+    pub exec: ExecArgs,
+}
+
+/// `flit perf`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfArgs {
+    /// The pair to time, e.g. `"icpc -O2"` against
+    /// `"icpc -O2 -prec-div"`, and where to write the search's trace.
+    pub pair: PairArgs,
+    /// Timing samples per executable (default 8).
+    pub samples: Option<usize>,
+    /// Significance level for the Welch tests (default 0.05).
+    pub alpha: Option<f64>,
+    /// Noise-model seed (default 42).
+    pub seed: Option<u64>,
+    /// Where the timing queries execute (the result is byte-identical
+    /// at any width).
+    pub exec: ExecArgs,
+}
+
+/// `flit bound`, and the pair `flit perf` times.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairArgs {
+    /// Application name.
+    pub app: String,
+    /// Test name scoping the driver (defaults to the app's first test).
+    pub test: Option<String>,
+    /// Baseline compilation label, e.g. `"g++ -O0"`.
+    pub base: String,
+    /// Candidate compilation label, e.g. `"g++ -O3 -mavx2 -mfma"`.
+    pub candidate: String,
+    /// Write a JSONL trace here (`flit bound`'s has the `absint.*`
+    /// counters).
+    pub trace: Option<String>,
+}
+
+/// `flit lint`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LintArgs {
+    /// Application name.
+    pub app: String,
+    /// Test name scoping reachability (defaults to the app's first
+    /// test).
+    pub test: Option<String>,
+    /// The variable compilation (defaults to
+    /// `g++ -O3 -mavx2 -mfma -funsafe-math-optimizations`).
+    pub compilation: String,
+}
+
+/// The default variable compilation for `flit lint` when none is
+/// given: the paper's most variability-inducing gcc configuration.
+const DEFAULT_LINT_COMPILATION: &str = "g++ -O3 -mavx2 -mfma -funsafe-math-optimizations";
+
+/// `flit inject`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InjectArgs {
+    /// Application name.
+    pub app: String,
+    /// Cap the number of sites (all four OP's still run per site).
+    pub limit: Option<usize>,
+}
+
+/// `flit workflow`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkflowArgs {
+    /// Application name.
+    pub app: String,
+    /// Cap on bisections (default: all).
+    pub max_bisections: Option<usize>,
+    /// Write a JSONL trace of the whole workflow here.
+    pub trace: Option<String>,
+    /// Static prescreen mode for the bisection stage (`--lint seed`,
+    /// or `--lint prune` for the certified prune; default off).
+    pub lint: LintMode,
+    /// Journal every completed bisection Test answer to this file.
+    pub checkpoint: Option<String>,
+    /// Replay a checkpoint journal before the bisection stage.
+    pub resume: Option<String>,
+    /// Where the bisection stage runs: `--jobs` searches fan out on
+    /// one shared executor, and `--backend process` evaluates their
+    /// Test queries in workers (the report is identical either way).
+    pub exec: ExecArgs,
+}
+
+/// `flit fuzz`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FuzzArgs {
+    /// Seed range, inclusive start, exclusive end.
+    pub seeds: (u64, u64),
+    /// Wall-clock budget in seconds (default: run the whole range).
+    pub budget_secs: Option<u64>,
+    /// Shrink divergent seeds and print fixture snippets.
+    pub shrink: bool,
+    /// Write a JSONL trace of the campaign here.
+    pub trace: Option<String>,
+    /// `--jobs`: width of the parallel cross-check (default 8; 1 skips
+    /// it); `--backend process` additionally cross-checks every corpus
+    /// seed against `flit worker` subprocesses.
+    pub exec: ExecArgs,
+}
+
+/// `flit trace`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceArgs {
+    /// Path to the JSONL trace file.
+    pub file: String,
+    /// How many slowest compilations to show (default 10).
+    pub top: usize,
+}
+
+/// `flit serve`: exactly one of its three modes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServeArgs {
+    /// `--listen`: run the daemon (blocks until a shutdown request
+    /// drains it).
+    Listen(ListenArgs),
+    /// `--status`: query a running daemon's fleet status.
+    Status {
+        /// Daemon address.
+        connect: String,
+    },
+    /// `--shutdown`: drain and stop a running daemon.
+    Shutdown {
+        /// Daemon address.
+        connect: String,
+    },
+}
+
+/// `flit serve --listen`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ListenArgs {
+    /// Listen address (e.g. `127.0.0.1:7070`, port 0 for ephemeral).
+    pub addr: String,
+    /// Root of the daemon's persistent state (per-tenant journals live
+    /// under `<dir>/tenants/`). Default `flit-serve-state`.
+    pub state_dir: Option<String>,
+    /// Concurrent submissions executed (runner threads).
+    pub max_inflight: Option<usize>,
+    /// Where submissions' bisection queries execute (`--backend
+    /// process`: one shared worker pool, drained at shutdown).
+    pub exec: ExecArgs,
+    /// Export the daemon's JSONL trace here during shutdown drain
+    /// (render with `flit trace`; includes the Fleet table).
+    pub trace: Option<String>,
+}
+
+/// `flit submit`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubmitArgs {
+    /// Application name.
+    pub app: String,
+    /// Daemon address.
+    pub connect: String,
+    /// Tenant id (namespaces the daemon-side checkpoint journal).
+    pub tenant: String,
+    /// Cap on bisections (default: all).
+    pub max_bisections: Option<usize>,
+    /// Worker threads for the workflow's bisection stage.
+    pub jobs: Option<usize>,
+}
+
+/// The execution flags, `--jobs`, `--backend threads|process`,
+/// `--workers` and `--kill-workers`: where a command's queries run.
+/// Each command takes the subset its parser lists; the worker-pool
+/// flags need `--backend process`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ExecArgs {
+    /// In-process worker threads (`--jobs`).
+    pub jobs: Option<usize>,
+    /// The `flit worker` pool under `--backend process` (`None`: the
+    /// in-process threads backend).
+    pub process: Option<ProcessArgs>,
+}
+
+/// The worker pool of `--backend process`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProcessArgs {
+    /// Pool width: `--workers`, falling back to `--jobs`, then 4.
+    pub workers: usize,
+    /// Deterministic worker-kill schedule (testing): the i-th spawned
+    /// worker exits right before its n_i-th answer.
+    pub kill_schedule: Vec<u64>,
+}
+
+impl ExecArgs {
+    /// In-process worker threads (`--jobs`, default 1).
+    pub(crate) fn threads(&self) -> usize {
+        self.jobs.unwrap_or(1)
+    }
+
+    /// The `flit worker` command line under `--backend process`.
+    pub(crate) fn worker_cmd(&self) -> Result<Option<Vec<String>>, ParseError> {
+        self.process.as_ref().map(|_| worker_cmd()).transpose()
+    }
+
+    /// The worker pool under `--backend process`, recording
+    /// `exec.backend.*` counters into `trace` (`None` for threads).
+    pub(crate) fn remote(
+        &self,
+        trace: &TraceSink,
+    ) -> Result<Option<Arc<dyn ExecBackend>>, ParseError> {
+        let Some(p) = &self.process else {
+            return Ok(None);
+        };
+        let backend = ProcessBackend::with_trace(worker_cmd()?, p.workers, trace.clone())
+            .with_kill_schedule(p.kill_schedule.clone());
+        Ok(Some(Arc::new(backend)))
+    }
+
+    /// The backend a search evaluates on: `remote`, else `--jobs`
+    /// in-process threads.
+    pub(crate) fn executor(&self, remote: Option<Arc<dyn ExecBackend>>) -> Arc<dyn ExecBackend> {
+        remote.unwrap_or_else(|| Arc::new(ThreadsBackend::new(self.threads())))
+    }
+
+    /// The backend label a checkpoint journal records with each answer.
+    pub(crate) fn ledger_label(&self) -> &'static str {
+        if self.process.is_some() {
+            "process"
+        } else {
+            BACKEND_LOCAL
+        }
+    }
+
+    /// Report-header note naming the process backend (empty for
+    /// threads).
+    pub(crate) fn note(&self) -> String {
+        self.process.as_ref().map_or_else(String::new, |p| {
+            format!(" | process backend ({} workers)", p.workers)
+        })
+    }
+
+    /// A search report's header note: the process backend, else the
+    /// `--jobs` width when it is above 1.
+    pub(crate) fn search_note(&self) -> String {
+        match self.threads() {
+            jobs if self.process.is_none() && jobs > 1 => format!(" | {jobs} jobs"),
+            _ => self.note(),
+        }
+    }
+}
+
+/// The command line workers execute: this binary's own executable with
+/// the `worker` subcommand. `FLIT_WORKER_EXE` overrides the executable
+/// path (used by tests, whose `current_exe` is the test harness, not
+/// `flit`).
+fn worker_cmd() -> Result<Vec<String>, ParseError> {
+    let exe = match std::env::var("FLIT_WORKER_EXE") {
+        Ok(path) => path,
+        Err(_) => std::env::current_exe()
+            .map_err(|e| ParseError(format!("cannot locate the flit executable: {e}")))?
+            .to_string_lossy()
+            .into_owned(),
+    };
+    Ok(vec![exe, "worker".to_string()])
 }
 
 /// A parse failure, with a message for the user.
@@ -273,7 +404,7 @@ schedule for recovery testing.
 
 `flit bound` prints the abstract interpreter's certificates for a
 pair; `flit lint` prints the same tables against the g++ -O0 baseline,
-then mixed-ABI and link-step warnings and the hazard lints.
+then the mixed-ABI warning and the hazard lints.
 `--lint-seed` (bisect) and `--lint seed` (workflow) order speculation
 by the certificates' bounds; `--prune certified` (bisect) and
 `--lint prune` (workflow) also drop the items certified Invariant,
@@ -281,205 +412,256 @@ under a one-query residual audit per pruned level.
 A flag the command does not take is an error.
 ";
 
-/// Parse a command line (excluding the program name).
-pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
-    let mut it = args.iter();
-    let cmd = it.next().map_or("help", String::as_str);
-    let rest: Vec<&String> = it.collect();
-    // Every flag name the command's arm asks for; any other `--token`
-    // is rejected once the arm has parsed.
-    let asked: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let ask = |name: &str| {
-        asked.borrow_mut().insert(name.to_string());
-    };
-    let flag_value = |name: &str| -> Option<String> {
-        ask(name);
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(ToString::to_string)
-    };
-    let has_flag = |name: &str| {
-        ask(name);
-        rest.iter().any(|a| a.as_str() == name)
-    };
-    let positional = || -> Result<String, ParseError> {
-        rest.first()
-            .filter(|a| !a.starts_with("--"))
-            .map(ToString::to_string)
-            .ok_or_else(|| ParseError(format!("`{cmd}` needs an application name\n\n{USAGE}")))
-    };
+/// The execution flags the search commands (`bisect`, `perf`,
+/// `workflow`) take besides `--backend`.
+const SEARCH_EXEC: &[&str] = &["--jobs", "--workers", "--kill-workers"];
 
-    let num_flag = |name: &str| -> Result<Option<usize>, ParseError> {
-        match flag_value(name) {
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ParseError(format!("{name} takes a number, got `{v}`"))),
-            None => Ok(None),
-        }
-    };
+/// One subcommand's arguments, and every flag name its parser asked
+/// for; [`Flags::finish`] rejects any other `--token`.
+struct Flags<'a> {
+    cmd: &'a str,
+    rest: &'a [String],
+    asked: BTreeSet<&'static str>,
+}
 
-    let backend_flag = || -> Result<Option<String>, ParseError> {
-        match flag_value("--backend") {
-            Some(v) if v == "threads" || v == "process" => Ok(Some(v)),
-            Some(v) => Err(ParseError(format!(
-                "--backend takes `threads` or `process`, got `{v}`"
-            ))),
-            None => Ok(None),
-        }
-    };
-    let kill_flag = || -> Result<Option<Vec<u64>>, ParseError> {
-        match flag_value("--kill-workers") {
-            Some(v) => v
-                .split(',')
-                .map(|p| {
-                    p.trim().parse::<u64>().map_err(|_| {
-                        ParseError(format!(
-                            "--kill-workers takes comma-separated counts like 1,2,1, got `{v}`"
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<u64>, ParseError>>()
-                .map(Some),
-            None => Ok(None),
-        }
-    };
-
-    let pair_labels = || -> Result<(String, String), ParseError> {
-        ask("--pair");
-        let pair_at = rest
+impl Flags<'_> {
+    fn value(&mut self, name: &'static str) -> Option<String> {
+        self.asked.insert(name);
+        self.rest
             .iter()
-            .position(|a| a.as_str() == "--pair")
-            .ok_or_else(|| {
-                ParseError(format!(
-                    "`{cmd}` needs --pair \"<base>\" \"<candidate>\"\n\n{USAGE}"
-                ))
-            })?;
-        let pair_label = |off: usize| -> Result<String, ParseError> {
-            rest.get(pair_at + off)
+            .position(|a| a == name)
+            .and_then(|i| self.rest.get(i + 1))
+            .cloned()
+    }
+
+    fn has(&mut self, name: &'static str) -> bool {
+        self.asked.insert(name);
+        self.rest.iter().any(|a| a == name)
+    }
+
+    fn number<T: FromStr>(&mut self, name: &'static str) -> Result<Option<T>, ParseError> {
+        self.value(name).map(|v| number(name, v)).transpose()
+    }
+
+    /// A flag's value that must be one of `modes`.
+    fn mode(&mut self, name: &'static str, modes: &[&str]) -> Result<Option<String>, ParseError> {
+        match self.value(name) {
+            Some(v) if !modes.contains(&v.as_str()) => {
+                let modes: Vec<String> = modes.iter().map(|m| format!("`{m}`")).collect();
+                Err(ParseError(format!(
+                    "{name} takes {}, got `{v}`",
+                    modes.join(" or ")
+                )))
+            }
+            v => Ok(v),
+        }
+    }
+
+    /// A missing mandatory flag or argument.
+    fn needs(&self, what: &str) -> ParseError {
+        ParseError(format!("`{}` needs {what}\n\n{USAGE}", self.cmd))
+    }
+
+    /// The leading positional argument.
+    fn first(&self) -> Option<String> {
+        self.rest.first().filter(|a| !a.starts_with("--")).cloned()
+    }
+
+    fn app(&self) -> Result<String, ParseError> {
+        self.first()
+            .ok_or_else(|| self.needs("an application name"))
+    }
+
+    /// `--pair "<base>" "<candidate>"`.
+    fn pair(&mut self) -> Result<(String, String), ParseError> {
+        self.asked.insert("--pair");
+        let at = self
+            .rest
+            .iter()
+            .position(|a| a == "--pair")
+            .ok_or_else(|| self.needs("--pair \"<base>\" \"<candidate>\""))?;
+        let label = |off: usize| {
+            self.rest
+                .get(at + off)
                 .filter(|a| !a.starts_with("--"))
-                .map(ToString::to_string)
+                .cloned()
                 .ok_or_else(|| {
                     ParseError(format!("--pair takes two compilation labels\n\n{USAGE}"))
                 })
         };
-        Ok((pair_label(1)?, pair_label(2)?))
-    };
+        Ok((label(1)?, label(2)?))
+    }
 
+    /// `--backend` and the execution flags in `takes` (a subset of
+    /// [`SEARCH_EXEC`]).
+    fn exec(&mut self, takes: &[&str]) -> Result<ExecArgs, ParseError> {
+        let [jobs, workers, kill] = ["--jobs", "--workers", "--kill-workers"]
+            .map(|name| takes.contains(&name).then(|| self.value(name)).flatten());
+        let jobs = jobs.map(|v| number("--jobs", v)).transpose()?;
+        let process = self.mode("--backend", &["threads", "process"])?;
+        let workers: Option<usize> = workers.map(|v| number("--workers", v)).transpose()?;
+        let kill_schedule = kill
+            .map(|v| {
+                v.split(',')
+                    .map(|p| p.trim().parse::<u64>())
+                    .collect::<Result<Vec<u64>, _>>()
+                    .map_err(|_| {
+                        ParseError(format!(
+                            "--kill-workers takes comma-separated counts like 1,2,1, got `{v}`"
+                        ))
+                    })
+            })
+            .transpose()?;
+        let process = process.is_some_and(|b| b == "process");
+        let pool = [
+            ("--workers", workers.is_some()),
+            ("--kill-workers", kill_schedule.is_some()),
+        ];
+        match pool.into_iter().find(|(_, given)| *given) {
+            // Without the pool, a pool flag would be silently ignored.
+            Some((flag, _)) if !process => {
+                Err(ParseError(format!("{flag} needs --backend process")))
+            }
+            _ => Ok(ExecArgs {
+                jobs,
+                process: process.then(|| ProcessArgs {
+                    workers: workers.or(jobs).unwrap_or(4).max(1),
+                    kill_schedule: kill_schedule.unwrap_or_default(),
+                }),
+            }),
+        }
+    }
+
+    /// Reject any `--token` the command's parser did not ask for.
+    fn finish(&self) -> Result<(), ParseError> {
+        match self
+            .rest
+            .iter()
+            .find(|a| a.starts_with("--") && !self.asked.contains(a.as_str()))
+        {
+            Some(unknown) => Err(ParseError(format!(
+                "`{}` does not take {unknown}\n\n{USAGE}",
+                self.cmd
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A numeric flag's value.
+fn number<T: FromStr>(name: &str, v: String) -> Result<T, ParseError> {
+    v.parse::<T>()
+        .map_err(|_| ParseError(format!("{name} takes a number, got `{v}`")))
+}
+
+/// Parse a command line (excluding the program name).
+pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("help", &[][..]),
+    };
+    let mut f = Flags {
+        cmd,
+        rest,
+        asked: BTreeSet::new(),
+    };
     let command = match cmd {
         "apps" => Command::Apps,
-        "run" => Command::Run {
-            app: positional()?,
-            compiler: flag_value("--compiler"),
-            json: has_flag("--json"),
-        },
-        "analyze" => Command::Analyze { app: positional()? },
+        "run" => Command::Run(RunArgs {
+            app: f.app()?,
+            compiler: f.value("--compiler"),
+            json: f.has("--json"),
+        }),
+        "analyze" => Command::Analyze(AnalyzeArgs { app: f.app()? }),
         "bisect" => {
-            let compilation = flag_value("--compilation")
-                .ok_or_else(|| ParseError(format!("`bisect` needs --compilation\n\n{USAGE}")))?;
-            let prune = flag_value("--prune");
-            if let Some(mode) = &prune {
-                if mode != "certified" {
-                    return Err(ParseError(format!(
-                        "--prune takes `certified`, got `{mode}`"
-                    )));
-                }
-            }
-            Command::Bisect {
-                app: positional()?,
-                test: flag_value("--test"),
+            let compilation = f
+                .value("--compilation")
+                .ok_or_else(|| f.needs("--compilation"))?;
+            let prune = f.mode("--prune", &["certified"])?.is_some();
+            Command::Bisect(BisectArgs {
+                app: f.app()?,
+                test: f.value("--test"),
                 compilation,
-                biggest: num_flag("--biggest")?,
-                jobs: num_flag("--jobs")?,
-                lint_seed: has_flag("--lint-seed"),
-                prune,
-                checkpoint: flag_value("--checkpoint"),
-                resume: flag_value("--resume"),
-                backend: backend_flag()?,
-                workers: num_flag("--workers")?,
-                kill_workers: kill_flag()?,
-            }
+                biggest: f.number("--biggest")?,
+                lint: match (prune, f.has("--lint-seed")) {
+                    (true, _) => LintMode::Prune,
+                    (false, true) => LintMode::Seed,
+                    (false, false) => LintMode::Off,
+                },
+                checkpoint: f.value("--checkpoint"),
+                resume: f.value("--resume"),
+                exec: f.exec(SEARCH_EXEC)?,
+            })
         }
         "perf" => {
-            let (base, candidate) = pair_labels()?;
-            let alpha = match flag_value("--alpha") {
-                Some(v) => Some(
+            let (base, candidate) = f.pair()?;
+            let alpha = f
+                .value("--alpha")
+                .map(|v| {
                     v.parse::<f64>()
                         .ok()
                         .filter(|a| *a > 0.0 && *a < 1.0)
                         .ok_or_else(|| {
                             ParseError(format!("--alpha takes a number in (0, 1), got `{v}`"))
-                        })?,
-                ),
-                None => None,
-            };
-            let seed = match flag_value("--seed") {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ParseError(format!("--seed takes a number, got `{v}`")))?,
-                ),
-                None => None,
-            };
-            Command::Perf {
-                app: positional()?,
-                test: flag_value("--test"),
-                base,
-                candidate,
-                samples: num_flag("--samples")?,
+                        })
+                })
+                .transpose()?;
+            let seed = f.number("--seed")?;
+            Command::Perf(PerfArgs {
+                pair: PairArgs {
+                    app: f.app()?,
+                    test: f.value("--test"),
+                    base,
+                    candidate,
+                    trace: f.value("--trace"),
+                },
+                samples: f.number("--samples")?,
                 alpha,
                 seed,
-                jobs: num_flag("--jobs")?,
-                trace: flag_value("--trace"),
-                backend: backend_flag()?,
-                workers: num_flag("--workers")?,
-                kill_workers: kill_flag()?,
-            }
+                exec: f.exec(SEARCH_EXEC)?,
+            })
         }
         "bound" => {
-            let (base, candidate) = pair_labels()?;
-            Command::Bound {
-                app: positional()?,
-                test: flag_value("--test"),
+            let (base, candidate) = f.pair()?;
+            Command::Bound(PairArgs {
+                app: f.app()?,
+                test: f.value("--test"),
                 base,
                 candidate,
-                trace: flag_value("--trace"),
-            }
+                trace: f.value("--trace"),
+            })
         }
-        "lint" => Command::Lint {
-            app: positional()?,
-            test: flag_value("--test"),
-            compilation: flag_value("--compilation"),
-        },
-        "inject" => Command::Inject {
-            app: positional()?,
-            limit: num_flag("--limit")?,
-        },
+        "lint" => Command::Lint(LintArgs {
+            app: f.app()?,
+            test: f.value("--test"),
+            compilation: f
+                .value("--compilation")
+                .unwrap_or_else(|| DEFAULT_LINT_COMPILATION.into()),
+        }),
+        "inject" => Command::Inject(InjectArgs {
+            app: f.app()?,
+            limit: f.number("--limit")?,
+        }),
         "workflow" => {
-            let lint = flag_value("--lint");
-            if let Some(mode) = &lint {
-                if mode != "seed" && mode != "prune" {
-                    return Err(ParseError(format!(
-                        "--lint takes `seed` or `prune`, got `{mode}`"
-                    )));
-                }
-            }
-            Command::Workflow {
-                app: positional()?,
-                max_bisections: num_flag("--max-bisections")?,
-                jobs: num_flag("--jobs")?,
-                trace: flag_value("--trace"),
+            let lint = match f.mode("--lint", &["seed", "prune"])?.as_deref() {
+                Some("seed") => LintMode::Seed,
+                Some(_) => LintMode::Prune,
+                None => LintMode::Off,
+            };
+            Command::Workflow(WorkflowArgs {
+                app: f.app()?,
+                max_bisections: f.number("--max-bisections")?,
+                trace: f.value("--trace"),
                 lint,
-                checkpoint: flag_value("--checkpoint"),
-                resume: flag_value("--resume"),
-                backend: backend_flag()?,
-                workers: num_flag("--workers")?,
-                kill_workers: kill_flag()?,
-            }
+                checkpoint: f.value("--checkpoint"),
+                resume: f.value("--resume"),
+                exec: f.exec(SEARCH_EXEC)?,
+            })
         }
         "fuzz" => {
-            let spec = flag_value("--seeds")
-                .ok_or_else(|| ParseError(format!("`fuzz` needs --seeds <a>..<b>\n\n{USAGE}")))?;
+            let spec = f
+                .value("--seeds")
+                .ok_or_else(|| f.needs("--seeds <a>..<b>"))?;
             let seeds = spec
                 .split_once("..")
                 .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)))
@@ -489,87 +671,68 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                         "--seeds takes an ascending range like 0..1000, got `{spec}`"
                     ))
                 })?;
-            let budget_secs =
-                match flag_value("--budget-secs") {
-                    Some(v) => Some(v.parse::<u64>().map_err(|_| {
-                        ParseError(format!("--budget-secs takes a number, got `{v}`"))
-                    })?),
-                    None => None,
-                };
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 seeds,
-                budget_secs,
-                shrink: has_flag("--shrink"),
-                jobs: num_flag("--jobs")?,
-                trace: flag_value("--trace"),
-                backend: backend_flag()?,
-            }
+                budget_secs: f.number("--budget-secs")?,
+                shrink: f.has("--shrink"),
+                trace: f.value("--trace"),
+                exec: f.exec(&["--jobs"])?,
+            })
         }
-        "trace" => {
-            let file = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .map(ToString::to_string)
-                .ok_or_else(|| ParseError(format!("`trace` needs a trace file\n\n{USAGE}")))?;
-            Command::Trace {
-                file,
-                top: num_flag("--top")?,
-            }
-        }
+        "trace" => Command::Trace(TraceArgs {
+            file: f.first().ok_or_else(|| f.needs("a trace file"))?,
+            top: f.number("--top")?.unwrap_or(10),
+        }),
         "serve" => {
-            let listen = flag_value("--listen");
-            let status = has_flag("--status");
-            let shutdown = has_flag("--shutdown");
-            let modes = usize::from(listen.is_some()) + usize::from(status) + usize::from(shutdown);
-            if modes != 1 {
+            let listen = f.value("--listen");
+            let status = f.has("--status");
+            let shutdown = f.has("--shutdown");
+            if usize::from(listen.is_some()) + usize::from(status) + usize::from(shutdown) != 1 {
                 return Err(ParseError(format!(
                     "`serve` takes exactly one of --listen <addr>, --status, --shutdown\n\n{USAGE}"
                 )));
             }
-            let connect = flag_value("--connect");
-            if (status || shutdown) && connect.is_none() {
+            let connect = f.value("--connect");
+            if listen.is_none() && connect.is_none() {
                 return Err(ParseError(format!(
                     "`serve --status`/`--shutdown` need --connect <addr>\n\n{USAGE}"
                 )));
             }
-            Command::Serve {
-                listen,
-                status,
-                shutdown,
-                connect,
-                state_dir: flag_value("--state-dir"),
-                max_inflight: num_flag("--max-inflight")?,
-                backend: backend_flag()?,
-                workers: num_flag("--workers")?,
-                trace: flag_value("--trace"),
-            }
+            // Every mode parses (and ignores) the other modes' flags.
+            let connect = connect.unwrap_or_default();
+            let daemon = ListenArgs {
+                addr: String::new(),
+                state_dir: f.value("--state-dir"),
+                max_inflight: f.number("--max-inflight")?,
+                exec: f.exec(&["--workers"])?,
+                trace: f.value("--trace"),
+            };
+            Command::Serve(match listen {
+                Some(addr) => ServeArgs::Listen(ListenArgs { addr, ..daemon }),
+                None if status => ServeArgs::Status { connect },
+                None => ServeArgs::Shutdown { connect },
+            })
         }
         "submit" => {
-            let connect = flag_value("--connect")
-                .ok_or_else(|| ParseError(format!("`submit` needs --connect <addr>\n\n{USAGE}")))?;
-            let tenant = flag_value("--tenant")
-                .ok_or_else(|| ParseError(format!("`submit` needs --tenant <id>\n\n{USAGE}")))?;
-            Command::Submit {
-                app: positional()?,
+            let connect = f
+                .value("--connect")
+                .ok_or_else(|| f.needs("--connect <addr>"))?;
+            let tenant = f
+                .value("--tenant")
+                .ok_or_else(|| f.needs("--tenant <id>"))?;
+            Command::Submit(SubmitArgs {
+                app: f.app()?,
                 connect,
                 tenant,
-                max_bisections: num_flag("--max-bisections")?,
-                jobs: num_flag("--jobs")?,
-            }
+                max_bisections: f.number("--max-bisections")?,
+                jobs: f.number("--jobs")?,
+            })
         }
         "worker" => Command::Worker,
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
     };
-    let asked = asked.borrow();
-    if let Some(unknown) = rest
-        .iter()
-        .find(|a| a.starts_with("--") && !asked.contains(a.as_str()))
-    {
-        return Err(ParseError(format!(
-            "`{cmd}` does not take {unknown}\n\n{USAGE}"
-        )));
-    }
+    f.finish()?;
     Ok(Cli { command })
 }
 
@@ -615,17 +778,17 @@ mod tests {
             parse(&v(&["run", "mfem", "--compiler", "gcc", "--json"]))
                 .unwrap()
                 .command,
-            Command::Run {
+            Command::Run(RunArgs {
                 app: "mfem".into(),
                 compiler: Some("gcc".into()),
                 json: true
-            }
+            })
         );
         assert_eq!(
             parse(&v(&["analyze", "laghos"])).unwrap().command,
-            Command::Analyze {
+            Command::Analyze(AnalyzeArgs {
                 app: "laghos".into()
-            }
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -642,20 +805,19 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Bisect {
+            Command::Bisect(BisectArgs {
                 app: "mfem".into(),
                 test: Some("ex13".into()),
                 compilation: "icpc -O2".into(),
                 biggest: Some(2),
-                jobs: Some(8),
-                lint_seed: false,
-                prune: None,
+                lint: LintMode::Off,
                 checkpoint: None,
                 resume: None,
-                backend: None,
-                workers: None,
-                kill_workers: None,
-            }
+                exec: ExecArgs {
+                    jobs: Some(8),
+                    process: None,
+                },
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -667,39 +829,35 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Bisect {
+            Command::Bisect(BisectArgs {
                 app: "mfem".into(),
                 test: None,
                 compilation: "icpc -O2".into(),
                 biggest: None,
-                jobs: None,
-                lint_seed: true,
-                prune: None,
+                lint: LintMode::Seed,
                 checkpoint: None,
                 resume: None,
-                backend: None,
-                workers: None,
-                kill_workers: None,
-            }
+                exec: ExecArgs::default(),
+            })
         );
         assert_eq!(
             parse(&v(&["lint", "mfem", "--test", "ex13"]))
                 .unwrap()
                 .command,
-            Command::Lint {
+            Command::Lint(LintArgs {
                 app: "mfem".into(),
                 test: Some("ex13".into()),
-                compilation: None,
-            }
+                compilation: DEFAULT_LINT_COMPILATION.into(),
+            })
         );
         assert_eq!(
             parse(&v(&["inject", "lulesh", "--limit", "10"]))
                 .unwrap()
                 .command,
-            Command::Inject {
+            Command::Inject(InjectArgs {
                 app: "lulesh".into(),
                 limit: Some(10)
-            }
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -714,27 +872,27 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Workflow {
+            Command::Workflow(WorkflowArgs {
                 app: "laghos".into(),
                 max_bisections: Some(3),
-                jobs: Some(4),
                 trace: Some("wf.jsonl".into()),
-                lint: None,
+                lint: LintMode::Off,
                 checkpoint: None,
                 resume: None,
-                backend: None,
-                workers: None,
-                kill_workers: None,
-            }
+                exec: ExecArgs {
+                    jobs: Some(4),
+                    process: None,
+                },
+            })
         );
         assert_eq!(
             parse(&v(&["trace", "wf.jsonl", "--top", "5"]))
                 .unwrap()
                 .command,
-            Command::Trace {
+            Command::Trace(TraceArgs {
                 file: "wf.jsonl".into(),
-                top: Some(5)
-            }
+                top: 5
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -751,25 +909,26 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 seeds: (0, 1000),
                 budget_secs: Some(60),
                 shrink: true,
-                jobs: Some(4),
                 trace: Some("fuzz.jsonl".into()),
-                backend: None,
-            }
+                exec: ExecArgs {
+                    jobs: Some(4),
+                    process: None,
+                },
+            })
         );
         assert_eq!(
             parse(&v(&["fuzz", "--seeds", "7..13"])).unwrap().command,
-            Command::Fuzz {
+            Command::Fuzz(FuzzArgs {
                 seeds: (7, 13),
                 budget_secs: None,
                 shrink: false,
-                jobs: None,
                 trace: None,
-                backend: None,
-            }
+                exec: ExecArgs::default(),
+            })
         );
         assert_eq!(parse(&v(&[])).unwrap().command, Command::Help);
         assert_eq!(parse(&v(&["help"])).unwrap().command, Command::Help);
@@ -788,7 +947,7 @@ mod tests {
         .unwrap()
         .command
         {
-            Command::Bisect { prune, .. } => assert_eq!(prune.as_deref(), Some("certified")),
+            Command::Bisect(args) => assert_eq!(args.lint, LintMode::Prune),
             other => panic!("parsed {other:?}"),
         }
         // Any other prune mode is rejected.
@@ -816,13 +975,13 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Bound {
+            Command::Bound(PairArgs {
                 app: "mfem".into(),
                 test: Some("ex13".into()),
                 base: "g++ -O0".into(),
                 candidate: "g++ -O3 -mavx2 -mfma".into(),
                 trace: Some("bound.jsonl".into()),
-            }
+            })
         );
         // Missing or one-label pairs fail, same as perf.
         assert!(parse(&v(&["bound", "mfem"])).is_err());
@@ -853,39 +1012,40 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Perf {
-                app: "mfem".into(),
-                test: Some("ex19".into()),
-                base: "icpc -O2".into(),
-                candidate: "icpc -O2 -prec-div".into(),
+            Command::Perf(PerfArgs {
+                pair: PairArgs {
+                    app: "mfem".into(),
+                    test: Some("ex19".into()),
+                    base: "icpc -O2".into(),
+                    candidate: "icpc -O2 -prec-div".into(),
+                    trace: Some("perf.jsonl".into()),
+                },
                 samples: Some(16),
                 alpha: Some(0.01),
                 seed: Some(7),
-                jobs: Some(8),
-                trace: Some("perf.jsonl".into()),
-                backend: None,
-                workers: None,
-                kill_workers: None,
-            }
+                exec: ExecArgs {
+                    jobs: Some(8),
+                    process: None,
+                },
+            })
         );
         assert_eq!(
             parse(&v(&["perf", "mfem", "--pair", "g++ -O2", "g++ -O3"]))
                 .unwrap()
                 .command,
-            Command::Perf {
-                app: "mfem".into(),
-                test: None,
-                base: "g++ -O2".into(),
-                candidate: "g++ -O3".into(),
+            Command::Perf(PerfArgs {
+                pair: PairArgs {
+                    app: "mfem".into(),
+                    test: None,
+                    base: "g++ -O2".into(),
+                    candidate: "g++ -O3".into(),
+                    trace: None,
+                },
                 samples: None,
                 alpha: None,
                 seed: None,
-                jobs: None,
-                trace: None,
-                backend: None,
-                workers: None,
-                kill_workers: None,
-            }
+                exec: ExecArgs::default(),
+            })
         );
         // Missing pair, a one-label pair, and out-of-range alpha all fail.
         assert!(parse(&v(&["perf", "mfem"])).is_err());
@@ -919,42 +1079,35 @@ mod tests {
         .unwrap()
         .command
         {
-            Command::Bisect {
-                backend,
-                workers,
-                kill_workers,
-                ..
-            } => {
-                assert_eq!(backend.as_deref(), Some("process"));
-                assert_eq!(workers, Some(4));
-                assert_eq!(kill_workers, Some(vec![1, 2, 1]));
-            }
+            Command::Bisect(args) => assert_eq!(
+                args.exec.process,
+                Some(ProcessArgs {
+                    workers: 4,
+                    kill_schedule: vec![1, 2, 1]
+                })
+            ),
             other => panic!("parsed {other:?}"),
         }
         match parse(&v(&[
             "workflow",
             "laghos",
             "--backend",
-            "threads",
-            "--workers",
+            "process",
+            "--jobs",
             "2",
         ]))
         .unwrap()
         .command
         {
-            Command::Workflow {
-                backend, workers, ..
-            } => {
-                assert_eq!(backend.as_deref(), Some("threads"));
-                assert_eq!(workers, Some(2));
-            }
+            // `--workers` falls back to `--jobs`.
+            Command::Workflow(args) => assert_eq!(args.exec.process.map(|p| p.workers), Some(2)),
             other => panic!("parsed {other:?}"),
         }
         match parse(&v(&["fuzz", "--seeds", "0..2", "--backend", "process"]))
             .unwrap()
             .command
         {
-            Command::Fuzz { backend, .. } => assert_eq!(backend.as_deref(), Some("process")),
+            Command::Fuzz(args) => assert!(args.exec.process.is_some()),
             other => panic!("parsed {other:?}"),
         }
         // Unknown backends and malformed kill schedules are errors.
@@ -999,49 +1152,35 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Serve {
-                listen: Some("127.0.0.1:7070".into()),
-                status: false,
-                shutdown: false,
-                connect: None,
+            Command::Serve(ServeArgs::Listen(ListenArgs {
+                addr: "127.0.0.1:7070".into(),
                 state_dir: Some("fleet".into()),
                 max_inflight: Some(4),
-                backend: Some("process".into()),
-                workers: Some(3),
+                exec: ExecArgs {
+                    jobs: None,
+                    process: Some(ProcessArgs {
+                        workers: 3,
+                        kill_schedule: vec![]
+                    }),
+                },
                 trace: Some("serve.jsonl".into()),
-            }
+            }))
         );
         assert_eq!(
             parse(&v(&["serve", "--status", "--connect", "127.0.0.1:7070"]))
                 .unwrap()
                 .command,
-            Command::Serve {
-                listen: None,
-                status: true,
-                shutdown: false,
-                connect: Some("127.0.0.1:7070".into()),
-                state_dir: None,
-                max_inflight: None,
-                backend: None,
-                workers: None,
-                trace: None,
-            }
+            Command::Serve(ServeArgs::Status {
+                connect: "127.0.0.1:7070".into(),
+            })
         );
         assert_eq!(
             parse(&v(&["serve", "--shutdown", "--connect", "127.0.0.1:7070"]))
                 .unwrap()
                 .command,
-            Command::Serve {
-                listen: None,
-                status: false,
-                shutdown: true,
-                connect: Some("127.0.0.1:7070".into()),
-                state_dir: None,
-                max_inflight: None,
-                backend: None,
-                workers: None,
-                trace: None,
-            }
+            Command::Serve(ServeArgs::Shutdown {
+                connect: "127.0.0.1:7070".into(),
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -1058,13 +1197,13 @@ mod tests {
             ]))
             .unwrap()
             .command,
-            Command::Submit {
+            Command::Submit(SubmitArgs {
                 app: "mfem".into(),
                 connect: "127.0.0.1:7070".into(),
                 tenant: "team-a".into(),
                 max_bisections: Some(2),
                 jobs: Some(1),
-            }
+            })
         );
         // Exactly one serve mode; control endpoints need an address;
         // submissions need a daemon and a tenant.
@@ -1138,6 +1277,100 @@ mod tests {
         // A flag of another command is not borrowed.
         assert!(parse(&v(&["workflow", "laghos", "--lint-seed"])).is_err());
         assert!(parse(&v(&["apps", "--json"])).is_err());
+    }
+
+    /// `--workers` and `--kill-workers` size and kill the worker pool;
+    /// without `--backend process` there is none, and the run must not
+    /// silently ignore them.
+    #[test]
+    fn pool_flags_need_the_process_backend() {
+        let bisect = ["bisect", "mfem", "--compilation", "g++ -O2"];
+        let perf = ["perf", "mfem", "--pair", "g++ -O2", "g++ -O3"];
+        let with = |base: &[&str], extra: &[&str]| parse(&v(&[base, extra].concat()));
+        for (base, extra, flag) in [
+            (
+                &bisect[..],
+                &["--workers", "3", "--kill-workers", "1,1"][..],
+                "--workers",
+            ),
+            (&bisect, &["--kill-workers", "1"], "--kill-workers"),
+            (&perf, &["--workers", "5"], "--workers"),
+            (
+                &["workflow", "laghos"],
+                &["--kill-workers", "2"],
+                "--kill-workers",
+            ),
+            (
+                &["serve", "--listen", "127.0.0.1:0"],
+                &["--workers", "2"],
+                "--workers",
+            ),
+        ] {
+            let err = with(base, extra).unwrap_err().0;
+            assert_eq!(
+                err,
+                format!("{flag} needs --backend process"),
+                "{base:?} {extra:?}"
+            );
+            let pooled = [extra, &["--backend", "process"]].concat();
+            assert!(with(base, &pooled).is_ok(), "{base:?} {pooled:?}");
+        }
+        // The threads backend has no pool either.
+        let err = with(&bisect, &["--backend", "threads", "--workers", "2"]).unwrap_err();
+        assert_eq!(err.0, "--workers needs --backend process");
+    }
+
+    /// The exact text of each parse error, so the wording and the
+    /// order in which flags are checked cannot drift.
+    #[test]
+    fn parse_errors_are_pinned_verbatim() {
+        let err = |args: &[&str]| parse(&v(args)).unwrap_err().0;
+        let with_usage = |msg: &str| format!("{msg}\n\n{USAGE}");
+        for (args, want) in [
+            (
+                &["bisect", "mfem"][..],
+                with_usage("`bisect` needs --compilation"),
+            ),
+            (
+                &["perf", "mfem", "--pair", "g++"],
+                with_usage("--pair takes two compilation labels"),
+            ),
+            (
+                &["workflow", "laghos", "--lint", "bogus"],
+                "--lint takes `seed` or `prune`, got `bogus`".into(),
+            ),
+            (
+                &["bisect", "mfem", "--compilation", "x", "--prune", "lint"],
+                "--prune takes `certified`, got `lint`".into(),
+            ),
+            (
+                &["workflow", "laghos", "--backend", "gpu"],
+                "--backend takes `threads` or `process`, got `gpu`".into(),
+            ),
+            (
+                &["workflow", "laghos", "--kill-workers", "a,b"],
+                "--kill-workers takes comma-separated counts like 1,2,1, got `a,b`".into(),
+            ),
+            (
+                &["fuzz", "--seeds", "5..2"],
+                "--seeds takes an ascending range like 0..1000, got `5..2`".into(),
+            ),
+            (
+                &["serve", "--status"],
+                with_usage("`serve --status`/`--shutdown` need --connect <addr>"),
+            ),
+            (
+                &["submit", "laghos", "--connect", "x"],
+                with_usage("`submit` needs --tenant <id>"),
+            ),
+            (
+                &["bisect", "mfem", "--compilation", "x", "--lint-prune"],
+                with_usage("`bisect` does not take --lint-prune"),
+            ),
+            (&["frob"], with_usage("unknown command `frob`")),
+        ] {
+            assert_eq!(err(args), want, "flit {args:?}");
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@ use flit_bisect::ledger::{LedgerHandle, QueryLedger};
 use flit_core::analysis::{
     category_bars, compiler_summary, fastest_is_reproducible_count, variability_summary,
 };
+use flit_core::db::ResultsDb;
 use flit_core::metrics::l2_compare;
-use flit_core::runner::{run_matrix, RunnerConfig, RunnerError};
-use flit_core::test::FlitTest;
-use flit_exec::{ExecBackend, ProcessBackend, ThreadsBackend};
+use flit_core::runner::{run_matrix, RunnerConfig};
+use flit_core::test::{DriverTest, FlitTest};
 use flit_inject::study::{run_study, StudyConfig};
 use flit_lint::LintMode;
 use flit_program::build::Build;
@@ -25,227 +25,35 @@ use flit_trace::event::Trace;
 use flit_trace::sink::TraceSink;
 
 use crate::apps::{app_names, resolve_app, BundledApp};
-use crate::args::{parse_compilation, Cli, Command, ParseError, USAGE};
+use crate::args::{
+    parse_compilation, AnalyzeArgs, BisectArgs, Cli, Command, ExecArgs, FuzzArgs, InjectArgs,
+    LintArgs, PairArgs, ParseError, PerfArgs, RunArgs, ServeArgs, SubmitArgs, TraceArgs,
+    WorkflowArgs, USAGE,
+};
 
 /// Execute a parsed command line.
 pub fn execute(cli: &Cli) -> Result<String, ParseError> {
     match &cli.command {
         Command::Help => Ok(USAGE.to_string()),
         Command::Apps => Ok(cmd_apps()),
-        Command::Run {
-            app,
-            compiler,
-            json,
-        } => cmd_run(app, compiler.as_deref(), *json),
-        Command::Analyze { app } => cmd_analyze(app),
-        Command::Bisect {
-            app,
-            test,
-            compilation,
-            biggest,
-            jobs,
-            lint_seed,
-            prune,
-            checkpoint,
-            resume,
-            backend,
-            workers,
-            kill_workers,
-        } => cmd_bisect(
-            app,
-            test.as_deref(),
-            compilation,
-            *biggest,
-            *jobs,
-            *lint_seed,
-            prune.as_deref() == Some("certified"),
-            checkpoint.as_deref(),
-            resume.as_deref(),
-            &BackendChoice::parse(backend.as_deref(), *workers, *jobs, kill_workers.clone()),
-        ),
-        Command::Bound {
-            app,
-            test,
-            base,
-            candidate,
-            trace,
-        } => cmd_bound(app, test.as_deref(), base, candidate, trace.as_deref()),
-        Command::Perf {
-            app,
-            test,
-            base,
-            candidate,
-            samples,
-            alpha,
-            seed,
-            jobs,
-            trace,
-            backend,
-            workers,
-            kill_workers,
-        } => cmd_perf(
-            app,
-            test.as_deref(),
-            base,
-            candidate,
-            *samples,
-            *alpha,
-            *seed,
-            *jobs,
-            trace.as_deref(),
-            &BackendChoice::parse(backend.as_deref(), *workers, *jobs, kill_workers.clone()),
-        ),
-        Command::Lint {
-            app,
-            test,
-            compilation,
-        } => cmd_lint(app, test.as_deref(), compilation.as_deref()),
-        Command::Inject { app, limit } => cmd_inject(app, *limit),
-        Command::Workflow {
-            app,
-            max_bisections,
-            jobs,
-            trace,
-            lint,
-            checkpoint,
-            resume,
-            backend,
-            workers,
-            kill_workers,
-        } => cmd_workflow(
-            app,
-            *max_bisections,
-            *jobs,
-            trace.as_deref(),
-            lint.as_deref(),
-            checkpoint.as_deref(),
-            resume.as_deref(),
-            &BackendChoice::parse(backend.as_deref(), *workers, *jobs, kill_workers.clone()),
-        ),
-        Command::Fuzz {
-            seeds,
-            budget_secs,
-            shrink,
-            jobs,
-            trace,
-            backend,
-        } => cmd_fuzz(
-            *seeds,
-            *budget_secs,
-            *shrink,
-            *jobs,
-            trace.as_deref(),
-            backend.as_deref() == Some("process"),
-        ),
-        Command::Trace { file, top } => cmd_trace(file, top.unwrap_or(10)),
-        Command::Serve {
-            listen,
-            status,
-            connect,
-            state_dir,
-            max_inflight,
-            backend,
-            workers,
-            trace,
-            ..
-        } => match listen {
-            Some(listen) => crate::serve::run_serve(
-                listen,
-                state_dir.as_deref().unwrap_or("flit-serve-state"),
-                *max_inflight,
-                backend.as_deref(),
-                *workers,
-                trace.as_deref(),
-            ),
-            None => {
-                // The parser guarantees --connect for --status/--shutdown.
-                let addr = connect
-                    .as_deref()
-                    .ok_or_else(|| ParseError("`serve` control endpoints need --connect".into()))?;
-                if *status {
-                    cmd_serve_status(addr)
-                } else {
-                    cmd_serve_shutdown(addr)
-                }
-            }
-        },
-        Command::Submit {
-            app,
-            connect,
-            tenant,
-            max_bisections,
-            jobs,
-        } => cmd_submit(app, connect, tenant, *max_bisections, *jobs),
+        Command::Run(args) => cmd_run(args),
+        Command::Analyze(args) => cmd_analyze(args),
+        Command::Bisect(args) => cmd_bisect(args),
+        Command::Bound(args) => cmd_bound(args),
+        Command::Perf(args) => cmd_perf(args),
+        Command::Lint(args) => cmd_lint(args),
+        Command::Inject(args) => cmd_inject(args),
+        Command::Workflow(args) => cmd_workflow(args),
+        Command::Fuzz(args) => cmd_fuzz(args),
+        Command::Trace(args) => cmd_trace(args),
+        Command::Serve(args) => cmd_serve(args),
+        Command::Submit(args) => cmd_submit(args),
         Command::Worker => Err(ParseError(
             "`flit worker` serves a coordinator over stdin/stdout; it is spawned by \
              `--backend process`, not run for a report"
                 .into(),
         )),
     }
-}
-
-/// The resolved `--backend` / `--workers` / `--kill-workers` choice.
-struct BackendChoice {
-    /// `--backend process` was requested.
-    process: bool,
-    /// Process-backend pool width (`--workers`, falling back to
-    /// `--jobs`, then 4).
-    workers: usize,
-    /// Deterministic worker-kill schedule for recovery testing.
-    kill_schedule: Vec<u64>,
-}
-
-impl BackendChoice {
-    fn parse(
-        backend: Option<&str>,
-        workers: Option<usize>,
-        jobs: Option<usize>,
-        kill_workers: Option<Vec<u64>>,
-    ) -> Self {
-        BackendChoice {
-            process: backend == Some("process"),
-            workers: workers.or(jobs).unwrap_or(4).max(1),
-            kill_schedule: kill_workers.unwrap_or_default(),
-        }
-    }
-
-    /// Build the process backend: `flit worker` subprocesses recording
-    /// `exec.backend.*` counters into `trace`.
-    fn process_backend(&self, trace: &TraceSink) -> Result<Arc<dyn ExecBackend>, ParseError> {
-        let mut backend = ProcessBackend::with_trace(worker_cmd()?, self.workers, trace.clone());
-        if !self.kill_schedule.is_empty() {
-            backend = backend.with_kill_schedule(self.kill_schedule.clone());
-        }
-        Ok(Arc::new(backend))
-    }
-
-    /// The report-header note for this choice (empty for threads).
-    fn note(&self) -> String {
-        if self.process {
-            format!(" | process backend ({} workers)", self.workers)
-        } else {
-            String::new()
-        }
-    }
-}
-
-/// The command line workers execute: this binary's own executable with
-/// the `worker` subcommand. `FLIT_WORKER_EXE` overrides the executable
-/// path (used by tests, whose `current_exe` is the test harness, not
-/// `flit`).
-pub(crate) fn worker_cmd() -> Result<Vec<String>, ParseError> {
-    let exe = match std::env::var("FLIT_WORKER_EXE") {
-        Ok(path) => path,
-        Err(_) => std::env::current_exe()
-            .map_err(|e| ParseError(format!("cannot locate the flit executable: {e}")))?
-            .to_string_lossy()
-            .into_owned(),
-    };
-    Ok(vec![exe, "worker".to_string()])
-}
-
-fn runner_error(e: RunnerError) -> ParseError {
-    ParseError(format!("runner failed: {e}"))
 }
 
 pub(crate) fn get_app(name: &str) -> Result<BundledApp, ParseError> {
@@ -282,6 +90,58 @@ pub(crate) fn matrix_for(
     Ok(compilers.into_iter().flat_map(compilation_matrix).collect())
 }
 
+/// The app's test named `name` (default: its first test).
+fn find_test<'a>(app: &'a BundledApp, name: Option<&str>) -> Result<&'a DriverTest, ParseError> {
+    match name {
+        Some(name) => app
+            .tests
+            .iter()
+            .find(|t| t.name() == name)
+            .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name))),
+        None => Ok(&app.tests[0]),
+    }
+}
+
+/// The two compilations of `--pair`, which must differ.
+fn pair_compilations(base: &str, candidate: &str) -> Result<[Compilation; 2], ParseError> {
+    let pair = [parse_compilation(base)?, parse_compilation(candidate)?];
+    if pair[0] == pair[1] {
+        return Err(ParseError("--pair needs two distinct compilations".into()));
+    }
+    Ok(pair)
+}
+
+fn sink(enabled: bool) -> TraceSink {
+    if enabled {
+        TraceSink::enabled()
+    } else {
+        TraceSink::disabled()
+    }
+}
+
+/// Write `trace` to `path` as JSONL and return the report line naming
+/// it. Atomic tmp-file + rename: a reader (or a crash mid-write) can
+/// never observe a partially written trace export.
+fn export_trace(trace: &TraceSink, path: &str) -> Result<String, ParseError> {
+    let jsonl = trace.snapshot().to_jsonl();
+    flit_persist::write_atomic(std::path::Path::new(path), jsonl.as_bytes())
+        .map_err(|e| ParseError(format!("cannot write trace `{path}`: {e}")))?;
+    Ok(format!(
+        "trace: {} events written to {path} (render with `flit trace {path}`)\n",
+        jsonl.lines().count()
+    ))
+}
+
+/// The compilation matrix sweep of `flit run` and `flit analyze`: the
+/// number of compilations and the results database.
+fn sweep(app: &BundledApp, compiler: Option<&str>) -> Result<(usize, ResultsDb), ParseError> {
+    let comps = matrix_for(app, compiler)?;
+    let tests: Vec<&dyn FlitTest> = app.tests.iter().map(|t| t as &dyn FlitTest).collect();
+    let db = run_matrix(&app.program, &tests, &comps, &RunnerConfig::default())
+        .map_err(|e| ParseError(format!("runner failed: {e}")))?;
+    Ok((comps.len(), db))
+}
+
 fn cmd_apps() -> String {
     let mut out = String::from("bundled applications:\n");
     for name in app_names() {
@@ -298,21 +158,17 @@ fn cmd_apps() -> String {
     out
 }
 
-fn cmd_run(app: &str, compiler: Option<&str>, json: bool) -> Result<String, ParseError> {
-    let app = get_app(app)?;
-    let comps = matrix_for(&app, compiler)?;
-    let dyn_tests: Vec<&dyn FlitTest> = app.tests.iter().map(|t| t as &dyn FlitTest).collect();
-    let db = run_matrix(&app.program, &dyn_tests, &comps, &RunnerConfig::default())
-        .map_err(runner_error)?;
-    if json {
+fn cmd_run(args: &RunArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
+    let (compilations, db) = sweep(&app, args.compiler.as_deref())?;
+    if args.json {
         return Ok(db.to_json());
     }
     let mut table = Table::new(&["test", "variable / total", "worst comparison"])
         .with_aligns(&[Align::Left, Align::Right, Align::Right])
         .with_title(format!(
-            "flit run {}: {} compilations x {} tests",
+            "flit run {}: {compilations} compilations x {} tests",
             app.name,
-            comps.len(),
             app.tests.len()
         ));
     for test in db.tests() {
@@ -332,12 +188,9 @@ fn cmd_run(app: &str, compiler: Option<&str>, json: bool) -> Result<String, Pars
     Ok(table.render())
 }
 
-fn cmd_analyze(app: &str) -> Result<String, ParseError> {
-    let app = get_app(app)?;
-    let comps = matrix_for(&app, None)?;
-    let dyn_tests: Vec<&dyn FlitTest> = app.tests.iter().map(|t| t as &dyn FlitTest).collect();
-    let db = run_matrix(&app.program, &dyn_tests, &comps, &RunnerConfig::default())
-        .map_err(runner_error)?;
+fn cmd_analyze(args: &AnalyzeArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
+    let (_, db) = sweep(&app, None)?;
 
     let mut out = String::new();
     let mut table = Table::new(&["compiler", "variable runs", "best average flags", "speedup"])
@@ -384,25 +237,10 @@ fn cmd_analyze(app: &str) -> Result<String, ParseError> {
     Ok(out)
 }
 
-/// The default variable compilation for `flit lint` when none is
-/// given: the paper's most variability-inducing gcc configuration.
-const DEFAULT_LINT_COMPILATION: &str = "g++ -O3 -mavx2 -mfma -funsafe-math-optimizations";
-
-fn cmd_lint(
-    app: &str,
-    test: Option<&str>,
-    compilation: Option<&str>,
-) -> Result<String, ParseError> {
-    let app = get_app(app)?;
-    let comp = parse_compilation(compilation.unwrap_or(DEFAULT_LINT_COMPILATION))?;
-    let test = match test {
-        Some(name) => app
-            .tests
-            .iter()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name)))?,
-        None => &app.tests[0],
-    };
+fn cmd_lint(args: &LintArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
+    let comp = parse_compilation(&args.compilation)?;
+    let test = find_test(&app, args.test.as_deref())?;
     let certs = flit_absint::certify_pair(
         &app.program,
         &app.program,
@@ -428,12 +266,14 @@ fn cmd_lint(
 
 /// Build the query ledger behind `--checkpoint` / `--resume`:
 /// `--checkpoint` starts a fresh journal, `--resume` replays an existing
-/// one (validating its program fingerprint) and keeps appending to it.
+/// one (validating its program fingerprint) and keeps appending to it,
+/// labelling each new answer with the backend `exec` selects.
 fn ledger_for(
     fingerprint: u64,
     trace: &TraceSink,
     checkpoint: Option<&str>,
     resume: Option<&str>,
+    exec: &ExecArgs,
 ) -> Result<Option<Arc<QueryLedger>>, ParseError> {
     if checkpoint.is_some() && resume.is_some() {
         return Err(ParseError(
@@ -453,6 +293,7 @@ fn ledger_for(
     } else {
         return Ok(None);
     }
+    ledger.set_backend_label(exec.ledger_label());
     Ok(Some(ledger))
 }
 
@@ -469,48 +310,18 @@ fn ledger_footer(ledger: &QueryLedger) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_bisect(
-    app: &str,
-    test: Option<&str>,
-    compilation: &str,
-    biggest: Option<usize>,
-    jobs: Option<usize>,
-    lint_seed: bool,
-    prune_certified: bool,
-    checkpoint: Option<&str>,
-    resume: Option<&str>,
-    choice: &BackendChoice,
-) -> Result<String, ParseError> {
-    let app = get_app(app)?;
-    let comp = parse_compilation(compilation)?;
-    let test = match test {
-        Some(name) => app
-            .tests
-            .iter()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name)))?,
-        None => &app.tests[0],
-    };
+fn cmd_bisect(args: &BisectArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
+    let comp = parse_compilation(&args.compilation)?;
+    let test = find_test(&app, args.test.as_deref())?;
     let baseline = Build::new(&app.program, Compilation::baseline());
     let variable = Build::tagged(&app.program, comp.clone(), 1);
     let mut cfg = HierarchicalConfig {
-        link_driver: CompilerKind::Gcc,
-        k: biggest,
+        k: args.biggest,
         ctx: BuildCtx::cached(),
-        trace: TraceSink::disabled(),
-        prescreen: None,
-        ledger: None,
-        backend: None,
+        ..HierarchicalConfig::all()
     };
-    let lint = if prune_certified {
-        LintMode::Prune
-    } else if lint_seed {
-        LintMode::Seed
-    } else {
-        LintMode::Off
-    };
-    cfg.prescreen = flit_lint::prescreen_for(lint, &baseline, &variable, test.driver(), &cfg);
+    cfg.prescreen = flit_lint::prescreen_for(args.lint, &baseline, &variable, test.driver(), &cfg);
     // Test hook (like FLIT_WORKER_EXIT_AFTER): forge a dishonest
     // Invariant certificate for the named file so the integration suite
     // can prove the residual audit fails the process.
@@ -522,7 +333,13 @@ fn cmd_bisect(
             certs.files[fid] = flit_absint::Certificate::Invariant;
         }
     }
-    let ledger = ledger_for(app.program.fingerprint(), &cfg.trace, checkpoint, resume)?;
+    let ledger = ledger_for(
+        app.program.fingerprint(),
+        &cfg.trace,
+        args.checkpoint.as_deref(),
+        args.resume.as_deref(),
+        &args.exec,
+    )?;
     if let Some(ledger) = &ledger {
         cfg.ledger = Some(LedgerHandle::new(
             ledger.clone(),
@@ -532,20 +349,11 @@ fn cmd_bisect(
     }
     let input = test.default_input();
     let input = &input[..test.inputs_per_run().min(input.len())];
-    let jobs = jobs.unwrap_or(1);
     // One search engine at every width: `--jobs 1` is the serial walk,
     // and `--backend process` additionally evaluates every query in
     // worker subprocesses; the result is byte-identical either way.
-    let exec: Arc<dyn ExecBackend> = if choice.process {
-        let backend = choice.process_backend(&cfg.trace)?;
-        cfg = cfg.with_backend(backend.clone());
-        if let Some(ledger) = &ledger {
-            ledger.set_backend_label("process");
-        }
-        backend
-    } else {
-        Arc::new(ThreadsBackend::new(jobs))
-    };
+    cfg.backend = args.exec.remote(&cfg.trace)?;
+    let exec = args.exec.executor(cfg.backend.clone());
     let res = bisect_hierarchical(
         &baseline,
         &variable,
@@ -556,25 +364,18 @@ fn cmd_bisect(
         &*exec,
     );
 
-    let mode_note = {
-        let mut note = choice.note();
-        if note.is_empty() && jobs > 1 {
-            note.push_str(&format!(" | {jobs} jobs"));
-        }
-        match lint {
-            LintMode::Prune => note.push_str(" | certified prune"),
-            LintMode::Seed => note.push_str(" | lint seed"),
-            LintMode::Off => {}
-        }
-        note
+    let lint_note = match args.lint {
+        LintMode::Prune => " | certified prune",
+        LintMode::Seed => " | lint seed",
+        LintMode::Off => "",
     };
     let mut out = format!(
-        "flit bisect {}: test {} | baseline {} | variable {}{}\n\n",
+        "flit bisect {}: test {} | baseline {} | variable {}{}{lint_note}\n\n",
         app.name,
         test.name(),
         Compilation::baseline().label(),
         comp.label(),
-        mode_note
+        args.exec.search_note()
     );
     match res.outcome {
         SearchOutcome::Crashed(ref why) => {
@@ -621,32 +422,11 @@ fn cmd_bisect(
     Ok(out)
 }
 
-fn cmd_bound(
-    app: &str,
-    test: Option<&str>,
-    base: &str,
-    candidate: &str,
-    trace_path: Option<&str>,
-) -> Result<String, ParseError> {
-    let app = get_app(app)?;
-    let base_comp = parse_compilation(base)?;
-    let cand_comp = parse_compilation(candidate)?;
-    if base_comp == cand_comp {
-        return Err(ParseError("--pair needs two distinct compilations".into()));
-    }
-    let test = match test {
-        Some(name) => app
-            .tests
-            .iter()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name)))?,
-        None => &app.tests[0],
-    };
-    let trace = if trace_path.is_some() {
-        TraceSink::enabled()
-    } else {
-        TraceSink::disabled()
-    };
+fn cmd_bound(args: &PairArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
+    let [base_comp, cand_comp] = pair_compilations(&args.base, &args.candidate)?;
+    let test = find_test(&app, args.test.as_deref())?;
+    let trace = sink(args.trace.is_some());
     // Certify against the bisection model: mixed binaries linked by the
     // baseline-side driver (gcc), the same contract `flit bisect` uses.
     let certs = flit_absint::certify_pair(
@@ -667,85 +447,37 @@ fn cmd_bound(
         cand_comp.label()
     );
     out.push_str(&flit_lint::render_certificates(&app.program, &certs));
-
-    if let Some(path) = trace_path {
-        let jsonl = trace.snapshot().to_jsonl();
-        flit_persist::write_atomic(std::path::Path::new(path), jsonl.as_bytes())
-            .map_err(|e| ParseError(format!("cannot write trace `{path}`: {e}")))?;
-        out.push_str(&format!(
-            "\ntrace: {} events written to {path} (render with `flit trace {path}`)\n",
-            jsonl.lines().count()
-        ));
+    if let Some(path) = &args.trace {
+        out.push_str(&format!("\n{}", export_trace(&trace, path)?));
     }
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_perf(
-    app: &str,
-    test: Option<&str>,
-    base: &str,
-    candidate: &str,
-    samples: Option<usize>,
-    alpha: Option<f64>,
-    seed: Option<u64>,
-    jobs: Option<usize>,
-    trace_path: Option<&str>,
-    choice: &BackendChoice,
-) -> Result<String, ParseError> {
+fn cmd_perf(args: &PerfArgs) -> Result<String, ParseError> {
     use flit_bisect::perf::{perf_bisect, PerfConfig, PerfOutcome};
     use flit_report::speedup::SpeedupReport;
     use flit_report::stats::Verdict;
-    let app = get_app(app)?;
-    let base_comp = parse_compilation(base)?;
-    let cand_comp = parse_compilation(candidate)?;
-    if base_comp == cand_comp {
-        return Err(ParseError("--pair needs two distinct compilations".into()));
+    let pair = &args.pair;
+    let app = get_app(&pair.app)?;
+    let [base_comp, cand_comp] = pair_compilations(&pair.base, &pair.candidate)?;
+    if let Some(n) = args.samples.filter(|n| *n < 2) {
+        return Err(ParseError(format!(
+            "--samples needs at least 2 (a variance estimate), got {n}"
+        )));
     }
-    if let Some(n) = samples {
-        if n < 2 {
-            return Err(ParseError(format!(
-                "--samples needs at least 2 (a variance estimate), got {n}"
-            )));
-        }
-    }
-    let test = match test {
-        Some(name) => app
-            .tests
-            .iter()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| ParseError(format!("unknown test `{name}` for {}", app.name)))?,
-        None => &app.tests[0],
-    };
+    let test = find_test(&app, pair.test.as_deref())?;
     let baseline = Build::new(&app.program, base_comp.clone());
     let cand_build = Build::tagged(&app.program, cand_comp.clone(), 1);
-    let trace = if trace_path.is_some() {
-        TraceSink::enabled()
-    } else {
-        TraceSink::disabled()
-    };
     let mut cfg = PerfConfig::new()
         .with_ctx(BuildCtx::cached())
-        .with_trace(trace);
-    if let Some(n) = samples {
-        cfg = cfg.with_samples(n as u32);
-    }
-    if let Some(a) = alpha {
-        cfg = cfg.with_alpha(a);
-    }
-    if let Some(s) = seed {
-        cfg = cfg.with_seed(s);
-    }
+        .with_trace(sink(pair.trace.is_some()));
+    cfg.samples = args.samples.map_or(cfg.samples, |n| n as u32);
+    cfg.alpha = args.alpha.unwrap_or(cfg.alpha);
+    cfg.seed = args.seed.unwrap_or(cfg.seed);
     let input = test.default_input();
     let input = &input[..test.inputs_per_run().min(input.len())];
-    let jobs = jobs.unwrap_or(1);
-    let exec: Arc<dyn ExecBackend> = if choice.process {
-        let backend = choice.process_backend(&cfg.trace)?;
-        cfg = cfg.with_backend(backend.clone());
-        backend
-    } else {
-        Arc::new(ThreadsBackend::new(jobs))
-    };
+    cfg.backend = args.exec.remote(&cfg.trace)?;
+    let exec = args.exec.executor(cfg.backend.clone());
     let res = perf_bisect(&baseline, &cand_build, test.driver(), input, &cfg, &*exec);
 
     let mut out = format!(
@@ -756,13 +488,7 @@ fn cmd_perf(
         cand_comp.label(),
         cfg.samples,
         cfg.alpha,
-        if choice.process {
-            choice.note()
-        } else if jobs > 1 {
-            format!(" | {jobs} jobs")
-        } else {
-            String::new()
-        }
+        args.exec.search_note()
     );
     if let Some(overall) = &res.overall {
         out.push_str(&format!("overall: {}\n", overall.render()));
@@ -813,20 +539,14 @@ fn cmd_perf(
             out.push_str(&format!("  {v}\n"));
         }
     }
-    if let Some(path) = trace_path {
-        let jsonl = cfg.trace.snapshot().to_jsonl();
-        flit_persist::write_atomic(std::path::Path::new(path), jsonl.as_bytes())
-            .map_err(|e| ParseError(format!("cannot write trace `{path}`: {e}")))?;
-        out.push_str(&format!(
-            "trace: {} events written to {path} (render with `flit trace {path}`)\n",
-            jsonl.lines().count()
-        ));
+    if let Some(path) = &pair.trace {
+        out.push_str(&export_trace(&cfg.trace, path)?);
     }
     Ok(out)
 }
 
-fn cmd_inject(app: &str, limit: Option<usize>) -> Result<String, ParseError> {
-    let app = get_app(app)?;
+fn cmd_inject(args: &InjectArgs) -> Result<String, ParseError> {
+    let app = get_app(&args.app)?;
     let sites = flit_inject::enumerate_sites(&app.program);
     if sites.is_empty() {
         return Err(ParseError(format!(
@@ -851,7 +571,7 @@ fn cmd_inject(app: &str, limit: Option<usize>) -> Result<String, ParseError> {
         sites.len(),
         summary.total
     );
-    if let Some(n) = limit {
+    if let Some(n) = args.limit {
         out.push_str(&format!("first {n} records:\n"));
         for r in records.iter().take(n * 4) {
             out.push_str(&format!(
@@ -873,64 +593,36 @@ fn cmd_inject(app: &str, limit: Option<usize>) -> Result<String, ParseError> {
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_workflow(
-    app: &str,
-    max_bisections: Option<usize>,
-    jobs: Option<usize>,
-    trace_path: Option<&str>,
-    lint: Option<&str>,
-    checkpoint: Option<&str>,
-    resume: Option<&str>,
-    choice: &BackendChoice,
-) -> Result<String, ParseError> {
-    use flit_core::workflow::{run_workflow, WorkflowConfig};
-    let app = get_app(app)?;
+fn cmd_workflow(args: &WorkflowArgs) -> Result<String, ParseError> {
+    use flit_core::workflow::{render_workflow_report, run_workflow, WorkflowConfig};
+    let app = get_app(&args.app)?;
     let comps = matrix_for(&app, None)?;
-    let trace = if trace_path.is_some() || checkpoint.is_some() || resume.is_some() {
-        TraceSink::enabled()
-    } else {
-        TraceSink::disabled()
-    };
-    let ledger = ledger_for(app.program.fingerprint(), &trace, checkpoint, resume)?;
+    let trace = sink(args.trace.is_some() || args.checkpoint.is_some() || args.resume.is_some());
+    let ledger = ledger_for(
+        app.program.fingerprint(),
+        &trace,
+        args.checkpoint.as_deref(),
+        args.resume.as_deref(),
+        &args.exec,
+    )?;
     let mut cfg = WorkflowConfig {
-        max_bisections: max_bisections.unwrap_or(usize::MAX),
-        jobs: jobs.unwrap_or(1),
+        max_bisections: args.max_bisections.unwrap_or(usize::MAX),
+        jobs: args.exec.threads(),
         trace,
-        lint: match lint {
-            Some("seed") => LintMode::Seed,
-            Some("prune") => LintMode::Prune,
-            _ => LintMode::Off,
-        },
+        lint: args.lint,
         ledger: ledger.clone(),
         ..Default::default()
     };
-    if choice.process {
-        // The bisection stage's Test queries evaluate in worker
-        // subprocesses; the workflow's own row fan-out stays on
-        // threads (the planner always runs in the coordinator).
-        cfg.bisect = cfg
-            .bisect
-            .clone()
-            .with_backend(choice.process_backend(&cfg.trace)?);
-        if let Some(ledger) = &ledger {
-            ledger.set_backend_label("process");
-        }
-    }
+    // `--backend process` evaluates the bisection stage's Test queries
+    // in worker subprocesses; the workflow's own row fan-out stays on
+    // threads (the planner always runs in the coordinator).
+    cfg.bisect.backend = args.exec.remote(&cfg.trace)?;
     let report = run_workflow(&app.program, &app.tests, &comps, &cfg)
         .map_err(|e| ParseError(format!("workflow failed: {e}")))?;
 
-    let mut out = flit_core::workflow::render_workflow_report(app.name, &choice.note(), &report);
-    if let Some(path) = trace_path {
-        let jsonl = cfg.trace.snapshot().to_jsonl();
-        // Atomic tmp-file + rename: a reader (or a crash mid-write) can
-        // never observe a partially written trace export.
-        flit_persist::write_atomic(std::path::Path::new(path), jsonl.as_bytes())
-            .map_err(|e| ParseError(format!("cannot write trace `{path}`: {e}")))?;
-        out.push_str(&format!(
-            "trace: {} events written to {path} (render with `flit trace {path}`)\n",
-            jsonl.lines().count()
-        ));
+    let mut out = render_workflow_report(app.name, &args.exec.note(), &report);
+    if let Some(path) = &args.trace {
+        out.push_str(&export_trace(&cfg.trace, path)?);
     }
     if let Some(ledger) = &ledger {
         out.push_str(&ledger_footer(ledger));
@@ -938,34 +630,21 @@ fn cmd_workflow(
     Ok(out)
 }
 
-fn cmd_fuzz(
-    seeds: (u64, u64),
-    budget_secs: Option<u64>,
-    shrink: bool,
-    jobs: Option<usize>,
-    trace_path: Option<&str>,
-    process: bool,
-) -> Result<String, ParseError> {
+fn cmd_fuzz(args: &FuzzArgs) -> Result<String, ParseError> {
     let cfg = flit_fuzz::CampaignConfig {
-        start: seeds.0,
-        end: seeds.1,
-        budget_secs,
-        jobs: jobs.unwrap_or(8),
-        shrink,
-        process_cmd: if process { Some(worker_cmd()?) } else { None },
+        start: args.seeds.0,
+        end: args.seeds.1,
+        budget_secs: args.budget_secs,
+        jobs: args.exec.jobs.unwrap_or(8),
+        shrink: args.shrink,
+        process_cmd: args.exec.worker_cmd()?,
         ..flit_fuzz::CampaignConfig::default()
     };
     let trace = TraceSink::enabled();
     let result = flit_fuzz::run_campaign(&cfg, &trace);
     let mut out = flit_fuzz::render_report(&cfg, &result);
-    if let Some(path) = trace_path {
-        let jsonl = trace.snapshot().to_jsonl();
-        flit_persist::write_atomic(std::path::Path::new(path), jsonl.as_bytes())
-            .map_err(|e| ParseError(format!("cannot write trace `{path}`: {e}")))?;
-        out.push_str(&format!(
-            "\ntrace: {} events written to {path} (render with `flit trace {path}`)\n",
-            jsonl.lines().count()
-        ));
+    if let Some(path) = &args.trace {
+        out.push_str(&format!("\n{}", export_trace(&trace, path)?));
     }
     if result.clean() {
         Ok(out)
@@ -994,17 +673,17 @@ fn daemon_response(
     }
 }
 
-fn cmd_submit(
-    app: &str,
-    connect: &str,
-    tenant: &str,
-    max_bisections: Option<usize>,
-    jobs: Option<usize>,
-) -> Result<String, ParseError> {
+fn cmd_submit(args: &SubmitArgs) -> Result<String, ParseError> {
     let response = daemon_response(
         "the submission",
-        connect,
-        flit_serve::protocol::submit(connect, tenant, app, max_bisections, jobs),
+        &args.connect,
+        flit_serve::protocol::submit(
+            &args.connect,
+            &args.tenant,
+            &args.app,
+            args.max_bisections,
+            args.jobs,
+        ),
     )?;
     match response {
         flit_serve::protocol::Response::Report { body, .. } => Ok(body),
@@ -1014,7 +693,15 @@ fn cmd_submit(
     }
 }
 
-fn cmd_serve_status(connect: &str) -> Result<String, ParseError> {
+fn cmd_serve(args: &ServeArgs) -> Result<String, ParseError> {
+    match args {
+        ServeArgs::Listen(listen) => crate::serve::run_serve(listen),
+        ServeArgs::Status { connect } => daemon_status(connect),
+        ServeArgs::Shutdown { connect } => daemon_shutdown(connect),
+    }
+}
+
+fn daemon_status(connect: &str) -> Result<String, ParseError> {
     let response = daemon_response(
         "the status request",
         connect,
@@ -1059,7 +746,7 @@ fn cmd_serve_status(connect: &str) -> Result<String, ParseError> {
     Ok(out)
 }
 
-fn cmd_serve_shutdown(connect: &str) -> Result<String, ParseError> {
+fn daemon_shutdown(connect: &str) -> Result<String, ParseError> {
     let response = daemon_response(
         "the shutdown request",
         connect,
@@ -1075,15 +762,14 @@ fn cmd_serve_shutdown(connect: &str) -> Result<String, ParseError> {
     }
 }
 
-fn cmd_trace(file: &str, top: usize) -> Result<String, ParseError> {
+fn cmd_trace(args: &TraceArgs) -> Result<String, ParseError> {
+    let file = &args.file;
     let text = std::fs::read_to_string(file)
         .map_err(|e| ParseError(format!("cannot read trace `{file}`: {e}")))?;
     let trace =
         Trace::from_jsonl(&text).map_err(|e| ParseError(format!("bad trace `{file}`: {e}")))?;
-    Ok(format!(
-        "flit trace {file}\n\n{}",
-        render_trace(&trace, top)
-    ))
+    let report = render_trace(&trace, args.top);
+    Ok(format!("flit trace {file}\n\n{report}"))
 }
 
 #[cfg(test)]

@@ -4,15 +4,10 @@
 //! command implementations live here so they can be unit-tested; the
 //! binary is a thin wrapper).
 //!
-//! The subcommand surface mirrors the real FLiT tool:
-//!
-//! ```text
-//! flit apps                      list the bundled applications
-//! flit run    <app> [opts]       sweep the compilation matrix
-//! flit analyze <app> [opts]      performance-vs-reproducibility report
-//! flit bisect <app> --test T --compilation "icpc -O2" [opts]
-//! flit inject <app> [--limit N]  run the perturbation-injection study
-//! ```
+//! The subcommand surface mirrors the real FLiT tool; `flit help`
+//! prints it ([`args::USAGE`]). Each subcommand parses once into its
+//! struct in [`args`] (`flit bisect` → [`args::BisectArgs`]), which its
+//! function in [`commands`] takes.
 
 pub mod apps;
 pub mod args;

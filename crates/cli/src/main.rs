@@ -1,5 +1,6 @@
 //! The `flit` binary: thin wrapper over `flit_cli`.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,8 +25,16 @@ fn main() -> ExitCode {
     }
     match flit_cli::commands::execute(&cli) {
         Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{report}").and_then(|()| stdout.flush()) {
+                // A reader that stopped early (`flit ... | head`) wants
+                // no more output; that is not a failure.
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: cannot write the report: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

@@ -14,12 +14,12 @@ use std::sync::Arc;
 
 use flit_bisect::ledger::QueryLedger;
 use flit_core::workflow::{render_workflow_report, run_workflow, LintMode, WorkflowConfig};
-use flit_exec::{ExecBackend, ProcessBackend};
+use flit_exec::ExecBackend;
 use flit_serve::daemon::{serve, JobOutcome, JobRequest, ServeConfig, WorkflowRunner};
 use flit_trace::sink::TraceSink;
 
-use crate::args::ParseError;
-use crate::commands::{get_app, matrix_for, worker_cmd};
+use crate::args::{ListenArgs, ParseError};
+use crate::commands::{get_app, matrix_for};
 
 /// The daemon-side workflow executor: resolves bundled applications
 /// and runs each submission against the tenant ledger the daemon
@@ -83,20 +83,13 @@ impl WorkflowRunner for CliRunner {
 /// Run the daemon: bind, advertise the address, and serve until a
 /// `Shutdown` request drains it. Blocks for the daemon's lifetime and
 /// returns the drain summary as the command report.
-pub fn run_serve(
-    listen: &str,
-    state_dir: &str,
-    max_inflight: Option<usize>,
-    backend: Option<&str>,
-    workers: Option<usize>,
-    trace_export: Option<&str>,
-) -> Result<String, ParseError> {
-    let listener = TcpListener::bind(listen)
-        .map_err(|e| ParseError(format!("cannot listen on `{listen}`: {e}")))?;
+pub fn run_serve(args: &ListenArgs) -> Result<String, ParseError> {
+    let listener = TcpListener::bind(&args.addr)
+        .map_err(|e| ParseError(format!("cannot listen on `{}`: {e}", args.addr)))?;
     let addr = listener
         .local_addr()
         .map_err(|e| ParseError(format!("cannot resolve the listen address: {e}")))?;
-    let state_dir = PathBuf::from(state_dir);
+    let state_dir = PathBuf::from(args.state_dir.as_deref().unwrap_or("flit-serve-state"));
     std::fs::create_dir_all(&state_dir).map_err(|e| {
         ParseError(format!(
             "cannot create state dir {}: {e}",
@@ -109,35 +102,20 @@ pub fn run_serve(
         .map_err(|e| ParseError(format!("cannot write serve.addr: {e}")))?;
 
     let trace = TraceSink::enabled();
-    let workers = workers.unwrap_or(4).max(1);
-    let process = backend == Some("process");
-    let exec_backend: Option<Arc<dyn ExecBackend>> = if process {
-        Some(Arc::new(ProcessBackend::with_trace(
-            worker_cmd()?,
-            workers,
-            trace.clone(),
-        )))
-    } else {
-        None
-    };
-    let note = if process {
-        format!(" | process backend ({workers} workers)")
-    } else {
-        String::new()
-    };
+    let backend = args.exec.remote(&trace)?;
 
     println!("flit-serve listening on {addr}");
     let cfg = ServeConfig {
         state_dir,
-        max_inflight: max_inflight.unwrap_or(2).max(1),
+        max_inflight: args.max_inflight.unwrap_or(2).max(1),
         trace,
-        backend: exec_backend.clone(),
-        trace_export: trace_export.map(PathBuf::from),
+        backend: backend.clone(),
+        trace_export: args.trace.as_ref().map(PathBuf::from),
         ..ServeConfig::default()
     };
     let runner = Arc::new(CliRunner {
-        backend: exec_backend,
-        note,
+        backend,
+        note: args.exec.note(),
     });
     let summary =
         serve(listener, runner, cfg).map_err(|e| ParseError(format!("daemon failed: {e}")))?;

@@ -65,9 +65,8 @@ pub fn render_certificates(program: &SimProgram, certs: &PairCertificates) -> St
 }
 
 /// `flit lint`'s report for one pair: the certificate tables, then a
-/// mixed-ABI crash warning, a link-step note when only the whole pair
-/// can diverge, and the hazard lints on functions reachable from
-/// `driver`.
+/// mixed-ABI crash warning and the hazard lints on functions reachable
+/// from `driver`.
 pub fn render_lint(
     title: &str,
     program: &SimProgram,
@@ -80,12 +79,6 @@ pub fn render_lint(
         out.push_str(
             "\nWARNING: mixed-ABI link predicted to CRASH (Intel objects under a \
              GNU-compatible link, Table 2's File Bisect failures)\n",
-        );
-    }
-    if !certs.whole.prunable() && certs.files.iter().all(Certificate::prunable) {
-        out.push_str(
-            "\nnote: the pair differs only at the link step — File Bisect will report \
-             `link-step only` rather than blame a file\n",
         );
     }
     let hazards = reachable_hazards(program, driver);
@@ -148,29 +141,5 @@ mod tests {
         assert!(text.contains("Hazard lints"), "{text}");
         assert!(text.contains("exact-fp-compare"), "{text}");
         assert!(!text.contains("link step"), "{text}");
-    }
-
-    #[test]
-    fn whole_pair_only_divergence_is_a_link_step_note() {
-        let p = program();
-        let driver = Driver::new("d", vec!["trig".into()], 1, 32);
-        let certs = PairCertificates {
-            base_label: "g++ -O0".into(),
-            cand_label: "icpc -O1".into(),
-            files: vec![Certificate::Invariant; p.files.len()],
-            symbols: Default::default(),
-            whole: Certificate::Bounded(1e-12),
-            abi_hazard: false,
-        };
-        let text = render_lint("render-test", &p, &driver, &certs);
-        assert!(
-            text.contains("whole pair: bounded (l2_diff <= 1.000e-12)"),
-            "{text}"
-        );
-        assert!(text.contains("differs only at the link step"), "{text}");
-        assert!(
-            !text.contains("Hazard lints"),
-            "trig reaches no hazard: {text}"
-        );
     }
 }

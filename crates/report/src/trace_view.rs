@@ -1,11 +1,11 @@
 //! Rendering for `flit-trace` traces: the `flit trace <file>` view.
 //!
-//! Six exhibits, all derived from a canonically-ordered
-//! [`Trace`]: a per-phase span summary, the top-N slowest sweep
-//! compilations, the bisect execution counts per level (the paper's
-//! Tables 2/4 "number of runs"), the searches' frontier-width
-//! histogram, the build-cache hit rates, and the query ledger's
-//! resume/dedup accounting.
+//! Every exhibit derives from a canonically-ordered [`Trace`]: a
+//! per-phase span summary, the top-N slowest sweep compilations, the
+//! bisect execution counts per level (the paper's Tables 2/4 "number
+//! of runs"), the searches' frontier-width histogram, the build-cache
+//! hit rates, and one counter table per layer that ran (certified
+//! bounds, query ledger, perf bisect, process backend, fleet, fuzz).
 
 use flit_trace::event::Trace;
 use flit_trace::names::{counter, phase};
@@ -123,233 +123,167 @@ pub fn cache_hit_rates(trace: &Trace) -> Table {
     t
 }
 
-/// Certified-bounds accounting (`flit-absint`): how many items the
-/// abstract interpreter certified per kind, the speculation a seeded
-/// search skipped, and what a pruning search did with the
-/// certificates. Rendered only when a certification pass actually ran
-/// — an all-zero table would read as "the analysis ran and certified
-/// nothing".
-pub fn certified_bounds(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Certified bounds (absint)")
-        .with_aligns(&[Align::Left, Align::Right]);
-    let rows = [
-        ("certified invariant", counter::ABSINT_CERTIFIED_INVARIANT),
-        ("certified bounded", counter::ABSINT_CERTIFIED_BOUNDED),
-        ("certified unknown", counter::ABSINT_CERTIFIED_UNKNOWN),
-        ("files pruned", counter::ABSINT_PRUNED_FILES),
-        ("symbols pruned", counter::ABSINT_PRUNED_SYMBOLS),
-        ("residual audits", counter::ABSINT_PRUNE_AUDITS),
-        ("speculations skipped", counter::LINT_SPECULATION_SKIPPED),
-    ];
-    let total: u64 = rows.iter().map(|(_, key)| trace.counter(key)).sum();
-    if total == 0 {
-        return t;
-    }
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
+/// An activity-gated "counter | value" section: it renders only when
+/// its `gate` counters sum above zero (an empty `gate` means every
+/// row's counter), because an all-zero table would read as "the layer
+/// ran and did nothing".
+struct CounterTable {
+    title: &'static str,
+    gate: &'static [&'static str],
+    rows: &'static [(&'static str, &'static str)],
 }
 
-/// Resume & dedup accounting for the workflow-wide query ledger: how
-/// many Test queries actually executed, how many were served from the
-/// per-search memo, how many were deduplicated across sibling searches
-/// (`shared_hits`), and the checkpoint journal's replay/append volume.
-/// Rendered only when a ledger was active — a plain search records
-/// none of these counters, and an all-zero table would read as "the
-/// ledger ran and deduplicated nothing".
-pub fn resume_dedup(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Resume & dedup (query ledger)")
-        .with_aligns(&[Align::Left, Align::Right]);
-    let rows = [
-        ("queries executed", counter::EXEC_QUERIES_EXECUTED),
-        ("memo hits", counter::EXEC_QUERIES_MEMOIZED),
-        (
-            "cross-search shared hits",
+/// The counter sections, in report order.
+const COUNTER_TABLES: [CounterTable; 6] = [
+    // Certified bounds (`flit-absint`): items certified per kind, the
+    // speculation a seeded search skipped, and what a pruning search
+    // did with the certificates; present when a certification ran.
+    CounterTable {
+        title: "Certified bounds (absint)",
+        gate: &[],
+        rows: &[
+            ("certified invariant", counter::ABSINT_CERTIFIED_INVARIANT),
+            ("certified bounded", counter::ABSINT_CERTIFIED_BOUNDED),
+            ("certified unknown", counter::ABSINT_CERTIFIED_UNKNOWN),
+            ("files pruned", counter::ABSINT_PRUNED_FILES),
+            ("symbols pruned", counter::ABSINT_PRUNED_SYMBOLS),
+            ("residual audits", counter::ABSINT_PRUNE_AUDITS),
+            ("speculations skipped", counter::LINT_SPECULATION_SKIPPED),
+        ],
+    },
+    // The workflow-wide query ledger: Test queries executed, served
+    // from the per-search memo, deduplicated across sibling searches
+    // (`shared_hits`), and the checkpoint journal's replay/append
+    // volume. A plain search records no shared hits and no journal.
+    CounterTable {
+        title: "Resume & dedup (query ledger)",
+        gate: &[
             counter::EXEC_QUERIES_SHARED_HITS,
-        ),
-        ("journal records replayed", counter::JOURNAL_REPLAYED),
-        ("journal records appended", counter::JOURNAL_APPENDED),
-    ];
-    let ledger_active: u64 = [
-        counter::EXEC_QUERIES_SHARED_HITS,
-        counter::JOURNAL_REPLAYED,
-        counter::JOURNAL_APPENDED,
-    ]
-    .iter()
-    .map(|key| trace.counter(key))
-    .sum();
-    if ledger_active == 0 {
-        return t;
-    }
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
-}
+            counter::JOURNAL_REPLAYED,
+            counter::JOURNAL_APPENDED,
+        ],
+        rows: &[
+            ("queries executed", counter::EXEC_QUERIES_EXECUTED),
+            ("memo hits", counter::EXEC_QUERIES_MEMOIZED),
+            (
+                "cross-search shared hits",
+                counter::EXEC_QUERIES_SHARED_HITS,
+            ),
+            ("journal records replayed", counter::JOURNAL_REPLAYED),
+            ("journal records appended", counter::JOURNAL_APPENDED),
+        ],
+    },
+    // Performance bisect: timed executions per level, samples drawn
+    // from the seeded noise model, and the Welch verdict split of every
+    // statistical claim.
+    CounterTable {
+        title: "Performance bisect",
+        gate: &[counter::PERF_REFERENCE_RUNS],
+        rows: &[
+            ("reference timings", counter::PERF_REFERENCE_RUNS),
+            ("file-level timings", counter::PERF_FILE_RUNS),
+            ("symbol-level timings", counter::PERF_SYMBOL_RUNS),
+            ("samples drawn", counter::PERF_SAMPLES_DRAWN),
+            ("verdicts: faster", counter::PERF_VERDICTS_FASTER),
+            ("verdicts: slower", counter::PERF_VERDICTS_SLOWER),
+            (
+                "verdicts: inconclusive",
+                counter::PERF_VERDICTS_INCONCLUSIVE,
+            ),
+        ],
+    },
+    // The process backend: query envelopes dispatched to workers,
+    // worker churn, and in-flight queries requeued after a death. The
+    // threads backend dispatches none.
+    CounterTable {
+        title: "Distributed execution",
+        gate: &[counter::EXEC_BACKEND_DISPATCHED],
+        rows: &[
+            ("queries dispatched", counter::EXEC_BACKEND_DISPATCHED),
+            ("worker spawns", counter::EXEC_BACKEND_WORKER_SPAWNS),
+            ("worker deaths", counter::EXEC_BACKEND_WORKER_DEATHS),
+            ("queries requeued", counter::EXEC_BACKEND_REQUEUED),
+        ],
+    },
+    // The `flit-serve` daemon: submission volume, tenants, and the
+    // fleet-wide dedup multi-tenant single-flight buys
+    // (`exec.queries.shared_hits` on the daemon's sink counts exactly
+    // the cross-tenant hits: every tenant evaluates through the fleet
+    // ledger under its own origin).
+    CounterTable {
+        title: "Fleet (flit-serve)",
+        gate: &[counter::SERVE_SUBMISSIONS],
+        rows: &[
+            ("submissions accepted", counter::SERVE_SUBMISSIONS),
+            ("submissions completed", counter::SERVE_COMPLETED),
+            ("submissions rejected", counter::SERVE_REJECTED),
+            ("tenants", counter::SERVE_TENANTS),
+            ("status requests", counter::SERVE_STATUS_REQUESTS),
+            ("fleet queries executed", counter::EXEC_QUERIES_EXECUTED),
+            (
+                "cross-tenant shared hits",
+                counter::EXEC_QUERIES_SHARED_HITS,
+            ),
+        ],
+    },
+    // A fuzz campaign: seeds checked, pass/divergence split, explained
+    // ABI-hazard crashes, resume checks, and shrink effort.
+    CounterTable {
+        title: "Fuzz campaign",
+        gate: &[counter::FUZZ_SEEDS_RUN],
+        rows: &[
+            ("seeds run", counter::FUZZ_SEEDS_RUN),
+            ("seeds passed", counter::FUZZ_SEEDS_PASSED),
+            ("explained crashes", counter::FUZZ_CRASHES_EXPLAINED),
+            ("divergences", counter::FUZZ_DIVERGENCES),
+            ("resume checks", counter::FUZZ_RESUME_CHECKS),
+            ("shrink steps", counter::FUZZ_SHRINK_STEPS),
+        ],
+    },
+];
 
-/// Performance-bisect accounting: timed executions per level, samples
-/// drawn from the seeded noise model, and the Welch verdict split of
-/// every statistical claim the searches surfaced. Rendered only when a
-/// perf bisect actually ran (all counters zero otherwise).
-pub fn perf_bisect_summary(trace: &Trace) -> Table {
+/// One counter section (empty when its gate counters are all zero).
+fn counter_table(trace: &Trace, spec: &CounterTable) -> Table {
     let mut t = Table::new(&["counter", "value"])
-        .with_title("Performance bisect")
+        .with_title(spec.title)
         .with_aligns(&[Align::Left, Align::Right]);
-    let rows = [
-        ("reference timings", counter::PERF_REFERENCE_RUNS),
-        ("file-level timings", counter::PERF_FILE_RUNS),
-        ("symbol-level timings", counter::PERF_SYMBOL_RUNS),
-        ("samples drawn", counter::PERF_SAMPLES_DRAWN),
-        ("verdicts: faster", counter::PERF_VERDICTS_FASTER),
-        ("verdicts: slower", counter::PERF_VERDICTS_SLOWER),
-        (
-            "verdicts: inconclusive",
-            counter::PERF_VERDICTS_INCONCLUSIVE,
-        ),
-    ];
-    if trace.counter(counter::PERF_REFERENCE_RUNS) == 0 {
+    let gate: Vec<&str> = match spec.gate {
+        [] => spec.rows.iter().map(|(_, key)| *key).collect(),
+        keys => keys.to_vec(),
+    };
+    if gate.iter().map(|key| trace.counter(key)).sum::<u64>() == 0 {
         return t;
     }
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
-}
-
-/// Distributed-execution accounting for the process backend: query
-/// envelopes dispatched to workers, worker subprocess churn (spawns,
-/// deaths), and in-flight queries requeued after a death. Rendered
-/// only when a remote backend actually dispatched something — under
-/// the default threads backend every counter is zero, and an all-zero
-/// table would read as "workers ran and did nothing".
-pub fn distributed_execution(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Distributed execution")
-        .with_aligns(&[Align::Left, Align::Right]);
-    if trace.counter(counter::EXEC_BACKEND_DISPATCHED) == 0 {
-        return t;
-    }
-    let rows = [
-        ("queries dispatched", counter::EXEC_BACKEND_DISPATCHED),
-        ("worker spawns", counter::EXEC_BACKEND_WORKER_SPAWNS),
-        ("worker deaths", counter::EXEC_BACKEND_WORKER_DEATHS),
-        ("queries requeued", counter::EXEC_BACKEND_REQUEUED),
-    ];
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
-}
-
-/// Fleet accounting for the `flit-serve` daemon: submission volume,
-/// tenant count, and the fleet-wide query dedup that multi-tenant
-/// single-flight buys (`exec.queries.shared_hits` recorded on the
-/// daemon's sink counts exactly the cross-tenant hits, because every
-/// tenant evaluates through the fleet ledger under its own origin).
-/// Rendered only when a daemon actually accepted submissions.
-pub fn fleet_summary(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Fleet (flit-serve)")
-        .with_aligns(&[Align::Left, Align::Right]);
-    if trace.counter(counter::SERVE_SUBMISSIONS) == 0 {
-        return t;
-    }
-    let rows = [
-        ("submissions accepted", counter::SERVE_SUBMISSIONS),
-        ("submissions completed", counter::SERVE_COMPLETED),
-        ("submissions rejected", counter::SERVE_REJECTED),
-        ("tenants", counter::SERVE_TENANTS),
-        ("status requests", counter::SERVE_STATUS_REQUESTS),
-        ("fleet queries executed", counter::EXEC_QUERIES_EXECUTED),
-        (
-            "cross-tenant shared hits",
-            counter::EXEC_QUERIES_SHARED_HITS,
-        ),
-    ];
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
-    }
-    t
-}
-
-/// Fuzz-campaign accounting: seeds checked, pass/divergence split,
-/// explained ABI-hazard crashes, resume checks, and shrink effort.
-/// Rendered only when a campaign actually ran (all counters zero
-/// otherwise).
-pub fn fuzz_campaign(trace: &Trace) -> Table {
-    let mut t = Table::new(&["counter", "value"])
-        .with_title("Fuzz campaign")
-        .with_aligns(&[Align::Left, Align::Right]);
-    let rows = [
-        ("seeds run", counter::FUZZ_SEEDS_RUN),
-        ("seeds passed", counter::FUZZ_SEEDS_PASSED),
-        ("explained crashes", counter::FUZZ_CRASHES_EXPLAINED),
-        ("divergences", counter::FUZZ_DIVERGENCES),
-        ("resume checks", counter::FUZZ_RESUME_CHECKS),
-        ("shrink steps", counter::FUZZ_SHRINK_STEPS),
-    ];
-    if trace.counter(counter::FUZZ_SEEDS_RUN) == 0 {
-        return t;
-    }
-    for (name, key) in rows {
-        t.row(&[name.to_string(), trace.counter(key).to_string()]);
+    for (name, key) in spec.rows {
+        t.row(&[(*name).to_string(), trace.counter(key).to_string()]);
     }
     t
 }
 
 /// The full `flit trace` report: all exhibits, separated by blank
-/// lines. Sections with no data render with their headers so the
-/// output shape is stable (except the certified-bounds and ledger
-/// sections, which only appear when a certification pass or a query
-/// ledger actually ran, and the later activity-gated sections).
+/// lines. The phase, slowest-compilation, bisect-execution and cache
+/// sections always render, with their headers, so the output shape is
+/// stable; the frontier histogram and the counter sections appear only
+/// with data.
 pub fn render_trace(trace: &Trace, top: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&phase_summary(trace).render());
-    out.push('\n');
-    out.push_str(&slowest_compilations(trace, top).render());
-    out.push('\n');
-    out.push_str(&bisect_executions(trace).render());
-    out.push('\n');
-    let frontier = frontier_widths(trace);
-    if !frontier.is_empty() {
-        out.push_str(&frontier.render());
-        out.push('\n');
-    }
-    out.push_str(&cache_hit_rates(trace).render());
-    let certified = certified_bounds(trace);
-    if !certified.is_empty() {
-        out.push('\n');
-        out.push_str(&certified.render());
-    }
-    let ledger = resume_dedup(trace);
-    if !ledger.is_empty() {
-        out.push('\n');
-        out.push_str(&ledger.render());
-    }
-    let perf = perf_bisect_summary(trace);
-    if !perf.is_empty() {
-        out.push('\n');
-        out.push_str(&perf.render());
-    }
-    let distributed = distributed_execution(trace);
-    if !distributed.is_empty() {
-        out.push('\n');
-        out.push_str(&distributed.render());
-    }
-    let fleet = fleet_summary(trace);
-    if !fleet.is_empty() {
-        out.push('\n');
-        out.push_str(&fleet.render());
-    }
-    let fuzz = fuzz_campaign(trace);
-    if !fuzz.is_empty() {
-        out.push('\n');
-        out.push_str(&fuzz.render());
-    }
-    out
+    // (section, rendered even when empty)
+    let exhibits = [
+        (phase_summary(trace), true),
+        (slowest_compilations(trace, top), true),
+        (bisect_executions(trace), true),
+        (frontier_widths(trace), false),
+        (cache_hit_rates(trace), true),
+    ];
+    let counters = COUNTER_TABLES
+        .iter()
+        .map(|spec| (counter_table(trace, spec), false));
+    exhibits
+        .into_iter()
+        .chain(counters)
+        .filter(|(t, always)| *always || !t.is_empty())
+        .map(|(t, _)| t.render())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@ if [[ "${1:-}" == "--quick" ]]; then
   cargo test -q -p flit-absint
   cargo test -q -p flit-cli certified
   cargo test -q -p flit-cli bound
+  echo "== quick: CLI surface (pinned parse errors, closed stdout) =="
+  cargo test -q -p flit-cli --lib args
+  cargo test -q -p flit-cli --test closed_stdout
   echo "== quick: fuzz oracle + campaign plumbing =="
   cargo test -q -p flit-fuzz
   echo "== quick: perf bisect (stats layer, CLI verdicts, process-backend smoke) =="
@@ -58,6 +61,12 @@ if [[ "${1:-}" == "--quick" ]]; then
   if ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --lint-prune > /dev/null 2>&1; then
     echo "flit bisect accepted the retired --lint-prune flag" >&2
+    exit 1
+  fi
+  # Worker-pool flags without the pool are an error, never ignored.
+  if ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
+      --workers 3 --kill-workers 1,1 > /dev/null 2>&1; then
+    echo "flit bisect accepted --workers without --backend process" >&2
     exit 1
   fi
   ./target/debug/flit bound mfem --pair "g++ -O2" "g++ -O3 -mavx2 -mfma" > /dev/null
