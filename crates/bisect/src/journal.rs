@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use flit_persist::{frame_record, unframe_record, write_atomic, FrameError};
+use flit_persist::{decode_framed, encode_framed, write_atomic, CodecError, FrameError};
 
 /// The journal schema version this crate reads and writes.
 ///
@@ -189,11 +189,6 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-fn render_line(rec: &JournalRecord) -> String {
-    let payload = serde_json::to_string(rec).expect("journal record serializes");
-    frame_record(&payload)
-}
-
 /// Version probe: reads *only* the `version` field, so a record from
 /// any schema generation — older or newer, with fields this build has
 /// never heard of — still identifies itself before the full parse.
@@ -203,39 +198,43 @@ struct VersionProbe {
 }
 
 fn parse_line(path: &str, lineno: usize, line: &str) -> Result<JournalRecord, JournalError> {
-    let malformed = |message: String| JournalError::Malformed {
-        path: path.to_string(),
-        line: lineno,
-        message,
-    };
-    // Framing and CRC validation are shared with the wire protocol
-    // (the journal record schema *is* the wire format).
-    let payload = match unframe_record(line) {
-        Ok(payload) => payload,
-        Err(FrameError::Malformed(message)) => return Err(malformed(message)),
-        Err(FrameError::Checksum { expected, actual }) => {
-            return Err(JournalError::Checksum {
-                path: path.to_string(),
-                line: lineno,
-                expected,
-                actual,
-            })
+    // Framing, CRC and the bounded parse are the codec shared with the
+    // wire protocol (the journal record schema *is* the wire format).
+    let refused = |e: CodecError| {
+        let (path, line) = (path.to_string(), lineno);
+        match e {
+            CodecError::Frame(FrameError::Checksum { expected, actual }) => {
+                JournalError::Checksum {
+                    path,
+                    line,
+                    expected,
+                    actual,
+                }
+            }
+            CodecError::Frame(FrameError::Malformed(message)) => JournalError::Malformed {
+                path,
+                line,
+                message,
+            },
+            e => JournalError::Malformed {
+                path,
+                line,
+                message: format!("unparseable record payload: {e}"),
+            },
         }
     };
     // Check the schema version before demanding this version's fields,
     // so a valid record of another generation reports
     // UnsupportedVersion rather than a confusing parse failure.
-    let probe = serde_json::from_str::<VersionProbe>(payload)
-        .map_err(|e| malformed(format!("unparseable record payload: {e}")))?;
-    if probe.version != JOURNAL_VERSION {
+    let VersionProbe { version } = decode_framed(line).map_err(refused)?;
+    if version != JOURNAL_VERSION {
         return Err(JournalError::UnsupportedVersion {
             path: path.to_string(),
             line: lineno,
-            version: probe.version,
+            version,
         });
     }
-    serde_json::from_str::<JournalRecord>(payload)
-        .map_err(|e| malformed(format!("unparseable record payload: {e}")))
+    decode_framed(line).map_err(refused)
 }
 
 /// Load and fully validate a journal: framing, CRC, sequence order,
@@ -266,13 +265,6 @@ pub fn load_journal(
             });
         }
         let rec = parse_line(&shown, i + 1, line)?;
-        if rec.version != JOURNAL_VERSION {
-            return Err(JournalError::UnsupportedVersion {
-                path: shown,
-                line: i + 1,
-                version: rec.version,
-            });
-        }
         if rec.fingerprint != expected_fingerprint {
             return Err(JournalError::FingerprintMismatch {
                 path: shown,
@@ -333,7 +325,7 @@ impl JournalWriter {
     ) -> Result<(Self, Vec<JournalRecord>), JournalError> {
         let path = path.into();
         let records = load_journal(&path, fingerprint)?;
-        let lines = records.iter().map(render_line).collect();
+        let lines = records.iter().map(encode_framed).collect();
         Ok((
             JournalWriter {
                 path,
@@ -363,7 +355,7 @@ impl JournalWriter {
             backend: backend.to_string(),
             answer,
         };
-        self.lines.push(render_line(&rec));
+        self.lines.push(encode_framed(&rec));
         let mut buf = self.lines.join("\n");
         buf.push('\n');
         write_atomic(&self.path, buf.as_bytes())
@@ -388,6 +380,12 @@ impl JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Frame a hand-written payload the way the codec does.
+    fn frame(payload: &str) -> String {
+        let crc = flit_persist::crc32(payload.as_bytes());
+        format!("{{\"crc\":\"{crc:08x}\",\"rec\":{payload}}}")
+    }
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -520,7 +518,7 @@ mod tests {
         let v1_payload = "{\"seq\":0,\"version\":1,\"fingerprint\":3,\
                           \"pair\":\"p\",\"key\":\"k\",\"answer\":\
                           {\"Score\":{\"score_bits\":0,\"seconds_bits\":0}}}";
-        std::fs::write(&p, format!("{}\n", frame_record(v1_payload))).unwrap();
+        std::fs::write(&p, format!("{}\n", frame(v1_payload))).unwrap();
         match load_journal(&p, 3).unwrap_err() {
             JournalError::UnsupportedVersion { line, version, .. } => {
                 assert_eq!((line, version), (1, 1));
@@ -550,7 +548,7 @@ mod tests {
                           \"shard\":7,\"answer\":\
                           {\"Score\":{\"score_bits\":0,\"seconds_bits\":0}}}";
         let mut content = std::fs::read_to_string(&p).unwrap();
-        content.push_str(&frame_record(v3_payload));
+        content.push_str(&frame(v3_payload));
         content.push('\n');
         std::fs::write(&p, content).unwrap();
         match load_journal(&p, 3).unwrap_err() {
@@ -676,7 +674,7 @@ mod tests {
                 seconds_bits: 0,
             },
         };
-        let full = render_line(&rec);
+        let full = encode_framed(&rec);
         for cut in 24..full.len() - 1 {
             let line = format!("{}é", &full[..cut]);
             assert!(!line.is_char_boundary(line.len() - 1));

@@ -417,24 +417,19 @@ fn worker_ctx() -> &'static BuildCtx {
 /// than killing the worker — a malformed frame is a protocol bug the
 /// coordinator should see as a structured search abort, not a hang.
 pub fn evaluate(digest: &str, task_body: &str, spec: &str) -> String {
-    let answer = evaluate_inner(digest, task_body, spec);
+    let answer = evaluate_inner(digest, task_body, spec)
+        .unwrap_or_else(|message| JournalAnswer::Crash { message });
     serde_json::to_string(&answer).expect("wire answer serializes")
 }
 
-fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
+fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> Result<JournalAnswer, String> {
     let cached = {
         let mut tasks = worker_tasks().lock().expect("worker task cache poisoned");
         match tasks.get(digest) {
             Some(t) => Arc::clone(t),
             None => {
-                let task: WireTask = match serde_json::from_str(task_body) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        return JournalAnswer::Crash {
-                            message: format!("worker cannot parse task {digest}: {e}"),
-                        }
-                    }
-                };
+                let task: WireTask = serde_json::from_str(task_body)
+                    .map_err(|e| format!("worker cannot parse task {digest}: {e}"))?;
                 let input = task
                     .input_bits
                     .iter()
@@ -447,14 +442,8 @@ fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
             }
         }
     };
-    let request: WireRequest = match serde_json::from_str(spec) {
-        Ok(r) => r,
-        Err(e) => {
-            return JournalAnswer::Crash {
-                message: format!("worker cannot parse request: {e}"),
-            }
-        }
-    };
+    let request: WireRequest =
+        serde_json::from_str(spec).map_err(|e| format!("worker cannot parse request: {e}"))?;
     let t = &cached.task;
     let baseline = Build::tagged(
         &t.baseline_program,
@@ -474,7 +463,7 @@ fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
         link_driver: t.link_driver,
         ctx: worker_ctx(),
     };
-    match request {
+    Ok(match request {
         WireRequest::Run { recipe } => encode_answer(plane.run_recipe(&recipe)),
         WireRequest::Time {
             recipe,
@@ -485,7 +474,7 @@ fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
                 .time_recipe(&recipe, seed, samples)
                 .map(|s| (s, 0.0f64)),
         ),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -165,7 +165,8 @@ const DEFAULT_LINT_COMPILATION: &str = "g++ -O3 -mavx2 -mfma -funsafe-math-optim
 pub struct InjectArgs {
     /// Application name.
     pub app: String,
-    /// Cap the number of sites (all four OP's still run per site).
+    /// Print the records of the first n sites (the study itself always
+    /// runs every site).
     pub limit: Option<usize>,
 }
 
@@ -386,7 +387,7 @@ USAGE:
   flit perf <app> --pair \"<base>\" \"<candidate>\" [--test <name>] [--samples <n>] [--alpha <a>] [--seed <s>] [--jobs <n>] [--trace <file.jsonl>] [--backend threads|process] [--workers <n>]
   flit bound <app> --pair \"<base>\" \"<candidate>\" [--test <name>] [--trace <file.jsonl>]
   flit lint <app> [--compilation \"<compiler -On [flags]>\"] [--test <name>]
-  flit inject <app> [--limit <n-sites>]
+  flit inject <app> [--limit <n>]
   flit workflow <app> [--max-bisections <n>] [--jobs <n>] [--trace <file.jsonl>] [--lint seed|prune] [--checkpoint <file.jsonl>] [--resume <file.jsonl>] [--backend threads|process] [--workers <n>]
   flit fuzz --seeds <a>..<b> [--budget-secs <n>] [--shrink] [--jobs <n>] [--trace <file.jsonl>] [--backend threads|process]
   flit trace <file.jsonl> [--top <n>]
@@ -401,6 +402,9 @@ The `process` backend evaluates Test/timing queries in `flit worker`
 subprocesses (crash-isolated; results byte-identical to serial).
 `--kill-workers n1,n2,...` installs a deterministic worker-kill
 schedule for recovery testing.
+
+`flit inject --limit n` prints the records of the first n sites; the
+study itself always runs every site.
 
 `flit bound` prints the abstract interpreter's certificates for a
 pair; `flit lint` prints the same tables against the g++ -O0 baseline,
@@ -698,17 +702,17 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                     "`serve --status`/`--shutdown` need --connect <addr>\n\n{USAGE}"
                 )));
             }
-            // Every mode parses (and ignores) the other modes' flags.
             let connect = connect.unwrap_or_default();
-            let daemon = ListenArgs {
-                addr: String::new(),
-                state_dir: f.value("--state-dir"),
-                max_inflight: f.number("--max-inflight")?,
-                exec: f.exec(&["--workers"])?,
-                trace: f.value("--trace"),
-            };
+            // Only `--listen` asks for the daemon's flags, so `finish`
+            // rejects them in the control modes.
             Command::Serve(match listen {
-                Some(addr) => ServeArgs::Listen(ListenArgs { addr, ..daemon }),
+                Some(addr) => ServeArgs::Listen(ListenArgs {
+                    addr,
+                    state_dir: f.value("--state-dir"),
+                    max_inflight: f.number("--max-inflight")?,
+                    exec: f.exec(&["--workers"])?,
+                    trace: f.value("--trace"),
+                }),
                 None if status => ServeArgs::Status { connect },
                 None => ServeArgs::Shutdown { connect },
             })
@@ -1211,6 +1215,18 @@ mod tests {
         assert!(parse(&v(&["serve", "--listen", "127.0.0.1:0", "--status"])).is_err());
         assert!(parse(&v(&["serve", "--status"])).is_err());
         assert!(parse(&v(&["serve", "--shutdown"])).is_err());
+        // Listen-only flags are errors in the control modes.
+        for flag in [
+            "--state-dir",
+            "--max-inflight",
+            "--backend",
+            "--workers",
+            "--trace",
+        ] {
+            let args = ["serve", "--status", "--connect", "x", flag, "1"];
+            let err = parse(&v(&args)).unwrap_err().0;
+            assert!(err.starts_with(&format!("`serve` does not take {flag}\n")));
+        }
         assert!(parse(&v(&[
             "serve",
             "--listen",
@@ -1358,6 +1374,14 @@ mod tests {
             (
                 &["serve", "--status"],
                 with_usage("`serve --status`/`--shutdown` need --connect <addr>"),
+            ),
+            (
+                &["serve", "--status", "--connect", "x", "--trace", "t.jsonl"],
+                with_usage("`serve` does not take --trace"),
+            ),
+            (
+                &["serve", "--shutdown", "--connect", "x", "--state-dir", "d"],
+                with_usage("`serve` does not take --state-dir"),
             ),
             (
                 &["submit", "laghos", "--connect", "x"],

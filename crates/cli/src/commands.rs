@@ -554,8 +554,6 @@ fn cmd_inject(args: &InjectArgs) -> Result<String, ParseError> {
             app.name
         )));
     }
-    // Respect the limit by truncating the program's site list via a
-    // filtered study: simplest is to run the full study when no limit.
     let test = &app.tests[0];
     let cfg = StudyConfig {
         compilation: Compilation::perf_reference(),
@@ -572,7 +570,7 @@ fn cmd_inject(args: &InjectArgs) -> Result<String, ParseError> {
         summary.total
     );
     if let Some(n) = args.limit {
-        out.push_str(&format!("first {n} records:\n"));
+        out.push_str(&format!("records of the first {n} sites:\n"));
         for r in records.iter().take(n * 4) {
             out.push_str(&format!(
                 "  {}#{} {:?} eps={:.3} -> {:?} ({} runs)\n",

@@ -8,6 +8,7 @@
 //! [`render_workflow_report`] renderer — which is what makes a daemon
 //! submission byte-identical to a serial `flit workflow` run.
 
+use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,7 +105,13 @@ pub fn run_serve(args: &ListenArgs) -> Result<String, ParseError> {
     let trace = TraceSink::enabled();
     let backend = args.exec.remote(&trace)?;
 
-    println!("flit-serve listening on {addr}");
+    // Scripts read `serve.addr`; a closed stdout is no reason to stop.
+    match writeln!(std::io::stdout().lock(), "flit-serve listening on {addr}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            return Err(ParseError(format!("cannot announce the address: {e}")));
+        }
+        _ => {}
+    }
     let cfg = ServeConfig {
         state_dir,
         max_inflight: args.max_inflight.unwrap_or(2).max(1),

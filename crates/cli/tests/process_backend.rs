@@ -351,3 +351,30 @@ fn fuzz_corpus_seeds_cross_check_the_process_backend() {
         .expect("summary reports process checks");
     assert!(checks > 0, "at least one seed must cross-check: {out}");
 }
+
+#[test]
+fn a_deeply_nested_frame_is_a_bad_message_not_an_abort() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let depth = 200_000;
+    let payload = "[".repeat(depth) + &"]".repeat(depth);
+    let crc = flit_persist::crc32(payload.as_bytes());
+    let line = format!("{{\"crc\":\"{crc:08x}\",\"rec\":{payload}}}\n");
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_flit"))
+        .arg("worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    // The worker may exit before reading everything; a broken pipe
+    // here is fine.
+    let _ = worker.stdin.take().unwrap().write_all(line.as_bytes());
+    let out = worker.wait_with_output().expect("worker exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}\n{stderr}", out.status);
+    assert!(
+        stderr.contains("bad message: recursion limit exceeded"),
+        "{stderr}"
+    );
+}

@@ -350,7 +350,7 @@ fn an_overlong_request_frame_is_refused_and_the_daemon_survives() {
     let mut reader = std::io::BufReader::new(&stream);
     std::io::BufRead::read_line(&mut reader, &mut reply).expect("daemon answers within 10 s");
     let response: flit_serve::protocol::Response =
-        flit_serve::protocol::read_frame(&mut reply.as_bytes())
+        flit_persist::read_framed(reply.as_bytes(), u64::MAX)
             .expect("a well-formed frame")
             .expect("a response");
     match response {
@@ -365,6 +365,65 @@ fn an_overlong_request_frame_is_refused_and_the_daemon_survives() {
     assert!(rest.is_empty(), "nothing follows the refusal");
 
     // The daemon still serves other clients.
+    let status = flit(&["serve", "--status", "--connect", &addr]);
+    assert_eq!(fleet_executed(&status), 0, "{status}");
+    shutdown_daemon(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame around `payload` with a valid CRC.
+fn frame(payload: &str) -> String {
+    let crc = flit_persist::crc32(payload.as_bytes());
+    format!("{{\"crc\":\"{crc:08x}\",\"rec\":{payload}}}\n")
+}
+
+/// Send raw bytes as a request (`None`: send nothing) and read the
+/// daemon's one-line answer.
+fn raw_exchange(addr: &str, request: Option<&[u8]>) -> flit_serve::protocol::Response {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr).expect("daemon accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    if let Some(bytes) = request {
+        stream.write_all(bytes).expect("daemon reads");
+    }
+    flit_persist::read_framed(std::io::BufReader::new(&stream), u64::MAX)
+        .expect("a well-formed frame")
+        .expect("a response")
+}
+
+#[test]
+fn a_deeply_nested_request_is_refused_and_the_daemon_survives() {
+    let dir = state_dir("deep");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let depth = 10_000;
+    let request = frame(&("[".repeat(depth) + &"]".repeat(depth)));
+    assert!((request.len() as u64) < flit_serve::protocol::MAX_REQUEST_FRAME);
+    match raw_exchange(&addr, Some(request.as_bytes())) {
+        flit_serve::protocol::Response::Error { message } => {
+            assert!(message.contains("recursion limit exceeded"), "{message}");
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    let status = flit(&["serve", "--status", "--connect", &addr]);
+    assert_eq!(fleet_executed(&status), 0, "{status}");
+    shutdown_daemon(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_silent_client_is_refused_at_the_request_deadline() {
+    let dir = state_dir("silent");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let started = Instant::now();
+    match raw_exchange(&addr, None) {
+        flit_serve::protocol::Response::Error { message } => {
+            assert_eq!(message, "no request within 5 s");
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    assert!(started.elapsed() >= flit_serve::protocol::REQUEST_DEADLINE);
     let status = flit(&["serve", "--status", "--connect", &addr]);
     assert_eq!(fleet_executed(&status), 0, "{status}");
     shutdown_daemon(child, &addr);

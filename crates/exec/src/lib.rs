@@ -31,4 +31,4 @@ pub mod process;
 pub use backend::{run_on, AnswerEnvelope, ExecBackend, QueryEnvelope, ThreadsBackend};
 pub use executor::{ExecError, Executor};
 pub use memo::SingleFlight;
-pub use process::{serve_worker, ProcessBackend, WORKER_EXIT_AFTER_ENV};
+pub use process::{serve_worker, ProcessBackend, MAX_WIRE_FRAME, WORKER_EXIT_AFTER_ENV};

@@ -3,9 +3,10 @@
 //!
 //! ## Wire protocol
 //!
-//! One CRC'd frame per line, using the checkpoint journal's framing
-//! (see [`flit_persist::frame_record`]): the journal record schema is
-//! the wire format. Coordinator → worker messages are [`ToWorker`]
+//! One CRC'd frame per line of at most [`MAX_WIRE_FRAME`] bytes in
+//! either direction, through the [`flit_persist`] framed codec the
+//! checkpoint journal uses: the journal record schema is the wire
+//! format. Coordinator → worker messages are [`ToWorker`]
 //! (`Task` registers a search task body once per worker, `Query` asks
 //! for one evaluation); worker → coordinator messages are
 //! [`FromWorker::Answer`], whose payload is a serialized
@@ -40,7 +41,7 @@ use std::sync::{Condvar, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use flit_persist::{frame_record, unframe_record};
+use flit_persist::{read_framed, write_framed, CodecError};
 use flit_trace::names::counter;
 use flit_trace::sink::TraceSink;
 
@@ -50,6 +51,14 @@ use crate::executor::{ExecError, Executor};
 /// Environment variable holding a worker's scheduled exit point: the
 /// worker exits right before sending its `n`-th answer.
 pub const WORKER_EXIT_AFTER_ENV: &str = "FLIT_WORKER_EXIT_AFTER";
+
+/// Largest frame either side of the worker pipe reads, newline
+/// included (64 MiB). The largest real message is a `ToWorker::Task`:
+/// framing the search task of every bundled app test (mfem's 19,
+/// laghos, laghos-xsw, lulesh) gave at most 1,258,652 bytes (mfem
+/// ex08: a 1,092,518-byte task body nested 8 deep), so the cap leaves
+/// a ~50x margin.
+pub const MAX_WIRE_FRAME: u64 = 64 * 1024 * 1024;
 
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,21 +106,18 @@ pub enum FromWorker {
 /// tasks) are returned as `Err`; the coordinator observes the broken
 /// pipe and treats the worker as dead.
 pub fn serve_worker(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     exit_after: Option<u64>,
     mut eval: impl FnMut(&str, &str, &str) -> String,
 ) -> std::io::Result<()> {
+    let invalid = |message| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
     let mut tasks: HashMap<String, String> = HashMap::new();
     let mut served: u64 = 0;
-    for line in input.lines() {
-        let line = line?;
-        let payload = unframe_record(&line).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}"))
-        })?;
-        let msg: ToWorker = serde_json::from_str(payload).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad message: {e}"))
-        })?;
+    while let Some(msg) = read_framed(&mut input, MAX_WIRE_FRAME).map_err(|e| match e {
+        CodecError::Parse(e) => invalid(format!("bad message: {e}")),
+        e => e.into(),
+    })? {
         match msg {
             ToWorker::Task { digest, body } => {
                 tasks.insert(digest, body);
@@ -123,16 +129,10 @@ pub fn serve_worker(
                     return Ok(());
                 }
                 let body = tasks.get(&digest).ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("query {id} references unregistered task {digest}"),
-                    )
+                    invalid(format!("query {id} references unregistered task {digest}"))
                 })?;
                 let payload = eval(&digest, body, &spec);
-                let answer = serde_json::to_string(&FromWorker::Answer { id, payload })
-                    .expect("answer message serializes");
-                writeln!(output, "{}", frame_record(&answer))?;
-                output.flush()?;
+                write_framed(&mut output, &FromWorker::Answer { id, payload })?;
                 served += 1;
             }
         }
@@ -322,41 +322,31 @@ impl ProcessBackend {
     /// the worker is unusable and the query is still unanswered.
     fn exchange(&self, worker: &mut Worker, query: &QueryEnvelope) -> Result<String, String> {
         if !worker.seen_tasks.contains(&query.task_digest) {
-            let task = serde_json::to_string(&ToWorker::Task {
+            let task = ToWorker::Task {
                 digest: query.task_digest.clone(),
                 body: query.task.clone(),
-            })
-            .expect("task message serializes");
-            writeln!(worker.stdin, "{}", frame_record(&task))
+            };
+            write_framed(&mut worker.stdin, &task)
                 .map_err(|e| format!("worker rejected task registration: {e}"))?;
             worker.seen_tasks.insert(query.task_digest.clone());
         }
         let id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let msg = serde_json::to_string(&ToWorker::Query {
+        let msg = ToWorker::Query {
             id,
             digest: query.task_digest.clone(),
             spec: query.spec.clone(),
-        })
-        .expect("query message serializes");
-        writeln!(worker.stdin, "{}", frame_record(&msg))
+        };
+        write_framed(&mut worker.stdin, &msg)
             .map_err(|e| format!("worker rejected query {id}: {e}"))?;
-        worker
-            .stdin
-            .flush()
-            .map_err(|e| format!("worker pipe flush failed: {e}"))?;
 
-        let mut line = String::new();
-        let n = worker
-            .stdout
-            .read_line(&mut line)
-            .map_err(|e| format!("reading answer to query {id} failed: {e}"))?;
-        if n == 0 {
+        let answer = read_framed(&mut worker.stdout, MAX_WIRE_FRAME).map_err(|e| match e {
+            CodecError::Io(e) => format!("reading answer to query {id} failed: {e}"),
+            CodecError::Frame(e) => format!("corrupt answer frame for query {id}: {e}"),
+            e => format!("unparseable answer for query {id}: {e}"),
+        })?;
+        let Some(FromWorker::Answer { id: got, payload }) = answer else {
             return Err(format!("worker died with query {id} in flight"));
-        }
-        let payload = unframe_record(line.trim_end_matches('\n'))
-            .map_err(|e| format!("corrupt answer frame for query {id}: {e}"))?;
-        let FromWorker::Answer { id: got, payload } = serde_json::from_str(payload)
-            .map_err(|e| format!("unparseable answer for query {id}: {e}"))?;
+        };
         if got != id {
             return Err(format!("answer id {got} does not match query id {id}"));
         }
@@ -458,6 +448,7 @@ impl std::fmt::Debug for ProcessBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flit_persist::{decode_framed, encode_framed};
 
     #[test]
     fn protocol_messages_round_trip_framed() {
@@ -473,25 +464,21 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let line = frame_record(&serde_json::to_string(&msg).unwrap());
-            let back: ToWorker = serde_json::from_str(unframe_record(&line).unwrap()).unwrap();
-            assert_eq!(back, msg);
+            let line = encode_framed(&msg);
+            assert_eq!(decode_framed::<ToWorker>(&line).unwrap(), msg);
         }
         let ans = FromWorker::Answer {
             id: 7,
             payload: "{\"Crash\":{\"message\":\"segv\"}}".into(),
         };
-        let line = frame_record(&serde_json::to_string(&ans).unwrap());
-        let back: FromWorker = serde_json::from_str(unframe_record(&line).unwrap()).unwrap();
-        assert_eq!(back, ans);
+        let line = encode_framed(&ans);
+        assert_eq!(decode_framed::<FromWorker>(&line).unwrap(), ans);
     }
 
     #[test]
     fn serve_worker_registers_tasks_and_answers_queries() {
         let send = |msgs: &[ToWorker]| -> String {
-            msgs.iter()
-                .map(|m| frame_record(&serde_json::to_string(m).unwrap()) + "\n")
-                .collect()
+            msgs.iter().map(|m| encode_framed(m) + "\n").collect()
         };
         let input = send(&[
             ToWorker::Task {
@@ -517,7 +504,7 @@ mod tests {
         let answers: Vec<FromWorker> = String::from_utf8(out)
             .unwrap()
             .lines()
-            .map(|l| serde_json::from_str(unframe_record(l).unwrap()).unwrap())
+            .map(|l| decode_framed(l).unwrap())
             .collect();
         assert_eq!(
             answers,
@@ -537,9 +524,7 @@ mod tests {
     #[test]
     fn serve_worker_honors_its_scheduled_exit() {
         let send = |msgs: &[ToWorker]| -> String {
-            msgs.iter()
-                .map(|m| frame_record(&serde_json::to_string(m).unwrap()) + "\n")
-                .collect()
+            msgs.iter().map(|m| encode_framed(m) + "\n").collect()
         };
         let input = send(&[
             ToWorker::Task {
@@ -576,14 +561,11 @@ mod tests {
 
     #[test]
     fn serve_worker_rejects_unregistered_tasks_and_bad_frames() {
-        let query = frame_record(
-            &serde_json::to_string(&ToWorker::Query {
-                id: 0,
-                digest: "nope".into(),
-                spec: "S".into(),
-            })
-            .unwrap(),
-        ) + "\n";
+        let query = encode_framed(&ToWorker::Query {
+            id: 0,
+            digest: "nope".into(),
+            spec: "S".into(),
+        }) + "\n";
         let mut out = Vec::new();
         let err =
             serve_worker(query.as_bytes(), &mut out, None, |_, _, s| s.to_string()).unwrap_err();

@@ -1,6 +1,7 @@
 //! Durability helpers shared by the checkpoint journal and the trace
-//! exporter: atomic file writes, CRC32 record checksums, and FNV-128
-//! content digests.
+//! exporter: atomic file writes, CRC32 record checksums, FNV-128
+//! content digests, and the framed codec every external byte path
+//! (journal, `flit worker` pipe, `flit-serve` socket) decodes through.
 //!
 //! The atomic write contract is the load-bearing piece: a reader that
 //! opens the target path observes either the previous complete payload
@@ -9,9 +10,11 @@
 //! rather than an innocent crash artifact.
 
 use std::fs;
-use std::io::Write;
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use serde::{Deserialize, Serialize};
 
 /// Write `bytes` to `path` atomically: write a uniquely-named temp file
 /// in the same directory, flush it, then `rename` it over the target.
@@ -130,43 +133,111 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Frame one record payload as a single CRC'd line:
-/// `{"crc":"<8 hex>","rec":<payload>}`. This is both the checkpoint
-/// journal's record format and the coordinator/worker wire format —
-/// one framing, one validator.
-pub fn frame_record(payload: &str) -> String {
+/// Why a framed message could not be read or decoded.
+#[derive(Debug)]
+pub enum CodecError {
+    /// The line (newline included) is longer than the reader's cap.
+    TooLong {
+        /// The cap, in bytes.
+        cap: u64,
+    },
+    /// The framing or the CRC is wrong.
+    Frame(FrameError),
+    /// The payload is not UTF-8, or not JSON of the expected type
+    /// (including JSON nested deeper than 128 levels).
+    Parse(String),
+    /// The reader failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::TooLong { cap } => write!(f, "frame exceeds the {cap}-byte cap"),
+            CodecError::Frame(e) => write!(f, "bad frame: {e}"),
+            CodecError::Parse(message) => write!(f, "{message}"),
+            CodecError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+impl From<CodecError> for std::io::Error {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
+/// Encode one message as a single CRC-framed line (no newline):
+/// `{"crc":"<8 hex>","rec":<JSON>}`. This is the checkpoint journal's
+/// record format, the coordinator/worker wire format and the serve
+/// protocol's — one framing, one validator.
+pub fn encode_framed<T: Serialize>(value: &T) -> String {
+    let payload = serde_json::to_string(value).expect("framed messages serialize");
     format!(
         "{{\"crc\":\"{:08x}\",\"rec\":{payload}}}",
         crc32(payload.as_bytes())
     )
 }
 
-/// Open one framed line: validate the framing and the CRC, and return
-/// the payload slice. All framing is ASCII, so the fixed byte offsets
+/// Write one framed message line and flush.
+pub fn write_framed<T: Serialize>(mut w: impl Write, value: &T) -> std::io::Result<()> {
+    let mut line = encode_framed(value);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
+/// Read one framed message line of at most `cap` bytes, newline
+/// included; `Ok(None)` on a clean EOF. The read goes through
+/// `take(cap + 1)`, so a longer line never grows the line buffer past
+/// the cap.
+pub fn read_framed<T: Deserialize>(mut r: impl BufRead, cap: u64) -> Result<Option<T>, CodecError> {
+    let mut line = Vec::new();
+    let read = r
+        .by_ref()
+        .take(cap.saturating_add(1))
+        .read_until(b'\n', &mut line)
+        .map_err(CodecError::Io)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if read as u64 > cap {
+        return Err(CodecError::TooLong { cap });
+    }
+    let line = String::from_utf8(line).map_err(|e| CodecError::Parse(e.to_string()))?;
+    decode_framed(line.trim_end_matches(['\n', '\r'])).map(Some)
+}
+
+/// Decode one framed line (without its newline): framing, CRC, then
+/// the JSON parse. All framing is ASCII, so the fixed byte offsets
 /// below are char boundaries in any well-formed line; `get` keeps
 /// corrupted lines from turning into panics.
-pub fn unframe_record(line: &str) -> Result<&str, FrameError> {
+pub fn decode_framed<T: Deserialize>(line: &str) -> Result<T, CodecError> {
+    let malformed = |message: String| CodecError::Frame(FrameError::Malformed(message));
     let (Some("{\"crc\":\""), Some(crc_hex), Some("\",\"rec\":")) =
         (line.get(..8), line.get(8..16), line.get(16..24))
     else {
-        return Err(FrameError::Malformed(
-            "missing `crc`/`rec` framing".to_string(),
-        ));
+        return Err(malformed("missing `crc`/`rec` framing".to_string()));
     };
     let expected = u32::from_str_radix(crc_hex, 16)
-        .map_err(|_| FrameError::Malformed(format!("`{crc_hex}` is not a CRC32 in hex")))?;
+        .map_err(|_| malformed(format!("`{crc_hex}` is not a CRC32 in hex")))?;
     let payload = line
         .get(24..line.len() - 1)
         .filter(|_| line.ends_with('}') && line.len() > 25)
-        .ok_or_else(|| FrameError::Malformed("record truncated mid-payload".to_string()))?;
+        .ok_or_else(|| malformed("record truncated mid-payload".to_string()))?;
     let actual = crc32(payload.as_bytes());
     if actual != expected {
-        return Err(FrameError::Checksum {
+        return Err(CodecError::Frame(FrameError::Checksum {
             expected: format!("{expected:08x}"),
             actual: format!("{actual:08x}"),
-        });
+        }));
     }
-    Ok(payload)
+    serde_json::from_str(payload).map_err(|e| CodecError::Parse(e.to_string()))
 }
 
 /// FNV-1a 128-bit digest of `bytes`, rendered as 32 lowercase hex
@@ -257,37 +328,113 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// A frame around a hand-written payload.
+    fn frame(payload: &str) -> String {
+        let crc = crc32(payload.as_bytes());
+        format!("{{\"crc\":\"{crc:08x}\",\"rec\":{payload}}}")
+    }
+
     #[test]
     fn frame_round_trips_and_validates() {
-        let payload = r#"{"answer":42,"text":"é\n"}"#;
-        let line = frame_record(payload);
+        let value = ("é\n".to_string(), 42u32);
+        let line = encode_framed(&value);
         assert!(line.starts_with("{\"crc\":\""));
-        assert_eq!(unframe_record(&line).unwrap(), payload);
+        assert_eq!(line, frame(r#"["é\n",42]"#));
+        assert_eq!(decode_framed::<(String, u32)>(&line).unwrap(), value);
     }
 
     #[test]
     fn unframe_rejects_corruption_structurally() {
-        let line = frame_record("{\"k\":1}");
+        let line = encode_framed(&vec![1u32]);
+        let frame_error = |line: &str| match decode_framed::<Vec<u32>>(line) {
+            Err(CodecError::Frame(e)) => e,
+            other => panic!("expected a frame error, got {other:?}"),
+        };
         // Flipped payload byte → checksum error, with both CRCs shown.
-        let bad = line.replace("\"k\":1", "\"k\":2");
-        match unframe_record(&bad).unwrap_err() {
+        match frame_error(&line.replace("[1]", "[2]")) {
             FrameError::Checksum { expected, actual } => assert_ne!(expected, actual),
             other => panic!("expected Checksum, got {other:?}"),
         }
         // Truncations at every offset are Malformed or Checksum, never
         // a panic, and never accepted.
         for cut in 0..line.len() {
-            assert!(unframe_record(&line[..cut]).is_err(), "cut {cut}");
+            frame_error(&line[..cut]);
         }
         // Garbage framing.
-        match unframe_record("not a frame").unwrap_err() {
+        match frame_error("not a frame") {
             FrameError::Malformed(m) => assert!(m.contains("framing"), "{m}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
-        match unframe_record("{\"crc\":\"zzzzzzzz\",\"rec\":{}}").unwrap_err() {
+        match frame_error("{\"crc\":\"zzzzzzzz\",\"rec\":{}}") {
             FrameError::Malformed(m) => assert!(m.contains("CRC32"), "{m}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn codec_round_trips_message_streams() {
+        let msgs = vec![vec!["a".to_string()], vec![], vec!["é\n\"".to_string(); 3]];
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_framed(&mut wire, m).unwrap();
+        }
+        let text = String::from_utf8(wire.clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], encode_framed(&msgs[0]));
+        assert_eq!(decode_framed::<Vec<String>>(lines[2]).unwrap(), msgs[2]);
+        let mut r = &wire[..];
+        for m in &msgs {
+            assert_eq!(
+                read_framed::<Vec<String>>(&mut r, 1024).unwrap().as_ref(),
+                Some(m)
+            );
+        }
+        // A clean EOF is None, not an error.
+        assert!(read_framed::<Vec<String>>(&mut r, 1024).unwrap().is_none());
+    }
+
+    #[test]
+    fn codec_errors_are_typed_and_name_the_cap() {
+        let mut wire = Vec::new();
+        write_framed(&mut wire, &vec![7u32; 10]).unwrap();
+        let fits = wire.len() as u64;
+        assert!(read_framed::<Vec<u32>>(&wire[..], fits).unwrap().is_some());
+        // One byte past the cap: refused by name, and the reader stops
+        // after cap + 1 bytes.
+        let mut r = &wire[..];
+        let err = read_framed::<Vec<u32>>(&mut r, fits - 1).unwrap_err();
+        assert!(matches!(err, CodecError::TooLong { cap } if cap == fits - 1));
+        assert_eq!(
+            err.to_string(),
+            format!("frame exceeds the {}-byte cap", fits - 1)
+        );
+        assert!(r.is_empty());
+        // CRC, shape, UTF-8 and nesting failures.
+        let flipped = String::from_utf8(wire.clone())
+            .unwrap()
+            .replace("[7,", "[8,");
+        let err = read_framed::<Vec<u32>>(flipped.as_bytes(), fits).unwrap_err();
+        assert!(
+            matches!(err, CodecError::Frame(FrameError::Checksum { .. })),
+            "{err}"
+        );
+        assert!(
+            err.to_string().starts_with("bad frame: CRC mismatch"),
+            "{err}"
+        );
+        let err = decode_framed::<String>(&encode_framed(&vec![1u32])).unwrap_err();
+        assert!(matches!(err, CodecError::Parse(_)), "{err}");
+        let err = read_framed::<u32>(&[0xff, b'\n'][..], 16).unwrap_err();
+        assert!(matches!(err, CodecError::Parse(_)), "{err}");
+        let deep = "[".repeat(100_000);
+        let err = decode_framed::<u32>(&frame(&deep)).unwrap_err();
+        assert!(
+            err.to_string().starts_with("recursion limit exceeded"),
+            "{err}"
+        );
+        // Every codec error surfaces as InvalidData on an io path.
+        let io: std::io::Error = err.into();
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -407,11 +554,7 @@ mod tests {
         let p = dir.join("journal.jsonl");
         let checkpoint = |writer: usize| -> String {
             (0..64)
-                .map(|seq| {
-                    frame_record(&format!(
-                        "{{\"writer\":{writer},\"seq\":{seq},\"answer\":\"score {seq}\"}}"
-                    )) + "\n"
-                })
+                .map(|seq| encode_framed(&(writer, seq, format!("score {seq}"))) + "\n")
                 .collect()
         };
         let checkpoints: Vec<String> = (0..4).map(checkpoint).collect();
@@ -430,11 +573,12 @@ mod tests {
             "survivor is not any single writer's complete output ({} bytes)",
             survivor.len()
         );
-        let writers: std::collections::BTreeSet<&str> = survivor
+        let writers: std::collections::BTreeSet<usize> = survivor
             .lines()
             .map(|line| {
-                let payload = unframe_record(line).expect("every surviving record is CRC-valid");
-                &payload[..payload.find(",\"seq\"").unwrap()]
+                decode_framed::<(usize, usize, String)>(line)
+                    .expect("every surviving record is CRC-valid")
+                    .0
             })
             .collect();
         assert_eq!(writers.len(), 1, "records from two writers interleaved");

@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,15 +27,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use flit_bisect::journal::JournalWriter;
 use flit_bisect::ledger::QueryLedger;
 use flit_exec::ExecBackend;
-use flit_persist::tenant_journal_path;
+use flit_persist::{read_framed, tenant_journal_path, write_framed, CodecError};
 use flit_report::stats::t_confidence_interval;
 use flit_trace::names::{counter as counter_names, phase};
 use flit_trace::registry::Counter;
 use flit_trace::sink::TraceSink;
 
 use crate::protocol::{
-    read_frame_within, write_frame, FleetStats, LatencySummary, Request, Response, StatusReport,
-    MAX_REQUEST_FRAME, PROTOCOL_VERSION,
+    FleetStats, LatencySummary, Request, Response, StatusReport, MAX_REQUEST_FRAME,
+    PROTOCOL_VERSION, REQUEST_DEADLINE,
 };
 use crate::sched::FairQueue;
 
@@ -432,36 +433,26 @@ impl Inner {
     }
 
     fn handle_connection(&self, stream: TcpStream) {
-        let Ok(writer_stream) = stream.try_clone() else {
-            return;
+        let reply = |response: &Response| {
+            let _ = write_framed(&stream, response);
         };
-        let mut writer = writer_stream;
-        let mut reader = BufReader::new(stream);
-        let request: Request = match read_frame_within(&mut reader, MAX_REQUEST_FRAME) {
+        let refuse = |message: String| reply(&Response::Error { message });
+        let _ = stream.set_read_timeout(Some(REQUEST_DEADLINE));
+        let request: Request = match read_framed(BufReader::new(&stream), MAX_REQUEST_FRAME) {
             Ok(Some(req)) => req,
             Ok(None) => return,
-            Err(e) => {
-                let _ = write_frame(
-                    &mut writer,
-                    &Response::Error {
-                        message: format!("unreadable request: {e}"),
-                    },
-                );
-                return;
+            Err(CodecError::Io(e)) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                let secs = REQUEST_DEADLINE.as_secs();
+                return refuse(format!("no request within {secs} s"));
             }
+            Err(e) => return refuse(format!("unreadable request: {e}")),
         };
         if request.version() != PROTOCOL_VERSION {
-            let _ = write_frame(
-                &mut writer,
-                &Response::Error {
-                    message: format!(
-                        "protocol version mismatch: client speaks {}, daemon speaks {}",
-                        request.version(),
-                        PROTOCOL_VERSION
-                    ),
-                },
-            );
-            return;
+            return refuse(format!(
+                "protocol version mismatch: client speaks {}, daemon speaks {}",
+                request.version(),
+                PROTOCOL_VERSION
+            ));
         }
         let response = match request {
             Request::Submit {
@@ -471,13 +462,13 @@ impl Inner {
                 jobs,
                 ..
             } => {
-                let reply = self.handle_submit(JobRequest {
+                let outcome = self.handle_submit(JobRequest {
                     tenant: tenant.clone(),
                     app,
                     max_bisections,
                     jobs,
                 });
-                match reply {
+                match outcome {
                     Ok(outcome) => Response::Report {
                         tenant,
                         body: outcome.body,
@@ -493,19 +484,16 @@ impl Inner {
             Request::Shutdown { .. } => {
                 self.drain();
                 self.stop_accepting.store(true, Ordering::SeqCst);
-                let _ = write_frame(
-                    &mut writer,
-                    &Response::ShutdownAck {
-                        completed: self.completed.load(Ordering::Relaxed),
-                    },
-                );
+                reply(&Response::ShutdownAck {
+                    completed: self.completed.load(Ordering::Relaxed),
+                });
                 // The acceptor only rechecks the stop flag when a
                 // connection arrives; hand it one.
                 wake_acceptor(self.local_addr);
                 return;
             }
         };
-        let _ = write_frame(&mut writer, &response);
+        reply(&response);
     }
 }
 

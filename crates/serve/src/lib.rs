@@ -6,7 +6,7 @@
 //! bisects its applications. This crate is that service layer:
 //!
 //! - **Protocol** ([`protocol`]): one CRC-framed JSON line per message
-//!   over TCP — the same [`flit_persist::frame_record`] framing the
+//!   over TCP — the same bounded [`flit_persist::read_framed`] codec the
 //!   checkpoint journal and the coordinator/worker wire use, with an
 //!   explicit schema version on every request.
 //! - **Scheduling** ([`sched`]): admission control (bounded queue) plus

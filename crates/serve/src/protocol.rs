@@ -1,10 +1,10 @@
 //! The serve wire protocol: one CRC-framed JSON line per message.
 //!
-//! Requests and responses travel as single lines framed by
-//! [`flit_persist::frame_record`] — the exact framing (and validator)
-//! used by the checkpoint journal and the coordinator/worker wire, so
-//! there is one frame format in the workspace and one place it is
-//! checked.
+//! Requests and responses travel as single lines through the
+//! [`flit_persist`] framed codec ([`write_framed`]/[`read_framed`]) —
+//! the exact framing, byte cap and bounded JSON parse used by the
+//! checkpoint journal and the coordinator/worker wire, so there is one
+//! frame format in the workspace and one place it is checked.
 //!
 //! **Schema-version rule:** every request carries
 //! [`PROTOCOL_VERSION`]. The daemon rejects a version it does not know
@@ -13,12 +13,12 @@
 //! version field. Bump the constant whenever a request or response
 //! variant changes shape; never reinterpret an old number.
 
-use std::io::{BufRead, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use flit_persist::{frame_record, unframe_record};
+use flit_persist::{read_framed, write_framed};
 
 /// The protocol schema version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -27,6 +27,11 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// A client that sends more without a newline is refused instead of
 /// growing the daemon's memory.
 pub const MAX_REQUEST_FRAME: u64 = 64 * 1024;
+
+/// How long each read of a connected client's request may block. A
+/// client that sends nothing in time is refused, so it cannot hold its
+/// connection thread forever.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Client → daemon messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,53 +157,13 @@ pub struct StatusReport {
     pub latency: Option<LatencySummary>,
 }
 
-/// Write one framed message line.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, value: &T) -> std::io::Result<()> {
-    let payload = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(w, "{}", frame_record(&payload))?;
-    w.flush()
-}
-
-/// Read one framed message line; `Ok(None)` on a clean EOF. A corrupt
-/// frame or an unknown message shape is `InvalidData`, never a panic.
-pub fn read_frame<T: serde::Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
-    read_frame_within(r, u64::MAX)
-}
-
-/// [`read_frame`] that reads at most `cap` bytes of the line: a longer
-/// line is `InvalidData` naming the cap, and its excess is never
-/// buffered.
-pub(crate) fn read_frame_within<T: serde::Deserialize>(
-    r: &mut impl BufRead,
-    cap: u64,
-) -> std::io::Result<Option<T>> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut line = Vec::new();
-    if r.by_ref()
-        .take(cap.saturating_add(1))
-        .read_until(b'\n', &mut line)?
-        == 0
-    {
-        return Ok(None);
-    }
-    if line.len() as u64 > cap {
-        return Err(invalid(format!("frame exceeds the {cap}-byte cap")));
-    }
-    let line = String::from_utf8(line).map_err(|e| invalid(e.to_string()))?;
-    let payload = unframe_record(line.trim_end_matches(['\n', '\r']))
-        .map_err(|e| invalid(format!("bad frame: {e}")))?;
-    let value = serde_json::from_str(payload).map_err(|e| invalid(e.to_string()))?;
-    Ok(Some(value))
-}
-
 /// One request/response exchange with a daemon at `addr`.
 pub fn roundtrip(addr: impl ToSocketAddrs, request: &Request) -> std::io::Result<Response> {
     let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    write_frame(&mut writer, request)?;
-    let mut reader = std::io::BufReader::new(stream);
-    read_frame(&mut reader)?.ok_or_else(|| {
+    write_framed(&stream, request)?;
+    // A response carries at most one rendered workflow report; the
+    // worker wire's cap bounds it with wide margin.
+    read_framed(std::io::BufReader::new(stream), flit_exec::MAX_WIRE_FRAME)?.ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "daemon closed the connection without responding",
@@ -260,12 +225,10 @@ mod tests {
             jobs: None,
         };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
+        write_framed(&mut buf, &req).unwrap();
         let line = String::from_utf8(buf.clone()).unwrap();
         assert!(line.starts_with("{\"crc\":\""), "framed: {line}");
-        let back: Request = read_frame(&mut std::io::BufReader::new(&buf[..]))
-            .unwrap()
-            .unwrap();
+        let back: Request = read_framed(&buf[..], MAX_REQUEST_FRAME).unwrap().unwrap();
         assert_eq!(back, req);
         assert_eq!(back.version(), PROTOCOL_VERSION);
 
@@ -290,56 +253,8 @@ mod tests {
             }),
         });
         let mut buf = Vec::new();
-        write_frame(&mut buf, &resp).unwrap();
-        let back: Response = read_frame(&mut std::io::BufReader::new(&buf[..]))
-            .unwrap()
-            .unwrap();
+        write_framed(&mut buf, &resp).unwrap();
+        let back: Response = read_framed(&buf[..], MAX_REQUEST_FRAME).unwrap().unwrap();
         assert_eq!(back, resp);
-    }
-
-    #[test]
-    fn corrupt_frames_are_structured_errors() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Status { version: 1 }).unwrap();
-        // Flip one payload byte: CRC validation rejects the line.
-        let corrupted = String::from_utf8(buf).unwrap().replace("Status", "STATUS");
-        let err =
-            read_frame::<Request>(&mut std::io::BufReader::new(corrupted.as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // Clean EOF is None, not an error.
-        assert!(
-            read_frame::<Request>(&mut std::io::BufReader::new(&b""[..]))
-                .unwrap()
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn capped_read_refuses_an_overlong_frame_by_name() {
-        let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Request::Status {
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .unwrap();
-        let fits = buf.len() as u64;
-        let back: Request = read_frame_within(&mut std::io::BufReader::new(&buf[..]), fits)
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            back,
-            Request::Status {
-                version: PROTOCOL_VERSION
-            }
-        );
-        let err = read_frame_within::<Request>(&mut std::io::BufReader::new(&buf[..]), fits - 1)
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains(&format!("{}-byte cap", fits - 1)),
-            "{err}"
-        );
     }
 }

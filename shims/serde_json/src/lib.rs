@@ -6,7 +6,9 @@
 //! `float_roundtrip` behavior closely enough for this workspace's
 //! bit-identical round-trip tests (every emitted float re-parses to the
 //! same bits). Non-finite floats render as `null`, as real serde_json
-//! does.
+//! does. Like real serde_json, the parser refuses input nested deeper
+//! than 128 arrays/objects with an error instead of exhausting the
+//! stack.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -43,11 +45,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts (real
+/// serde_json's default).
+const RECURSION_LIMIT: usize = 128;
+
 /// Deserialize a value from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -156,6 +163,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,8 +210,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error(format!(
                 "unexpected `{}` at offset {}",
@@ -210,6 +219,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error("unexpected end of JSON input".to_string())),
         }
+    }
+
+    /// Parse one array or object, refusing to open more than
+    /// [`RECURSION_LIMIT`] at once.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -429,5 +453,37 @@ mod tests {
         assert!(from_str::<bool>("tru").is_err());
         assert!(from_str::<Vec<u32>>("[1, 2").is_err());
         assert!(from_str::<u32>("1 trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        #[derive(Debug)]
+        struct Any;
+        impl Deserialize for Any {
+            fn from_value(_: &Value) -> Result<Self, DeError> {
+                Ok(Any)
+            }
+        }
+        let nest =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        assert!(from_str::<Any>(&nest(RECURSION_LIMIT, "[", "]")).is_ok());
+        assert!(
+            from_str::<Any>(&nest(RECURSION_LIMIT, "{\"k\":", "}").replace(":}", ":0}")).is_ok()
+        );
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let err = from_str::<Any>(&nest(RECURSION_LIMIT + 1, open, close)).unwrap_err();
+            let offset = open.len() * RECURSION_LIMIT;
+            assert_eq!(
+                err.to_string(),
+                format!("recursion limit exceeded at offset {offset}")
+            );
+        }
+        // Far past the limit, and unterminated: an error, not a stack
+        // overflow.
+        let err = from_str::<Any>(&"[".repeat(100_000)).unwrap_err();
+        assert!(
+            err.to_string().starts_with("recursion limit exceeded"),
+            "{err}"
+        );
     }
 }

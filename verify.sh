@@ -25,6 +25,11 @@ if [[ "${1:-}" == "--quick" ]]; then
   echo "== quick: CLI surface (pinned parse errors, closed stdout) =="
   cargo test -q -p flit-cli --lib args
   cargo test -q -p flit-cli --test closed_stdout
+  echo "== quick: hostile input (every decoder; deep frames at the daemon and the worker) =="
+  cargo test -q -p serde_json
+  cargo test -q --test hostile_input
+  cargo test -q -p flit-cli --test serve_daemon -- deeply_nested silent_client
+  cargo test -q -p flit-cli --test process_backend -- deeply_nested
   echo "== quick: fuzz oracle + campaign plumbing =="
   cargo test -q -p flit-fuzz
   echo "== quick: perf bisect (stats layer, CLI verdicts, process-backend smoke) =="
