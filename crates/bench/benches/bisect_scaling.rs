@@ -9,6 +9,7 @@ use flit_bisect::algo::{bisect_all, bisect_all_unpruned};
 use flit_bisect::baselines::{ddmin, linear_search};
 use flit_bisect::biggest::bisect_biggest;
 use flit_bisect::test_fn::TestError;
+use flit_exec::ThreadsBackend;
 
 /// A scripted Test with `k` variable elements spread over `n`.
 fn weights(n: usize, k: usize) -> Vec<(u32, f64)> {
@@ -17,7 +18,7 @@ fn weights(n: usize, k: usize) -> Vec<(u32, f64)> {
         .collect()
 }
 
-fn scripted(weights: Vec<(u32, f64)>) -> impl FnMut(&[u32]) -> Result<f64, TestError> {
+fn scripted(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
     move |items: &[u32]| {
         Ok(items
             .iter()
@@ -37,7 +38,9 @@ fn bench_search_scaling(c: &mut Criterion) {
         let items: Vec<u32> = (0..n as u32).collect();
         let k = 4;
         group.bench_with_input(BenchmarkId::new("bisect_all", n), &n, |b, _| {
-            b.iter(|| bisect_all(scripted(weights(n, k)), &items).unwrap());
+            b.iter(|| {
+                bisect_all(scripted(weights(n, k)), &items, &ThreadsBackend::new(1)).unwrap()
+            });
         });
         group.bench_with_input(BenchmarkId::new("ddmin", n), &n, |b, _| {
             b.iter(|| ddmin(scripted(weights(n, k)), &items).unwrap());
@@ -55,10 +58,14 @@ fn bench_search_scaling_k(c: &mut Criterion) {
     let items: Vec<u32> = (0..n as u32).collect();
     for &k in &[1usize, 4, 16, 64] {
         group.bench_with_input(BenchmarkId::new("bisect_all", k), &k, |b, _| {
-            b.iter(|| bisect_all(scripted(weights(n, k)), &items).unwrap());
+            b.iter(|| {
+                bisect_all(scripted(weights(n, k)), &items, &ThreadsBackend::new(1)).unwrap()
+            });
         });
         group.bench_with_input(BenchmarkId::new("bisect_biggest_top1", k), &k, |b, _| {
-            b.iter(|| bisect_biggest(scripted(weights(n, k)), &items, 1).unwrap());
+            b.iter(|| {
+                bisect_biggest(scripted(weights(n, k)), &items, 1, &ThreadsBackend::new(1)).unwrap()
+            });
         });
     }
     group.finish();
@@ -75,7 +82,7 @@ fn report_execution_counts(c: &mut Criterion) {
             let n = 2998usize; // MFEM's exported-function count
             let items: Vec<u32> = (0..n as u32).collect();
             let k = 9; // example 8's blame-set size
-            let bis = bisect_all(scripted(weights(n, k)), &items).unwrap();
+            let bis = bisect_all(scripted(weights(n, k)), &items, &ThreadsBackend::new(1)).unwrap();
             let lin = linear_search(scripted(weights(n, k)), &items).unwrap();
             assert!(bis.executions < lin.executions / 10);
             (bis.executions, lin.executions)
@@ -95,10 +102,12 @@ fn bench_pruning_ablation(c: &mut Criterion) {
             .map(|j| ((n - 1 - j * 3) as u32, 1.0 + j as f64))
             .collect();
         group.bench_with_input(BenchmarkId::new("pruned", k), &k, |b, _| {
-            b.iter(|| bisect_all(scripted(w.clone()), &items).unwrap());
+            b.iter(|| bisect_all(scripted(w.clone()), &items, &ThreadsBackend::new(1)).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("unpruned", k), &k, |b, _| {
-            b.iter(|| bisect_all_unpruned(scripted(w.clone()), &items).unwrap());
+            b.iter(|| {
+                bisect_all_unpruned(scripted(w.clone()), &items, &ThreadsBackend::new(1)).unwrap()
+            });
         });
     }
     group.finish();

@@ -21,7 +21,7 @@ use flit_absint::{certify_pair, Certificate};
 use flit_bench::mfem_study::{default_threads, mfem_sweep};
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_core::metrics::l2_compare;
-use flit_exec::{Executor, ThreadsBackend};
+use flit_exec::{run_on, ThreadsBackend};
 use flit_inject::sites::apply_injection;
 use flit_inject::study::{run_study, Classification, StudyConfig};
 use flit_lint::{prescreen_for, LintMode};
@@ -164,12 +164,11 @@ fn table2_bounds(program: &SimProgram) {
         .collect();
     let ctx = BuildCtx::cached();
 
-    let results = Executor::new(default_threads())
-        .run(jobs.len(), |i| {
-            let (t, c) = &jobs[i];
-            audit_pair(program, t, c, &ctx)
-        })
-        .unwrap_or_else(|e| panic!("audit workers must not panic: {e}"));
+    let results = run_on(&ThreadsBackend::new(default_threads()), jobs.len(), |i| {
+        let (t, c) = &jobs[i];
+        audit_pair(program, t, c, &ctx)
+    })
+    .unwrap_or_else(|e| panic!("audit workers must not panic: {e}"));
 
     let (mut inv, mut bnd, mut unk) = (0u64, 0u64, 0u64);
     let mut unsound = 0usize;
@@ -315,8 +314,10 @@ fn table5_coverage() {
         .collect();
     // Per record: (every reported symbol non-Invariant, reported hits,
     // reported total, non-Invariant symbols).
-    let audits = Executor::new(default_threads())
-        .run(measurable.len(), |i| {
+    let audits = run_on(
+        &ThreadsBackend::new(default_threads()),
+        measurable.len(),
+        |i| {
             let r = measurable[i];
             let injection = Injection {
                 site: r.site.site,
@@ -339,8 +340,9 @@ fn table5_coverage() {
                 .count();
             let moving = certs.symbols.values().filter(|c| !c.prunable()).count();
             (hits == r.reported.len(), hits, r.reported.len(), moving)
-        })
-        .unwrap_or_else(|e| panic!("audit workers must not panic: {e}"));
+        },
+    )
+    .unwrap_or_else(|e| panic!("audit workers must not panic: {e}"));
     let covered = audits.iter().filter(|a| a.0).count();
     let hits: usize = audits.iter().map(|a| a.1).sum();
     let reported: usize = audits.iter().map(|a| a.2).sum();

@@ -3,6 +3,7 @@
 
 use flit_bisect::algo::bisect_all;
 use flit_bisect::test_fn::TestError;
+use flit_exec::ThreadsBackend;
 
 fn main() {
     let items: Vec<u32> = (1..=10).collect();
@@ -20,7 +21,7 @@ fn main() {
             })
             .sum())
     };
-    let out = bisect_all(test, &items).expect("scripted test cannot fail");
+    let out = bisect_all(test, &items, &ThreadsBackend::new(1)).expect("scripted test cannot fail");
 
     println!("Figure 2: illustrative example of BisectAll (Algorithm 1)");
     println!();

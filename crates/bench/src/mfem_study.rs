@@ -7,7 +7,7 @@ use flit_core::db::ResultsDb;
 use flit_core::metrics::l2_compare;
 use flit_core::runner::{run_matrix, RunnerConfig};
 use flit_core::test::FlitTest;
-use flit_exec::{Executor, ThreadsBackend};
+use flit_exec::{run_on, ThreadsBackend};
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_examples;
 use flit_program::build::Build;
@@ -116,8 +116,8 @@ pub fn bisect_all_variable_with(
     // A work queue (not static chunking): searches vary wildly in cost,
     // and the queue keeps every worker busy until the jobs run out.
     // Results land in job order, so aggregation is schedule-independent.
-    let results: Vec<(CompilerKind, SearchOutcome, bool, bool, usize)> = Executor::new(threads)
-        .run(jobs.len(), |i| {
+    let results: Vec<(CompilerKind, SearchOutcome, bool, bool, usize)> =
+        run_on(&ThreadsBackend::new(threads), jobs.len(), |i| {
             let (t, c) = &jobs[i];
             run_job(t, c)
         })

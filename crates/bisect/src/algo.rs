@@ -23,7 +23,12 @@
 //! is notified that there may be false negative results"), never as
 //! panics.
 
-use crate::planner::{drive_serial, BisectPlan, SearchMode};
+use std::hash::Hash;
+
+use flit_exec::ExecBackend;
+
+use crate::parallel::drive_flat;
+use crate::planner::{BisectPlan, SearchMode};
 use crate::test_fn::{MemoTest, TestError, TestFn};
 
 /// A recorded Test invocation, for traces like the paper's Figure 2.
@@ -114,7 +119,7 @@ pub fn bisect_one<I, F>(
     violations: &mut Vec<AssumptionViolation<I>>,
 ) -> Result<BisectOneFound<I>, TestError>
 where
-    I: Clone + Ord + std::hash::Hash,
+    I: Clone + Ord + Hash,
     F: TestFn<I>,
 {
     if items.len() == 1 {
@@ -157,18 +162,24 @@ where
 
 /// `BisectAll` (Algorithm 1): find *all* variability-inducing elements.
 ///
-/// Since the planner refactor this is a thin driver over
-/// [`BisectPlan`]: the plan replays the loop above one frontier query
-/// at a time, and `test_fn` answers each query in the serial call
-/// order. The observable behavior — call sequence, memoization, found
-/// set, trace, execution count, violations — is unchanged (see
-/// `planner::tests::replay_matches_reference_recursion_exactly`).
-pub fn bisect_all<I, F>(test_fn: F, items: &[I]) -> Result<BisectOutcome<I>, TestError>
+/// The search is a [`BisectPlan`] replaying the loop above one frontier
+/// query at a time, driven on `backend`: `ThreadsBackend::new(1)` asks
+/// `test_fn` the serial algorithm's queries in its order (a wave of two
+/// required queries may ask one more before a crash is consumed), and
+/// wider backends fan the frontier out without changing any observable
+/// — found set, trace, execution count, violations (see
+/// `planner::tests::replay_matches_reference_recursion_exactly`). A
+/// panicking `test_fn` surfaces as [`TestError::Crash`].
+pub fn bisect_all<I, F>(
+    test_fn: F,
+    items: &[I],
+    backend: &dyn ExecBackend,
+) -> Result<BisectOutcome<I>, TestError>
 where
-    I: Clone + Ord + std::hash::Hash,
-    F: TestFn<I>,
+    I: Clone + Ord + Hash + Send + Sync,
+    F: Fn(&[I]) -> Result<f64, TestError> + Sync,
 {
-    drive_serial(BisectPlan::new(items, SearchMode::All), test_fn)
+    drive_flat(BisectPlan::new(items, SearchMode::All), test_fn, backend)
 }
 
 /// `BisectAll` **without** the found-set pruning (ablation).
@@ -180,22 +191,37 @@ where
 /// round re-bisects through halves already known to be clean — the cost
 /// difference is the value of the optimization (see the
 /// `bisect_ablation` bench and `pruning_reduces_executions` test).
-pub fn bisect_all_unpruned<I, F>(test_fn: F, items: &[I]) -> Result<BisectOutcome<I>, TestError>
+pub fn bisect_all_unpruned<I, F>(
+    test_fn: F,
+    items: &[I],
+    backend: &dyn ExecBackend,
+) -> Result<BisectOutcome<I>, TestError>
 where
-    I: Clone + Ord + std::hash::Hash,
-    F: TestFn<I>,
+    I: Clone + Ord + Hash + Send + Sync,
+    F: Fn(&[I]) -> Result<f64, TestError> + Sync,
 {
-    drive_serial(BisectPlan::new(items, SearchMode::AllUnpruned), test_fn)
+    drive_flat(
+        BisectPlan::new(items, SearchMode::AllUnpruned),
+        test_fn,
+        backend,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flit_exec::ThreadsBackend;
+
+    fn serial() -> ThreadsBackend {
+        ThreadsBackend::new(1)
+    }
 
     /// The paper's idealized Test: the magnitude contributed by each
     /// variable element is unique, and contributions combine so that any
     /// set containing a variable element tests positive.
-    fn magnitude_test(weights: Vec<(u32, f64)>) -> impl FnMut(&[u32]) -> Result<f64, TestError> {
+    fn magnitude_test(
+        weights: Vec<(u32, f64)>,
+    ) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
         move |items: &[u32]| {
             Ok(items
                 .iter()
@@ -216,6 +242,7 @@ mod tests {
         let out = bisect_all(
             magnitude_test(vec![(2, 0.25), (8, 1.5), (9, 0.125)]),
             &items,
+            &serial(),
         )
         .unwrap();
         let mut found: Vec<u32> = out.found.iter().map(|(i, _)| *i).collect();
@@ -234,7 +261,7 @@ mod tests {
     #[test]
     fn no_variability_terminates_after_one_test() {
         let items: Vec<u32> = (1..=100).collect();
-        let out = bisect_all(magnitude_test(vec![]), &items).unwrap();
+        let out = bisect_all(magnitude_test(vec![]), &items, &serial()).unwrap();
         assert!(out.found.is_empty());
         assert!(out.verified());
         assert_eq!(out.executions, 2); // full set + empty found set
@@ -243,7 +270,7 @@ mod tests {
     #[test]
     fn single_element_among_many() {
         let items: Vec<u32> = (0..1024).collect();
-        let out = bisect_all(magnitude_test(vec![(777, 3.0)]), &items).unwrap();
+        let out = bisect_all(magnitude_test(vec![(777, 3.0)]), &items, &serial()).unwrap();
         assert_eq!(out.found.len(), 1);
         assert_eq!(out.found[0].0, 777);
         assert_eq!(out.found[0].1, 3.0);
@@ -258,7 +285,7 @@ mod tests {
         // O(k log N) ≈ well under k * 2 * log2(N) + overhead.
         let weights: Vec<(u32, f64)> = (0..8).map(|j| (j * 64 + 13, 1.0 + j as f64)).collect();
         let items: Vec<u32> = (0..512).collect();
-        let out = bisect_all(magnitude_test(weights), &items).unwrap();
+        let out = bisect_all(magnitude_test(weights), &items, &serial()).unwrap();
         assert_eq!(out.found.len(), 8);
         assert!(
             out.executions <= 8 * 2 * 9 + 12,
@@ -271,7 +298,7 @@ mod tests {
     #[test]
     fn found_values_are_singleton_magnitudes() {
         let items: Vec<u32> = (0..64).collect();
-        let out = bisect_all(magnitude_test(vec![(5, 0.5), (40, 2.0)]), &items).unwrap();
+        let out = bisect_all(magnitude_test(vec![(5, 0.5), (40, 2.0)]), &items, &serial()).unwrap();
         for (elem, value) in &out.found {
             match elem {
                 5 => assert_eq!(*value, 0.5),
@@ -293,7 +320,7 @@ mod tests {
                 0.0
             })
         };
-        let out = bisect_all(coupled, &items).unwrap();
+        let out = bisect_all(coupled, &items, &serial()).unwrap();
         assert!(!out.verified());
         assert!(out
             .violations
@@ -317,7 +344,7 @@ mod tests {
                 Ok(0.0)
             }
         };
-        let out = bisect_all(masking, &items).unwrap();
+        let out = bisect_all(masking, &items, &serial()).unwrap();
         // 2 is found (Test({2}) = 5 = Test(items)); after pruning, the
         // remaining space still tests 5.0 through... actually with 2
         // removed the space tests 1.0 via 9, so 9 is found too and the
@@ -343,7 +370,7 @@ mod tests {
                 Ok(if items.contains(&7) { 1.0 } else { 0.0 })
             }
         };
-        let err = bisect_all(crashy, &items).unwrap_err();
+        let err = bisect_all(crashy, &items, &serial()).unwrap_err();
         assert!(matches!(err, TestError::Crash(_)));
     }
 
@@ -353,6 +380,7 @@ mod tests {
         let out = bisect_all(
             magnitude_test(vec![(2, 0.25), (8, 1.5), (9, 0.125)]),
             &items,
+            &serial(),
         )
         .unwrap();
         assert!(!out.trace.is_empty());
@@ -374,8 +402,8 @@ mod tests {
         // beats the unpruned variant; both find the same set.
         let weights: Vec<(u32, f64)> = (0..12).map(|j| (900 + j * 8, 1.0 + j as f64)).collect();
         let items: Vec<u32> = (0..1024).collect();
-        let pruned = bisect_all(magnitude_test(weights.clone()), &items).unwrap();
-        let unpruned = bisect_all_unpruned(magnitude_test(weights), &items).unwrap();
+        let pruned = bisect_all(magnitude_test(weights.clone()), &items, &serial()).unwrap();
+        let unpruned = bisect_all_unpruned(magnitude_test(weights), &items, &serial()).unwrap();
         let norm = |o: &BisectOutcome<u32>| {
             let mut v: Vec<u32> = o.found.iter().map(|(i, _)| *i).collect();
             v.sort();
@@ -405,6 +433,7 @@ mod tests {
                 })
             },
             &items,
+            &serial(),
         )
         .unwrap();
         assert_eq!(out.found.len(), 1);

@@ -110,8 +110,9 @@ where
 mod tests {
     use super::*;
     use crate::algo::bisect_all;
+    use flit_exec::ThreadsBackend;
 
-    fn weighted(weights: Vec<(u32, f64)>) -> impl FnMut(&[u32]) -> Result<f64, TestError> {
+    fn weighted(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
         move |items: &[u32]| {
             Ok(items
                 .iter()
@@ -154,7 +155,7 @@ mod tests {
     fn bisect_beats_ddmin_beats_linear_for_small_k() {
         let weights: Vec<(u32, f64)> = vec![(100, 1.0), (900, 2.0)];
         let items: Vec<u32> = (0..1024).collect();
-        let b = bisect_all(weighted(weights.clone()), &items).unwrap();
+        let b = bisect_all(weighted(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
         let d = ddmin(weighted(weights.clone()), &items).unwrap();
         let l = linear_search(weighted(weights), &items).unwrap();
         // All three agree on the answer…
@@ -187,7 +188,7 @@ mod tests {
         // search beats O(k log N) = O(N log N) bisect.
         let weights: Vec<(u32, f64)> = (0..64).map(|j| (j * 2, 1.0 + j as f64)).collect();
         let items: Vec<u32> = (0..128).collect();
-        let b = bisect_all(weighted(weights.clone()), &items).unwrap();
+        let b = bisect_all(weighted(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
         let l = linear_search(weighted(weights), &items).unwrap();
         assert_eq!(b.found.len(), 64);
         assert_eq!(l.found.len(), 64);

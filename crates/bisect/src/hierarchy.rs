@@ -36,10 +36,8 @@ use flit_exec::{run_on, ExecBackend, ExecError};
 
 use crate::algo::{AssumptionViolation, BisectOutcome};
 use crate::ledger::{LedgerHandle, SearchKeys};
-use crate::parallel::{
-    drive_plans_seeded, emit_query_spans, ParallelTestFn, SharedOracle, SpeculationScore,
-};
-use crate::planner::{BisectPlan, SearchMode};
+use crate::parallel::{drive_plans, emit_query_spans, SharedOracle, SpeculationScore};
+use crate::planner::{Answer, BisectPlan, SearchMode};
 use crate::test_fn::TestError;
 use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
@@ -423,7 +421,7 @@ pub(crate) type Ledgered<'c> = Option<(&'c LedgerHandle, SearchKeys)>;
 /// ledger (under the key `key` digests) when it has one, else through
 /// the oracle's own memo.
 fn level_oracle<'f, I>(
-    raw: impl ParallelTestFn<I> + 'f,
+    raw: impl Fn(&[I]) -> Answer + Sync + 'f,
     trace: &TraceSink,
     ledger: &Ledgered<'_>,
     key: impl Fn(&SearchKeys, &[I]) -> String + Sync + 'f,
@@ -746,7 +744,7 @@ pub(crate) fn walk<M: TestMetric>(
         .as_ref()
         .map(|_| &file_score as SpeculationScore<'_, usize>);
     let file_label = format!("{search}/{}", names.file_drive);
-    let file_result = match drive_plans_seeded(
+    let file_result = match drive_plans(
         &mut [BisectPlan::new(&file_ids, mode)],
         &[&file_oracle],
         exec,
@@ -902,7 +900,7 @@ pub(crate) fn walk<M: TestMetric>(
         .prescreen
         .as_ref()
         .map(|_| &sym_score as SpeculationScore<'_, String>);
-    let sym_results = match drive_plans_seeded(
+    let sym_results = match drive_plans(
         &mut sym_plans,
         &oracle_refs,
         exec,

@@ -20,8 +20,11 @@
 //! * [`planner`] — the frontier-based search planner: the serial
 //!   algorithms as a pure replayable state machine whose outcomes are
 //!   byte-identical at any worker count.
-//! * [`parallel`] — wave drivers on the `flit-exec` executor with a
-//!   shared single-flight Test oracle.
+//! * [`parallel`] — the one wave driver: every search (`bisect_all`,
+//!   `bisect_biggest`, the hierarchy's levels) runs its plans on a
+//!   `flit-exec` [`ExecBackend`](flit_exec::ExecBackend) with a shared
+//!   single-flight Test oracle; `ThreadsBackend::new(1)` is the serial
+//!   search.
 //! * [`ledger`] — the workflow-wide query ledger: one sharded
 //!   single-flight answer table shared by every search a workflow
 //!   spawns, keyed on canonical link-recipe digests.
@@ -57,9 +60,7 @@ pub use journal::{
     load_journal, JournalAnswer, JournalError, JournalRecord, JournalWriter, JOURNAL_VERSION,
 };
 pub use ledger::{LedgerHandle, LedgerStats, QueryLedger, SearchKeys, StoredAnswer};
-pub use parallel::{
-    bisect_all_parallel, bisect_biggest_parallel, drive_plans, ParallelTestFn, SharedOracle,
-};
+pub use parallel::{drive_plans, SharedOracle};
 pub use perf::{
     perf_bisect, predicted_slow_files, predicted_slow_symbols, PerfBisectResult, PerfConfig,
     PerfFileFinding, PerfOutcome, PerfSymbolFinding,

@@ -1,5 +1,5 @@
-//! Parallel drivers for [`BisectPlan`]: a shared single-flight Test
-//! oracle plus a wave scheduler on the `flit-exec` executor.
+//! The wave driver for [`BisectPlan`]: a shared single-flight Test
+//! oracle plus a wave scheduler on an [`ExecBackend`].
 //!
 //! The division of labor: the *planner* decides which queries matter
 //! and in what canonical order their answers are consumed; the *oracle*
@@ -8,7 +8,7 @@
 //! and fans them out on an [`ExecBackend`]. Answers only ever enter a plan
 //! through its answer table, so speculative or wasted evaluations can
 //! never change an outcome — `--jobs 8` is byte-identical to
-//! `--jobs 1`.
+//! `--jobs 1`, and a width-1 backend is the serial search.
 
 use std::hash::Hash;
 
@@ -20,26 +20,11 @@ use flit_trace::sink::TraceSink;
 
 use crate::algo::BisectOutcome;
 use crate::ledger::LedgerHandle;
-use crate::planner::{BisectPlan, PlanFailure, PlanOutcome, PlanStep};
+use crate::planner::{Answer, BisectPlan, PlanFailure, PlanOutcome, PlanStep};
 use crate::test_fn::TestError;
 
-/// A thread-safe Test function: the parallel analogue of
-/// [`TestFn`](crate::test_fn::TestFn). Items arrive canonicalized
-/// (sorted, deduplicated) and the function returns the metric value
-/// plus the run's simulated seconds.
-pub trait ParallelTestFn<I>: Sync {
-    /// Evaluate the metric on a canonical item set.
-    fn test(&self, items: &[I]) -> Result<(f64, f64), TestError>;
-}
-
-impl<I, F> ParallelTestFn<I> for F
-where
-    F: Fn(&[I]) -> Result<(f64, f64), TestError> + Sync,
-{
-    fn test(&self, items: &[I]) -> Result<(f64, f64), TestError> {
-        self(items)
-    }
-}
+/// A raw thread-safe Test function, boxed.
+type RawTest<'f, I> = Box<dyn Fn(&[I]) -> Answer + Sync + 'f>;
 
 /// A ledger routing: the search's handle plus the function that digests
 /// an item set into the workflow-wide canonical key.
@@ -49,8 +34,8 @@ type LedgerRoute<'f, I> = (LedgerHandle, Box<dyn Fn(&[I]) -> String + Sync + 'f>
 /// across concurrent searches (the concurrent analogue of
 /// [`MemoTest`](crate::test_fn::MemoTest)).
 pub struct SharedOracle<'f, I> {
-    memo: SingleFlight<Vec<I>, Result<(f64, f64), TestError>>,
-    raw: Box<dyn ParallelTestFn<I> + 'f>,
+    memo: SingleFlight<Vec<I>, Answer>,
+    raw: RawTest<'f, I>,
     executed: flit_trace::registry::Counter,
     memoized: flit_trace::registry::Counter,
     ledger: Option<LedgerRoute<'f, I>>,
@@ -60,9 +45,11 @@ impl<'f, I> SharedOracle<'f, I>
 where
     I: Clone + Ord + Hash + Send + Sync,
 {
-    /// Wrap a raw parallel test function. Memo hits and misses are
-    /// recorded as `exec.queries.*` counters on `trace`.
-    pub fn new(raw: impl ParallelTestFn<I> + 'f, trace: &TraceSink) -> Self {
+    /// Wrap a raw thread-safe test function: items arrive canonical
+    /// (sorted, deduplicated) and it returns the metric value plus the
+    /// run's simulated seconds. Memo hits and misses are recorded as
+    /// `exec.queries.*` counters on `trace`.
+    pub fn new(raw: impl Fn(&[I]) -> Answer + Sync + 'f, trace: &TraceSink) -> Self {
         SharedOracle {
             memo: SingleFlight::new(),
             raw: Box::new(raw),
@@ -72,14 +59,14 @@ where
         }
     }
 
-    /// Wrap a raw parallel test function, routing every evaluation
+    /// Wrap a raw test function, routing every evaluation
     /// through a workflow-wide [`QueryLedger`](crate::ledger::QueryLedger)
     /// under keys produced by `key_fn`. The ledger's sharded
     /// single-flight table replaces the oracle's local memo (and its
     /// counters), so hits are classified as memoized / shared / replayed
     /// workflow-wide.
     pub fn with_ledger(
-        raw: impl ParallelTestFn<I> + 'f,
+        raw: impl Fn(&[I]) -> Answer + Sync + 'f,
         trace: &TraceSink,
         handle: LedgerHandle,
         key_fn: impl Fn(&[I]) -> String + Sync + 'f,
@@ -92,13 +79,13 @@ where
 
     /// Evaluate (memoized, single-flight). `items` must be canonical —
     /// frontier queries already are.
-    pub fn eval(&self, items: &[I]) -> Result<(f64, f64), TestError> {
+    pub fn eval(&self, items: &[I]) -> Answer {
         if let Some((handle, key_fn)) = &self.ledger {
-            return handle.eval_score(&key_fn(items), || self.raw.test(items));
+            return handle.eval_score(&key_fn(items), || (self.raw)(items));
         }
         let (answer, computed) = self
             .memo
-            .get_or_compute(items.to_vec(), || self.raw.test(items));
+            .get_or_compute(items.to_vec(), || (self.raw)(items));
         if computed {
             self.executed.incr(1);
         } else {
@@ -119,41 +106,28 @@ pub type SpeculationScore<'a, I> = &'a (dyn Fn(&[I]) -> f64 + Sync);
 ///
 /// Each wave gathers every active plan's frontier: all *required*
 /// queries (the replay cannot advance without them), then speculative
-/// queries up to the executor width. The wave fans out on `exec`, the
+/// queries up to the backend width. The wave fans out on `backend`, the
 /// answers are fed back, and the plans step again — so independent
 /// searches and both branches of each split evaluate concurrently while
 /// every plan's observables stay byte-identical to its serial run.
 /// (Remote backends fan the wave out locally too — their oracles route
-/// each evaluation through [`ExecBackend::dispatch`] internally.)
+/// each evaluation through [`ExecBackend::dispatch`] internally.) At
+/// width 1 a wave holds only the required queries: the serial search.
+///
+/// An optional speculation priority (`seed`) only filters and reorders
+/// the *speculative* portion of each wave: required queries are
+/// dispatched unconditionally and in frontier order, and answers enter
+/// a plan only through its answer table, whose replay consumes them in
+/// the serial algorithm's order. Every observable of the outcome —
+/// found sets, execution counts, traces, violations — is therefore
+/// byte-identical to the unseeded (and the serial) run at any worker
+/// count; seeding changes only which speculative evaluations are spent,
+/// i.e. the `exec.queries.executed` counter and wall-clock. Dropped
+/// zero-score queries are tallied under `lint.speculation.skipped`.
 ///
 /// Returns one result per plan, in order. `Err(ExecError)` only on a
 /// panicking oracle (a Test *error* is a per-plan `PlanFailure`).
 pub fn drive_plans<I>(
-    plans: &mut [BisectPlan<I>],
-    oracles: &[&SharedOracle<'_, I>],
-    backend: &dyn ExecBackend,
-    trace: &TraceSink,
-    label: &str,
-) -> Result<Vec<Result<PlanOutcome<I>, PlanFailure>>, ExecError>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-{
-    drive_plans_seeded(plans, oracles, backend, trace, label, None)
-}
-
-/// [`drive_plans`] with an optional speculation priority (`seed`).
-///
-/// Seeding only filters and reorders the *speculative* portion of each
-/// wave: required queries are dispatched unconditionally and in frontier
-/// order, and answers enter a plan only through its answer table, whose
-/// replay consumes them in the serial algorithm's order. Every
-/// observable of the outcome — found sets, execution counts, traces,
-/// violations — is therefore byte-identical to the unseeded (and the
-/// serial) run at any worker count; seeding changes only which
-/// speculative evaluations are spent, i.e. the `exec.queries.executed`
-/// counter and wall-clock. Dropped zero-score queries are tallied under
-/// `lint.speculation.skipped`.
-pub fn drive_plans_seeded<I>(
     plans: &mut [BisectPlan<I>],
     oracles: &[&SharedOracle<'_, I>],
     backend: &dyn ExecBackend,
@@ -259,51 +233,10 @@ pub fn emit_query_spans<I>(trace: &TraceSink, label: &str, outcome: &PlanOutcome
     }
 }
 
-fn exec_error_to_test_error(e: ExecError) -> TestError {
-    TestError::Crash(e.to_string())
-}
-
-/// Parallel [`bisect_all`](crate::algo::bisect_all): same outcome,
-/// byte-for-byte, with frontier queries fanned out on `exec`. A
-/// panicking test function surfaces as [`TestError::Crash`] (the serial
-/// path would propagate the panic).
-pub fn bisect_all_parallel<I, F>(
-    test_fn: F,
-    items: &[I],
-    backend: &dyn ExecBackend,
-) -> Result<BisectOutcome<I>, TestError>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-    F: Fn(&[I]) -> Result<f64, TestError> + Sync,
-{
-    run_single(
-        BisectPlan::new(items, crate::planner::SearchMode::All),
-        test_fn,
-        backend,
-    )
-}
-
-/// Parallel [`bisect_biggest`](crate::biggest::bisect_biggest): same
-/// outcome, byte-for-byte, with both halves of every expansion (and the
-/// speculative frontier) evaluated concurrently.
-pub fn bisect_biggest_parallel<I, F>(
-    test_fn: F,
-    items: &[I],
-    k: usize,
-    backend: &dyn ExecBackend,
-) -> Result<BisectOutcome<I>, TestError>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-    F: Fn(&[I]) -> Result<f64, TestError> + Sync,
-{
-    run_single(
-        BisectPlan::new(items, crate::planner::SearchMode::Biggest(k)),
-        test_fn,
-        backend,
-    )
-}
-
-fn run_single<I, F>(
+/// Drive one flat search (`bisect_all`, `bisect_all_unpruned`,
+/// `bisect_biggest`) on `backend`. A panicking test function surfaces
+/// as [`TestError::Crash`] naming the lowest panicking query.
+pub(crate) fn drive_flat<I, F>(
     plan: BisectPlan<I>,
     test_fn: F,
     backend: &dyn ExecBackend,
@@ -314,9 +247,8 @@ where
 {
     let trace = TraceSink::disabled();
     let oracle = SharedOracle::new(move |items: &[I]| test_fn(items).map(|v| (v, 0.0)), &trace);
-    let mut plans = [plan];
-    let mut results = drive_plans(&mut plans, &[&oracle], backend, &trace, "bisect")
-        .map_err(exec_error_to_test_error)?;
+    let mut results = drive_plans(&mut [plan], &[&oracle], backend, &trace, "bisect", None)
+        .map_err(|e| TestError::Crash(e.to_string()))?;
     match results.pop().expect("one plan in, one result out") {
         Ok(p) => Ok(p.outcome),
         Err(f) => Err(f.error),
@@ -346,12 +278,15 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_at_every_width() {
+        // Width 1 is the serial search; the planner tests pin it against
+        // the verbatim reference loop.
         let weights = vec![(2, 0.25), (8, 1.5), (9, 0.125), (30, 3.0)];
         let items: Vec<u32> = (1..=40).collect();
-        let serial = bisect_all(magnitude(weights.clone()), &items).unwrap();
-        for jobs in [1, 2, 8] {
+        let serial =
+            bisect_all(magnitude(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
+        for jobs in [2, 8] {
             let exec = ThreadsBackend::new(jobs);
-            let par = bisect_all_parallel(magnitude(weights.clone()), &items, &exec).unwrap();
+            let par = bisect_all(magnitude(weights.clone()), &items, &exec).unwrap();
             assert_eq!(par.found, serial.found, "jobs={jobs}");
             assert_eq!(par.executions, serial.executions, "jobs={jobs}");
             assert_eq!(par.trace, serial.trace, "jobs={jobs}");
@@ -364,10 +299,15 @@ mod tests {
         let weights: Vec<(u32, f64)> = (0..9).map(|j| (j * 13 + 4, 1.0 + j as f64)).collect();
         let items: Vec<u32> = (0..128).collect();
         for k in [1, 4] {
-            let serial = bisect_biggest(magnitude(weights.clone()), &items, k).unwrap();
+            let serial = bisect_biggest(
+                magnitude(weights.clone()),
+                &items,
+                k,
+                &ThreadsBackend::new(1),
+            )
+            .unwrap();
             let exec = ThreadsBackend::new(8);
-            let par =
-                bisect_biggest_parallel(magnitude(weights.clone()), &items, k, &exec).unwrap();
+            let par = bisect_biggest(magnitude(weights.clone()), &items, k, &exec).unwrap();
             assert_eq!(par.found, serial.found, "k={k}");
             assert_eq!(par.executions, serial.executions, "k={k}");
         }
@@ -393,10 +333,12 @@ mod tests {
             BisectPlan::new(&items, SearchMode::AllUnpruned),
         ];
         let exec = ThreadsBackend::new(4);
-        let results = drive_plans(&mut plans, &[&oracle, &oracle], &exec, &sink, "joint").unwrap();
+        let results =
+            drive_plans(&mut plans, &[&oracle, &oracle], &exec, &sink, "joint", None).unwrap();
         let [a, b] = <[_; 2]>::try_from(results).ok().unwrap();
-        let serial_a = bisect_all(magnitude(weights.clone()), &items).unwrap();
-        let serial_b = bisect_all_unpruned(magnitude(weights.clone()), &items).unwrap();
+        let serial = ThreadsBackend::new(1);
+        let serial_a = bisect_all(magnitude(weights.clone()), &items, &serial).unwrap();
+        let serial_b = bisect_all_unpruned(magnitude(weights.clone()), &items, &serial).unwrap();
         assert_eq!(a.unwrap().outcome, serial_a);
         assert_eq!(b.unwrap().outcome, serial_b);
         let trace = sink.snapshot();
@@ -410,16 +352,17 @@ mod tests {
     #[test]
     fn panicking_test_fn_becomes_a_crash_error() {
         let items: Vec<u32> = (0..16).collect();
-        let exec = ThreadsBackend::new(2);
-        let err = bisect_all_parallel(
-            |_items: &[u32]| -> Result<f64, TestError> { panic!("oracle exploded") },
-            &items,
-            &exec,
-        )
-        .unwrap_err();
-        match err {
-            TestError::Crash(s) => assert!(s.contains("exploded"), "{s}"),
-            other => panic!("expected Crash, got {other:?}"),
+        for jobs in [1, 2] {
+            let err = bisect_all(
+                |_items: &[u32]| -> Result<f64, TestError> { panic!("oracle exploded") },
+                &items,
+                &ThreadsBackend::new(jobs),
+            )
+            .unwrap_err();
+            match err {
+                TestError::Crash(s) => assert!(s.contains("exploded"), "{s}"),
+                other => panic!("expected Crash, got {other:?}"),
+            }
         }
     }
 }

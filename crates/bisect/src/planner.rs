@@ -7,9 +7,10 @@
 //! it suspends and returns the [`frontier`](PlanStep::Frontier): the one
 //! query the serial algorithm needs next (`required`), plus the
 //! speculative queries it would need soon on either branch of the
-//! pending split. A driver — serial or parallel — evaluates any subset
-//! of the frontier (at minimum the required queries), feeds the answers
-//! back via [`BisectPlan::answer`], and steps again.
+//! pending split. The wave driver ([`drive_plans`](crate::parallel::drive_plans))
+//! evaluates a subset of the frontier on an execution backend — at
+//! width 1 just the required queries, wider with speculation too —
+//! feeds the answers back via [`BisectPlan::answer`], and steps again.
 //!
 //! Because every observable — found set, trace rows, execution count,
 //! simulated-seconds total, assumption violations — is derived from the
@@ -24,7 +25,11 @@ use std::hash::Hash;
 
 use crate::algo::{AssumptionViolation, BisectOutcome, TraceRow};
 use crate::biggest::Node;
-use crate::test_fn::{TestError, TestFn};
+use crate::test_fn::TestError;
+
+/// How many split levels ahead a suspended replay speculates: up to ~7
+/// speculative queries per suspension.
+const SPECULATION_DEPTH: usize = 3;
 
 /// Which serial algorithm the plan replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +113,6 @@ pub fn canonical<I: Clone + Ord>(items: &[I]) -> Vec<I> {
 pub struct BisectPlan<I> {
     items: Vec<I>,
     mode: SearchMode,
-    spec_depth: usize,
     answers: HashMap<Vec<I>, Answer>,
 }
 
@@ -121,22 +125,8 @@ where
         BisectPlan {
             items: items.to_vec(),
             mode,
-            spec_depth: 3,
             answers: HashMap::new(),
         }
-    }
-
-    /// Override how many split levels ahead the frontier speculates
-    /// (default 3 ⇒ up to ~7 speculative queries per suspension; 0
-    /// disables speculation — the frontier is only the required query).
-    pub fn with_speculation(mut self, depth: usize) -> Self {
-        self.spec_depth = depth;
-        self
-    }
-
-    /// The search mode this plan replays.
-    pub fn mode(&self) -> SearchMode {
-        self.mode
     }
 
     /// Record the answer for a query (canonicalized internally). The
@@ -190,33 +180,6 @@ where
                     "a suspended replay must leave a non-empty frontier"
                 );
                 PlanStep::Frontier(replay.pending)
-            }
-        }
-    }
-}
-
-/// Drive a plan to completion with a blocking test function, answering
-/// only the required query each round — the exact serial call sequence.
-pub fn drive_serial<I, F>(
-    mut plan: BisectPlan<I>,
-    mut test_fn: F,
-) -> Result<BisectOutcome<I>, TestError>
-where
-    I: Clone + Ord + Hash,
-    F: TestFn<I>,
-{
-    loop {
-        match plan.step() {
-            PlanStep::Done(result) => {
-                return match *result {
-                    Ok(p) => Ok(p.outcome),
-                    Err(f) => Err(f.error),
-                }
-            }
-            PlanStep::Frontier(queries) => {
-                let q = queries.into_iter().next().expect("frontier is never empty");
-                let answer = test_fn.test(&q.items).map(|v| (v, 0.0));
-                plan.answer(&q.items, answer);
             }
         }
     }
@@ -366,8 +329,8 @@ where
             Err(Stop::Suspend) => {
                 // Blocked on this split: widen the frontier with both
                 // continuations so idle workers have useful guesses.
-                self.speculate(d1, self.plan.spec_depth);
-                self.speculate(d2, self.plan.spec_depth);
+                self.speculate(d1, SPECULATION_DEPTH);
+                self.speculate(d2, SPECULATION_DEPTH);
                 return Err(Stop::Suspend);
             }
             Err(crash) => return Err(crash),
@@ -401,7 +364,7 @@ where
                     // If positive, the next queries come from
                     // bisect_one(t); if zero, the loop breaks and the
                     // verification needs Test(found).
-                    self.speculate(&t, self.plan.spec_depth);
+                    self.speculate(&t, SPECULATION_DEPTH);
                     let found_items: Vec<I> = found.iter().map(|(i, _)| i.clone()).collect();
                     self.want(canonical(&found_items), false);
                     return Err(Stop::Suspend);
@@ -525,10 +488,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::bisect_one;
-    use crate::test_fn::MemoTest;
+    use crate::algo::{bisect_all, bisect_one};
+    use crate::biggest::bisect_biggest;
+    use crate::test_fn::{MemoTest, TestFn};
+    use flit_exec::ThreadsBackend;
 
-    fn magnitude(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> {
+    fn magnitude(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
         move |items: &[u32]| {
             Ok(items
                 .iter()
@@ -609,11 +574,8 @@ mod tests {
         ];
         for weights in cases {
             let items: Vec<u32> = (0..32).collect();
-            let planner = drive_serial(
-                BisectPlan::new(&items, SearchMode::All),
-                magnitude(weights.clone()),
-            )
-            .unwrap();
+            let planner =
+                bisect_all(magnitude(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
             let reference = reference_bisect_all(magnitude(weights.clone()), &items).unwrap();
             assert_eq!(planner.found, reference.found, "weights {weights:?}");
             assert_eq!(planner.executions, reference.executions);
@@ -662,14 +624,10 @@ mod tests {
             vec![(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)],
         ] {
             let items: Vec<u32> = (0..32).collect();
-            let serial = drive_serial(
-                BisectPlan::new(&items, SearchMode::All).with_speculation(0),
-                magnitude(weights.clone()),
-            )
-            .unwrap();
+            let serial = reference_bisect_all(magnitude(weights.clone()), &items).unwrap();
             // Greedy driver: answer every frontier query each round.
             let oracle = magnitude(weights.clone());
-            let mut plan = BisectPlan::new(&items, SearchMode::All).with_speculation(4);
+            let mut plan = BisectPlan::new(&items, SearchMode::All);
             let greedy = loop {
                 match plan.step() {
                     PlanStep::Done(result) => break result.unwrap().outcome,
@@ -697,13 +655,14 @@ mod tests {
                 Ok(if items.contains(&7) { 1.0 } else { 0.0 })
             }
         };
-        // Serial reference: count executions with an outer probe.
+        // Serial reference: the `MemoTest` loop calls the raw test once
+        // per miss, so an outer probe counts its executions.
         let mut misses = 0usize;
         let counted = |items: &[u32]| {
             misses += 1;
             crashy(items)
         };
-        let err = crate::algo::bisect_all(counted, &items).unwrap_err();
+        let err = reference_bisect_all(counted, &items).unwrap_err();
         assert!(matches!(err, TestError::Crash(_)));
 
         let mut plan = BisectPlan::new(&items, SearchMode::All);
@@ -779,9 +738,11 @@ mod tests {
         let items: Vec<u32> = (0..64).collect();
         for k in [0, 1, 3, 10] {
             let reference = reference_biggest(magnitude(weights.clone()), &items, k).unwrap();
-            let planner = drive_serial(
-                BisectPlan::new(&items, SearchMode::Biggest(k)),
+            let planner = bisect_biggest(
                 magnitude(weights.clone()),
+                &items,
+                k,
+                &ThreadsBackend::new(1),
             )
             .unwrap();
             assert_eq!(planner.found, reference.found, "k={k}");

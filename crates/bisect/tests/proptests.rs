@@ -10,8 +10,9 @@ use flit_bisect::algo::{bisect_all, bisect_all_unpruned, AssumptionViolation};
 use flit_bisect::baselines::linear_search;
 use flit_bisect::biggest::bisect_biggest;
 use flit_bisect::test_fn::{MemoTest, TestError};
+use flit_exec::ThreadsBackend;
 
-fn weighted(weights: Vec<(u32, f64)>) -> impl FnMut(&[u32]) -> Result<f64, TestError> {
+fn weighted(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
     move |items: &[u32]| {
         Ok(items
             .iter()
@@ -58,8 +59,8 @@ proptest! {
             .map(|(rank, i)| (i, 2f64.powi(rank as i32)))
             .collect();
         let items: Vec<u32> = (0..n as u32).collect();
-        let pruned = bisect_all(weighted(weights.clone()), &items).unwrap();
-        let unpruned = bisect_all_unpruned(weighted(weights), &items).unwrap();
+        let pruned = bisect_all(weighted(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
+        let unpruned = bisect_all_unpruned(weighted(weights), &items, &ThreadsBackend::new(1)).unwrap();
         let norm = |o: &flit_bisect::algo::BisectOutcome<u32>| -> BTreeSet<u32> {
             o.found.iter().map(|(i, _)| *i).collect()
         };
@@ -83,7 +84,7 @@ proptest! {
             Ok(if items.contains(&a) && items.contains(&b) { 1.0 } else { 0.0 })
         };
         let items: Vec<u32> = (0..64).collect();
-        let out = bisect_all(coupled, &items).unwrap();
+        let out = bisect_all(coupled, &items, &ThreadsBackend::new(1)).unwrap();
         let found: BTreeSet<u32> = out.found.iter().map(|(i, _)| *i).collect();
         let complete = found.contains(&a) && found.contains(&b);
         prop_assert!(
@@ -101,7 +102,7 @@ proptest! {
             if items.contains(&a) { Ok(7.0) } else if items.contains(&b) { Ok(1.0) } else { Ok(0.0) }
         };
         let items: Vec<u32> = (0..64).collect();
-        let out = bisect_all(masking, &items).unwrap();
+        let out = bisect_all(masking, &items, &ThreadsBackend::new(1)).unwrap();
         let found: BTreeSet<u32> = out.found.iter().map(|(i, _)| *i).collect();
         let complete = found.contains(&a) && found.contains(&b);
         prop_assert!(complete || !out.verified());
@@ -124,7 +125,7 @@ proptest! {
             .collect();
         let items: Vec<u32> = (0..100).collect();
         let all = linear_search(weighted(weights.clone()), &items).unwrap();
-        let big = bisect_biggest(weighted(weights), &items, 100).unwrap();
+        let big = bisect_biggest(weighted(weights), &items, 100, &ThreadsBackend::new(1)).unwrap();
         let norm = |o: &flit_bisect::algo::BisectOutcome<u32>| -> BTreeSet<u32> {
             o.found.iter().map(|(i, _)| *i).collect()
         };
@@ -145,9 +146,9 @@ proptest! {
         let items: Vec<u32> = (0..32).collect();
         // Each algorithm either completes (if it never queries a subset
         // of the crashing size) or returns the crash — never panics.
-        let _ = bisect_all(crashy, &items);
-        let _ = bisect_all_unpruned(crashy, &items);
-        let _ = bisect_biggest(crashy, &items, 2);
+        let _ = bisect_all(crashy, &items, &ThreadsBackend::new(1));
+        let _ = bisect_all_unpruned(crashy, &items, &ThreadsBackend::new(1));
+        let _ = bisect_biggest(crashy, &items, 2, &ThreadsBackend::new(1));
         let _ = linear_search(crashy, &items);
     }
 }

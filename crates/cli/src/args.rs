@@ -696,15 +696,9 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                     "`serve` takes exactly one of --listen <addr>, --status, --shutdown\n\n{USAGE}"
                 )));
             }
-            let connect = f.value("--connect");
-            if listen.is_none() && connect.is_none() {
-                return Err(ParseError(format!(
-                    "`serve --status`/`--shutdown` need --connect <addr>\n\n{USAGE}"
-                )));
-            }
-            let connect = connect.unwrap_or_default();
-            // Only `--listen` asks for the daemon's flags, so `finish`
-            // rejects them in the control modes.
+            // Only `--listen` asks for the daemon's flags and only the
+            // control modes ask for `--connect`, so `finish` rejects
+            // each in the other mode.
             Command::Serve(match listen {
                 Some(addr) => ServeArgs::Listen(ListenArgs {
                     addr,
@@ -713,8 +707,18 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                     exec: f.exec(&["--workers"])?,
                     trace: f.value("--trace"),
                 }),
-                None if status => ServeArgs::Status { connect },
-                None => ServeArgs::Shutdown { connect },
+                None => {
+                    let connect = f.value("--connect").ok_or_else(|| {
+                        ParseError(format!(
+                            "`serve --status`/`--shutdown` need --connect <addr>\n\n{USAGE}"
+                        ))
+                    })?;
+                    if status {
+                        ServeArgs::Status { connect }
+                    } else {
+                        ServeArgs::Shutdown { connect }
+                    }
+                }
             })
         }
         "submit" => {
@@ -1382,6 +1386,10 @@ mod tests {
             (
                 &["serve", "--shutdown", "--connect", "x", "--state-dir", "d"],
                 with_usage("`serve` does not take --state-dir"),
+            ),
+            (
+                &["serve", "--listen", "127.0.0.1:0", "--connect", "x"],
+                with_usage("`serve` does not take --connect"),
             ),
             (
                 &["submit", "laghos", "--connect", "x"],

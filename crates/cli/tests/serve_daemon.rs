@@ -429,3 +429,51 @@ fn a_silent_client_is_refused_at_the_request_deadline() {
     shutdown_daemon(child, &addr);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_trickling_client_is_refused_at_the_request_deadline() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dir = state_dir("trickle");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let stream = std::net::TcpStream::connect(&addr).expect("daemon accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // One byte of a never-finished frame per second: every single read
+    // completes well inside the deadline, the request never does.
+    let stop = AtomicBool::new(false);
+    let started = Instant::now();
+    let response = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut writer = &stream;
+            for byte in "{\"crc\":\"00000000\",\"rec\":".bytes().cycle().take(30) {
+                if stop.load(Ordering::SeqCst) || writer.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        });
+        let response: flit_serve::protocol::Response =
+            flit_persist::read_framed(std::io::BufReader::new(&stream), u64::MAX)
+                .expect("a well-formed frame")
+                .expect("a response");
+        stop.store(true, Ordering::SeqCst);
+        response
+    });
+    let elapsed = started.elapsed();
+    match response {
+        flit_serve::protocol::Response::Error { message } => {
+            assert_eq!(message, "no request within 5 s");
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    assert!(
+        elapsed >= flit_serve::protocol::REQUEST_DEADLINE && elapsed < Duration::from_secs(8),
+        "refused after {elapsed:?}"
+    );
+    let status = flit(&["serve", "--status", "--connect", &addr]);
+    assert_eq!(fleet_executed(&status), 0, "{status}");
+    shutdown_daemon(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}

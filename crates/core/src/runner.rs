@@ -2,7 +2,7 @@
 //! the trusted baseline.
 //!
 //! Compilations are independent, so the sweep fans out on the shared
-//! [`flit_exec::Executor`]: workers pull compilation indices from an
+//! [`flit_exec::ThreadsBackend`]: workers pull compilation indices from an
 //! atomic work queue and deposit records into that compilation's
 //! pre-allocated slot, so the database contents are bit-identical
 //! regardless of thread count or schedule — there is no static
@@ -282,11 +282,11 @@ pub fn run_matrix_in(
         base_seconds,
     );
 
-    // Fan out over compilations on the shared executor: workers pull
+    // Fan out over compilations on the threads backend: workers pull
     // the next unclaimed index and deposit records into that
     // compilation's slot, so collection order (and therefore the
     // database) is schedule-independent. A panic in any job is captured
-    // by the executor and reported as a structured error.
+    // by the backend and reported as a structured error.
     let nthreads = cfg.threads.max(1).min(compilations.len().max(1));
     let claimed = cfg.trace.counter(counter_names::RUNNER_QUEUE_CLAIMED);
     let drained = cfg.trace.counter(counter_names::RUNNER_QUEUE_DRAINED);

@@ -1,13 +1,12 @@
 //! Pluggable execution backends.
 //!
 //! Every parallel fan-out in the workspace — the matrix runner, the
-//! planner-driven bisect drivers, the perf bisect, the workflow — used
-//! to hold a concrete [`Executor`]. This module abstracts that into
-//! [`ExecBackend`], a trait with two capabilities:
+//! planner-driven bisect drivers, the perf bisect, the workflow — runs
+//! on an [`ExecBackend`], a trait with two capabilities:
 //!
 //! - **fan-out** ([`ExecBackend::run_units`]): run `n` indexed unit
 //!   closures across the backend's width. This is what the in-process
-//!   `threads` backend serves directly, and what remote backends still
+//!   [`ThreadsBackend`] serves directly, and what remote backends still
 //!   serve locally (the *driver* loop always runs in the coordinator;
 //!   only query evaluation moves).
 //! - **dispatch** ([`ExecBackend::dispatch`]): ship one serialized
@@ -24,11 +23,65 @@
 //! on the search layer.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::executor::{ExecError, Executor};
+use flit_trace::names::counter;
 use flit_trace::sink::TraceSink;
+
+/// Why a fan-out or a dispatch could not produce results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// A job's closure panicked. The panic was caught on the worker —
+    /// the process does not abort — and the *lowest* panicking job
+    /// index is reported, which is the job a serial execution would
+    /// have died on first, so the error is schedule-independent.
+    WorkerPanicked {
+        /// Index of the panicking job.
+        job: usize,
+        /// The panic payload, rendered to a string where possible.
+        message: String,
+    },
+    /// An execution backend failed outside any single job's closure: a
+    /// worker process kept dying past the retry budget, the wire
+    /// protocol broke down, or a backend was asked for an operation it
+    /// does not support (e.g. dispatching a query envelope to the
+    /// in-process `threads` backend).
+    Backend {
+        /// What went wrong.
+        message: String,
+    },
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecError::WorkerPanicked { job, message } => {
+                write!(f, "executor job {job} panicked: {message}")
+            }
+            ExecError::Backend { message } => {
+                write!(f, "execution backend error: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+/// Render a caught panic payload: `&str` and `String` payloads (the
+/// overwhelmingly common cases) come through verbatim; anything else
+/// becomes a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// A serialized query, addressed to whatever evaluation plane the
 /// backend owns.
@@ -75,8 +128,7 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
     /// Run `f(0), f(1), …, f(units - 1)` across the backend's width.
     /// Unit closures communicate results through captured state (see
     /// [`run_on`] for the typed wrapper); panics surface as
-    /// [`ExecError::WorkerPanicked`] with the lowest panicking index,
-    /// exactly like [`Executor::run`].
+    /// [`ExecError::WorkerPanicked`] with the lowest panicking index.
     fn run_units(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), ExecError>;
 
     /// Ship one query envelope to the evaluation plane and block for
@@ -118,38 +170,45 @@ where
         .collect()
 }
 
-/// The in-process `threads` backend: the scoped-thread work queue
-/// [`Executor`], re-homed behind the trait. Queries are evaluated by
-/// the caller inside its unit closures, so [`ExecBackend::dispatch`]
-/// is a structured error rather than a capability.
-#[derive(Debug, Clone)]
+/// The in-process `threads` backend: a scoped-thread work queue over
+/// unit indices. Queries are evaluated by the caller inside its unit
+/// closures, so [`ExecBackend::dispatch`] is a structured error rather
+/// than a capability.
+///
+/// The width is a cap, not a pool: each [`ExecBackend::run_units`]
+/// call spawns up to `threads` scoped workers (never more than there
+/// are units) that pull indices from an atomic queue, so a slow unit
+/// never strands a static chunk on one worker. At width 1 the units
+/// run inline on the caller's thread, with no spawn per call.
+#[derive(Clone)]
 pub struct ThreadsBackend {
-    exec: Executor,
+    threads: usize,
+    trace: TraceSink,
 }
 
 impl ThreadsBackend {
-    /// A threads backend of the given width with tracing disabled.
+    /// A threads backend of the given width with tracing disabled. A
+    /// width of `0` is a caller bug (there is no meaningful zero-worker
+    /// backend) and clamps to serial width 1.
     pub fn new(threads: usize) -> Self {
-        ThreadsBackend {
-            exec: Executor::new(threads),
-        }
+        Self::with_trace(threads, TraceSink::disabled())
     }
 
     /// A threads backend recording `exec.jobs.*` counters into `trace`.
+    /// Width `0` clamps to 1, as in [`ThreadsBackend::new`].
     pub fn with_trace(threads: usize, trace: TraceSink) -> Self {
         ThreadsBackend {
-            exec: Executor::with_trace(threads, trace),
+            threads: threads.max(1),
+            trace,
         }
     }
+}
 
-    /// Wrap an existing executor.
-    pub fn from_executor(exec: Executor) -> Self {
-        ThreadsBackend { exec }
-    }
-
-    /// The wrapped executor.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
+impl fmt::Debug for ThreadsBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThreadsBackend")
+            .field("threads", &self.threads)
+            .finish()
     }
 }
 
@@ -159,11 +218,56 @@ impl ExecBackend for ThreadsBackend {
     }
 
     fn workers(&self) -> usize {
-        self.exec.threads()
+        self.threads
     }
 
     fn run_units(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), ExecError> {
-        self.exec.run(units, f).map(|_| ())
+        let completed = self.trace.counter(counter::EXEC_JOBS_COMPLETED);
+        let panicked = self.trace.counter(counter::EXEC_JOBS_PANICKED);
+        self.trace
+            .counter(counter::EXEC_JOBS_SUBMITTED)
+            .incr(units as u64);
+        // One unit under `catch_unwind`: `Some((index, message))` when
+        // it panicked.
+        let run = |i: usize| match catch_unwind(AssertUnwindSafe(|| f(i))) {
+            Ok(()) => {
+                completed.incr(1);
+                None
+            }
+            Err(payload) => {
+                panicked.incr(1);
+                Some((i, panic_message(payload.as_ref())))
+            }
+        };
+        let workers = self.threads.min(units);
+        let lowest = if workers <= 1 {
+            // Inline, in index order: the first panic is the lowest.
+            (0..units).find_map(run)
+        } else {
+            let next = AtomicUsize::new(0);
+            let lowest: Mutex<Option<(usize, String)>> = Mutex::new(None);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= units {
+                            break;
+                        }
+                        if let Some(caught) = run(i) {
+                            let mut lowest = lowest.lock();
+                            if lowest.as_ref().is_none_or(|(job, _)| caught.0 < *job) {
+                                *lowest = Some(caught);
+                            }
+                        }
+                    });
+                }
+            });
+            lowest.into_inner()
+        };
+        match lowest {
+            Some((job, message)) => Err(ExecError::WorkerPanicked { job, message }),
+            None => Ok(()),
+        }
     }
 
     fn dispatch(&self, query: &QueryEnvelope) -> Result<AnswerEnvelope, ExecError> {
@@ -180,33 +284,56 @@ impl ExecBackend for ThreadsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flit_trace::names::counter;
 
     #[test]
-    fn run_on_collects_results_in_index_order() {
-        let backend = ThreadsBackend::new(4);
-        for jobs in [0, 1, 7, 33] {
-            let out = run_on(&backend, jobs, |i| i * 3).unwrap();
-            assert_eq!(out, (0..jobs).map(|i| i * 3).collect::<Vec<_>>());
+    fn run_on_collects_results_in_index_order_at_any_width() {
+        for threads in [1, 2, 8, 64] {
+            let backend = ThreadsBackend::new(threads);
+            for jobs in [0, 1, 7, 17, 33] {
+                let out = run_on(&backend, jobs, |i| i * i).unwrap();
+                assert_eq!(
+                    out,
+                    (0..jobs).map(|i| i * i).collect::<Vec<_>>(),
+                    "threads={threads} jobs={jobs}"
+                );
+            }
         }
     }
 
     #[test]
-    fn run_on_surfaces_lowest_panicking_index() {
-        let backend = ThreadsBackend::new(4);
-        let err = run_on(&backend, 9, |i| {
-            if i >= 5 {
-                panic!("unit {i} failed");
+    fn zero_width_clamps_to_one_worker() {
+        // Width 0 is a caller bug, but it must degrade to a serial
+        // backend — never a zero-worker deadlock or a panic.
+        let backend = ThreadsBackend::new(0);
+        assert_eq!(backend.workers(), 1);
+        assert_eq!(run_on(&backend, 5, |i| i * 2).unwrap(), vec![0, 2, 4, 6, 8]);
+        // And the degenerate product of both clamps: zero workers asked
+        // to run zero jobs is an empty success.
+        assert!(run_on(&backend, 0, |i| i).unwrap().is_empty());
+        assert_eq!(
+            ThreadsBackend::with_trace(0, TraceSink::enabled()).workers(),
+            1
+        );
+    }
+
+    #[test]
+    fn panic_is_captured_as_the_lowest_job_index() {
+        for threads in [1, 4] {
+            let backend = ThreadsBackend::new(threads);
+            let err = run_on(&backend, 8, |i| {
+                if i % 3 == 2 {
+                    panic!("job {i} exploded");
+                }
+                i
+            })
+            .unwrap_err();
+            match err {
+                ExecError::WorkerPanicked { job, message } => {
+                    assert_eq!(job, 2, "lowest panicking job, threads={threads}");
+                    assert!(message.contains("exploded"), "{message}");
+                }
+                other => panic!("expected WorkerPanicked, got {other:?}"),
             }
-            i
-        })
-        .unwrap_err();
-        match err {
-            ExecError::WorkerPanicked { job, message } => {
-                assert_eq!(job, 5);
-                assert!(message.contains("failed"), "{message}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
         }
     }
 
@@ -232,12 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_backend_records_job_counters() {
+    fn counters_account_for_every_job() {
         let sink = TraceSink::enabled();
         let backend = ThreadsBackend::with_trace(3, sink.clone());
         run_on(&backend, 10, |i| i).unwrap();
         let trace = sink.snapshot();
         assert_eq!(trace.counter(counter::EXEC_JOBS_SUBMITTED), 10);
         assert_eq!(trace.counter(counter::EXEC_JOBS_COMPLETED), 10);
+        assert_eq!(trace.counter(counter::EXEC_JOBS_PANICKED), 0);
     }
 }

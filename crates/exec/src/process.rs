@@ -45,8 +45,7 @@ use flit_persist::{read_framed, write_framed, CodecError};
 use flit_trace::names::counter;
 use flit_trace::sink::TraceSink;
 
-use crate::backend::{AnswerEnvelope, ExecBackend, QueryEnvelope};
-use crate::executor::{ExecError, Executor};
+use crate::backend::{AnswerEnvelope, ExecBackend, ExecError, QueryEnvelope, ThreadsBackend};
 
 /// Environment variable holding a worker's scheduled exit point: the
 /// worker exits right before sending its `n`-th answer.
@@ -161,10 +160,9 @@ struct PoolState {
 pub struct ProcessBackend {
     /// Worker command line (`argv[0]` + args), e.g. `["flit", "worker"]`.
     cmd: Vec<String>,
-    workers: usize,
     /// Local fan-out for the driver loop (the planner always runs in
     /// the coordinator; only query evaluation crosses the wire).
-    local: Executor,
+    local: ThreadsBackend,
     trace: TraceSink,
     state: Mutex<PoolState>,
     available: Condvar,
@@ -181,14 +179,12 @@ impl ProcessBackend {
 
     /// A process backend recording `exec.backend.*` and `exec.jobs.*`
     /// counters into `trace`. Width `0` clamps to 1, matching
-    /// [`Executor::new`].
+    /// [`ThreadsBackend::new`].
     pub fn with_trace(cmd: Vec<String>, workers: usize, trace: TraceSink) -> Self {
         assert!(!cmd.is_empty(), "worker command must name a program");
-        let workers = workers.max(1);
         ProcessBackend {
             cmd,
-            workers,
-            local: Executor::with_trace(workers, trace.clone()),
+            local: ThreadsBackend::with_trace(workers, trace.clone()),
             trace,
             state: Mutex::new(PoolState {
                 idle: Vec::new(),
@@ -219,7 +215,7 @@ impl ProcessBackend {
     /// Lock the pool state, recovering a poisoned guard.
     ///
     /// A coordinator thread that panics while holding this lock (the
-    /// executor catches the unwind, but the guard is already dropped
+    /// local fan-out catches the unwind, but the guard is already dropped
     /// poisoned) must not cascade into an abort for every other
     /// in-flight dispatch. Recovery is sound here because every pool
     /// mutation is requeue-idempotent: `idle`/`live`/`spawned` are
@@ -282,7 +278,7 @@ impl ProcessBackend {
             if let Some(worker) = state.idle.pop() {
                 return Ok(worker);
             }
-            if state.live < self.workers {
+            if state.live < self.local.workers() {
                 state.live += 1;
                 let index = state.spawned;
                 state.spawned += 1;
@@ -360,7 +356,7 @@ impl ExecBackend for ProcessBackend {
     }
 
     fn workers(&self) -> usize {
-        self.workers
+        self.local.workers()
     }
 
     fn is_remote(&self) -> bool {
@@ -368,7 +364,7 @@ impl ExecBackend for ProcessBackend {
     }
 
     fn run_units(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), ExecError> {
-        self.local.run(units, f).map(|_| ())
+        self.local.run_units(units, f)
     }
 
     /// Graceful drain: wait until every checked-out worker has been
@@ -439,7 +435,7 @@ impl std::fmt::Debug for ProcessBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProcessBackend")
             .field("cmd", &self.cmd)
-            .field("workers", &self.workers)
+            .field("workers", &self.local.workers())
             .field("kill_schedule", &self.kill_schedule)
             .finish()
     }

@@ -17,12 +17,13 @@
 //! then is the acknowledgement sent.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::BufReader;
 use std::io::ErrorKind::{TimedOut, WouldBlock};
+use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use flit_bisect::journal::JournalWriter;
 use flit_bisect::ledger::QueryLedger;
@@ -437,8 +438,12 @@ impl Inner {
             let _ = write_framed(&stream, response);
         };
         let refuse = |message: String| reply(&Response::Error { message });
-        let _ = stream.set_read_timeout(Some(REQUEST_DEADLINE));
-        let request: Request = match read_framed(BufReader::new(&stream), MAX_REQUEST_FRAME) {
+        let within_deadline = DeadlineReader {
+            stream: &stream,
+            deadline: Instant::now() + REQUEST_DEADLINE,
+        };
+        let request: Request = match read_framed(BufReader::new(within_deadline), MAX_REQUEST_FRAME)
+        {
             Ok(Some(req)) => req,
             Ok(None) => return,
             Err(CodecError::Io(e)) if matches!(e.kind(), WouldBlock | TimedOut) => {
@@ -540,6 +545,26 @@ pub fn serve(
 /// means.
 pub fn wake_acceptor(addr: std::net::SocketAddr) {
     let _ = TcpStream::connect(addr);
+}
+
+/// A request reader bounded by one deadline for the whole request, not
+/// per read: each read re-arms the socket timeout to the time left, so
+/// a client trickling bytes cannot hold its connection thread past it.
+struct DeadlineReader<'s> {
+    stream: &'s TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(TimedOut.into());
+        }
+        let mut stream = self.stream;
+        stream.set_read_timeout(Some(left))?;
+        stream.read(buf)
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ pub mod phase {
     pub const BISECT_SYMBOL: &str = "bisect.symbol";
     /// Workflow-driver spans (Figure 1's numbered stages).
     pub const WORKFLOW: &str = "workflow";
-    /// Executor scheduling waves: one span per frontier wave dispatched
-    /// by a parallel bisect driver (cost = wave width in queries).
+    /// Backend scheduling waves: one span per frontier wave dispatched
+    /// by the bisect wave driver (cost = wave width in queries).
     pub const EXEC_WAVE: &str = "exec.wave";
     /// Canonical per-query spans of a planner-driven search, emitted in
     /// serial consumption order (cost = item-set size, duration =

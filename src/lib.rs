@@ -19,7 +19,7 @@
 //! let test = |set: &[u32]| -> Result<f64, TestError> {
 //!     Ok(set.iter().filter_map(|i| weights.iter().find(|(w, _)| w == i)).map(|(_, v)| v).sum())
 //! };
-//! let out = bisect_all(test, &items).unwrap();
+//! let out = bisect_all(test, &items, &ThreadsBackend::new(1)).unwrap();
 //! let mut found: Vec<u32> = out.found.iter().map(|(i, _)| *i).collect();
 //! found.sort();
 //! assert_eq!(found, vec![2, 8, 9]);
@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use flit_bisect::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
     pub use flit_bisect::ledger::{LedgerHandle, LedgerStats, QueryLedger, SearchKeys};
-    pub use flit_bisect::parallel::{bisect_all_parallel, bisect_biggest_parallel, SharedOracle};
+    pub use flit_bisect::parallel::SharedOracle;
     pub use flit_bisect::planner::{BisectPlan, PlanStep, SearchMode};
     pub use flit_bisect::test_fn::{MemoTest, TestError};
     pub use flit_core::analysis::{
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use flit_core::runner::{run_matrix, RunnerConfig};
     pub use flit_core::test::{DriverTest, FlitTest, RunContext, TestResult};
     pub use flit_core::workflow::{run_workflow, LintMode, WorkflowConfig};
-    pub use flit_exec::{ExecBackend, Executor, ProcessBackend, ThreadsBackend};
+    pub use flit_exec::{ExecBackend, ProcessBackend, ThreadsBackend};
     pub use flit_fpsim::env::{FpEnv, MathLib, SimdWidth};
     pub use flit_fuzz::{
         check_seed, run_campaign, CampaignConfig, CampaignResult, OracleConfig, SeedVerdict,

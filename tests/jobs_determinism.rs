@@ -1,14 +1,15 @@
-//! The planner/executor determinism contract, end to end: every search
+//! The planner/backend determinism contract, end to end: every search
 //! result — found sets, execution counts, traces, violations — is
-//! byte-identical whether the frontier is evaluated serially or on an
-//! 8-wide executor, and the planner's frontier never goes empty before
-//! the search completes (no deadlocks), for arbitrary weight maps.
+//! byte-identical whether the frontier is evaluated on a width-1 (the
+//! serial search) or a wider threads backend, and the planner's
+//! frontier never goes empty before the search completes (no
+//! deadlocks), for arbitrary weight maps. The planner's unit tests pin
+//! width 1 against the verbatim reference loops.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use flit::bisect::parallel::{bisect_all_parallel, bisect_biggest_parallel};
 use flit::bisect::planner::{PlanStep, Query};
 use flit::prelude::*;
 
@@ -62,12 +63,12 @@ fn figure_2_search_is_identical_at_jobs_1_and_8() {
     // The paper's running example: find {2, 8, 9} among 1..=10.
     let items: Vec<u32> = (1..=10).collect();
     let weights = vec![(2u32, 0.25), (8, 1.5), (9, 0.125)];
-    let serial = bisect_all(weighted(weights.clone()), &items).unwrap();
-    for jobs in [1, 8] {
-        let par = bisect_all_parallel(
+    let serial = bisect_all(weighted(weights.clone()), &items, &ThreadsBackend::new(1)).unwrap();
+    for jobs in [2, 8] {
+        let par = bisect_all(
             weighted(weights.clone()),
             &items,
-            &flit::exec::ThreadsBackend::new(jobs),
+            &ThreadsBackend::new(jobs),
         )
         .unwrap();
         assert_outcomes_identical(&par, &serial, &format!("figure-2 jobs={jobs}"));
@@ -88,11 +89,10 @@ fn coupled_fixture_reports_the_same_violation_at_any_width() {
             0.0
         })
     };
-    let serial = bisect_all(coupled, &items).unwrap();
+    let serial = bisect_all(coupled, &items, &ThreadsBackend::new(1)).unwrap();
     assert!(!serial.verified());
-    for jobs in [1, 8] {
-        let par =
-            bisect_all_parallel(coupled, &items, &flit::exec::ThreadsBackend::new(jobs)).unwrap();
+    for jobs in [2, 8] {
+        let par = bisect_all(coupled, &items, &ThreadsBackend::new(jobs)).unwrap();
         assert_outcomes_identical(&par, &serial, &format!("coupled jobs={jobs}"));
     }
 }
@@ -112,10 +112,9 @@ fn masked_fixture_reports_the_same_violation_at_any_width() {
             Ok(0.0)
         }
     };
-    let serial = bisect_all(masking, &items).unwrap();
-    for jobs in [1, 8] {
-        let par =
-            bisect_all_parallel(masking, &items, &flit::exec::ThreadsBackend::new(jobs)).unwrap();
+    let serial = bisect_all(masking, &items, &ThreadsBackend::new(1)).unwrap();
+    for jobs in [2, 8] {
+        let par = bisect_all(masking, &items, &ThreadsBackend::new(jobs)).unwrap();
         assert_outcomes_identical(&par, &serial, &format!("masked jobs={jobs}"));
     }
 }
@@ -125,13 +124,19 @@ fn biggest_is_identical_at_jobs_1_and_8() {
     let items: Vec<u32> = (0..128).collect();
     let weights = vec![(3u32, 1.0), (60, 8.0), (100, 2.0), (17, 0.25)];
     for k in [1, 3] {
-        let serial = bisect_biggest(weighted(weights.clone()), &items, k).unwrap();
-        for jobs in [1, 8] {
-            let par = bisect_biggest_parallel(
+        let serial = bisect_biggest(
+            weighted(weights.clone()),
+            &items,
+            k,
+            &ThreadsBackend::new(1),
+        )
+        .unwrap();
+        for jobs in [2, 8] {
+            let par = bisect_biggest(
                 weighted(weights.clone()),
                 &items,
                 k,
-                &flit::exec::ThreadsBackend::new(jobs),
+                &ThreadsBackend::new(jobs),
             )
             .unwrap();
             assert_outcomes_identical(&par, &serial, &format!("biggest k={k} jobs={jobs}"));

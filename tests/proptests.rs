@@ -34,7 +34,7 @@ fn ground_truth() -> impl Strategy<Value = GroundTruth> {
     })
 }
 
-fn scripted(gt: GroundTruth) -> impl FnMut(&[u32]) -> Result<f64, TestError> {
+fn scripted(gt: GroundTruth) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
     move |items: &[u32]| {
         Ok(items
             .iter()
@@ -59,7 +59,7 @@ proptest! {
     fn bisect_all_is_exact(gt in ground_truth()) {
         let items: Vec<u32> = (0..gt.n as u32).collect();
         let expected: BTreeSet<u32> = gt.variable.iter().map(|(i, _)| *i).collect();
-        let out = bisect_all(scripted(gt.clone()), &items).unwrap();
+        let out = bisect_all(scripted(gt.clone()), &items, &ThreadsBackend::new(1)).unwrap();
         let found: BTreeSet<u32> = out.found.iter().map(|(i, _)| *i).collect();
         prop_assert_eq!(found, expected);
         prop_assert!(out.verified());
@@ -71,7 +71,7 @@ proptest! {
     fn bisect_all_obeys_the_complexity_bound(gt in ground_truth()) {
         let items: Vec<u32> = (0..gt.n as u32).collect();
         let k = gt.variable.len();
-        let out = bisect_all(scripted(gt), &items).unwrap();
+        let out = bisect_all(scripted(gt), &items, &ThreadsBackend::new(1)).unwrap();
         let log_n = (gt_log2(items.len())) + 1;
         let bound = 2 * (k + 1) * log_n + k + 4;
         prop_assert!(
@@ -85,7 +85,7 @@ proptest! {
     #[test]
     fn searches_agree(gt in ground_truth()) {
         let items: Vec<u32> = (0..gt.n as u32).collect();
-        let b = bisect_all(scripted(gt.clone()), &items).unwrap();
+        let b = bisect_all(scripted(gt.clone()), &items, &ThreadsBackend::new(1)).unwrap();
         let d = ddmin(scripted(gt.clone()), &items).unwrap();
         let l = linear_search(scripted(gt.clone()), &items).unwrap();
         let norm = |o: &flit::bisect::algo::BisectOutcome<u32>| -> BTreeSet<u32> {
@@ -102,7 +102,7 @@ proptest! {
         let mut expected: Vec<(u32, f64)> = gt.variable.clone();
         expected.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         expected.truncate(k);
-        let out = bisect_biggest(scripted(gt), &items, k).unwrap();
+        let out = bisect_biggest(scripted(gt), &items, k, &ThreadsBackend::new(1)).unwrap();
         prop_assert_eq!(out.found, expected);
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + tests, formatting, and lints.
-# `./verify.sh --quick` runs only the planner/executor determinism
+# `./verify.sh --quick` runs only the planner/backend determinism
 # suite — the fast invariant check after touching the search machinery.
 # `./verify.sh --fuzz` runs a time-boxed differential fuzz campaign
 # (the corpus plus a fixed seed range) through the release CLI; any
@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 if [[ "${1:-}" == "--quick" ]]; then
-  echo "== quick: jobs determinism (width 1 vs 8 workers, width-1 work pin) =="
+  echo "== quick: jobs determinism (widths 2 and 8 vs width 1, width-1 work pin) =="
   cargo test -q --test jobs_determinism
   echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
   cargo test -q -p flit-lint
@@ -28,7 +28,7 @@ if [[ "${1:-}" == "--quick" ]]; then
   echo "== quick: hostile input (every decoder; deep frames at the daemon and the worker) =="
   cargo test -q -p serde_json
   cargo test -q --test hostile_input
-  cargo test -q -p flit-cli --test serve_daemon -- deeply_nested silent_client
+  cargo test -q -p flit-cli --test serve_daemon -- deeply_nested silent_client trickling_client
   cargo test -q -p flit-cli --test process_backend -- deeply_nested
   echo "== quick: fuzz oracle + campaign plumbing =="
   cargo test -q -p flit-fuzz
@@ -72,6 +72,15 @@ if [[ "${1:-}" == "--quick" ]]; then
   if ./target/debug/flit bisect mfem --test ex13 --compilation "g++ -O3 -mavx2 -mfma" \
       --workers 3 --kill-workers 1,1 > /dev/null 2>&1; then
     echo "flit bisect accepted --workers without --backend process" >&2
+    exit 1
+  fi
+  # `--connect` is a control-mode flag: `serve --listen` rejects it
+  # instead of starting a daemon that ignores it (124: still running).
+  status=0
+  timeout 10 ./target/debug/flit serve --listen 127.0.0.1:0 --connect x > /dev/null 2>&1 \
+      || status=$?
+  if [[ $status -eq 0 || $status -eq 124 ]]; then
+    echo "flit serve --listen accepted --connect" >&2
     exit 1
   fi
   ./target/debug/flit bound mfem --pair "g++ -O2" "g++ -O3 -mavx2 -mfma" > /dev/null
