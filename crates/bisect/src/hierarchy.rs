@@ -22,7 +22,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use flit_program::build::Build;
@@ -35,7 +34,7 @@ use flit_trace::sink::TraceSink;
 use flit_exec::{run_on, ExecBackend, ExecError};
 
 use crate::algo::{AssumptionViolation, BisectOutcome};
-use crate::ledger::{LedgerHandle, SearchKeys};
+use crate::ledger::{LedgerHandle, QueryLedger, SearchKeys};
 use crate::parallel::{drive_plans, emit_query_spans, SharedOracle, SpeculationScore};
 use crate::planner::{Answer, BisectPlan, SearchMode};
 use crate::test_fn::TestError;
@@ -147,17 +146,22 @@ pub struct HierarchicalConfig {
     /// certificates, removes `Invariant`-certified items from the search
     /// space under a residual audit.
     pub prescreen: Option<Prescreen>,
-    /// Optional handle on a workflow-wide [`QueryLedger`]: every Test
+    /// Optional handle on a workflow-wide [`QueryLedger`]. Every Test
     /// query (reference run, file level, probes, symbol level) is
-    /// answered through the shared single-flight table — and journaled,
-    /// when the ledger carries a checkpoint journal. All per-search
-    /// observables (found sets, execution counts, seconds, `bisect.*`
-    /// counters and spans) are byte-identical with or without a ledger;
-    /// only the physical `exec.queries.*` counters change. Sharing is
-    /// sound only when every search handed the same ledger uses the
-    /// same pure `compare` metric.
+    /// answered through a ledger's single-flight table: this one —
+    /// shared with the other searches handed it, and journaled when it
+    /// carries a checkpoint journal — or, when `None`, a private ledger
+    /// made for this one search on [`HierarchicalConfig::trace`]. All
+    /// per-search observables (found sets, execution counts, seconds,
+    /// `bisect.*` counters and spans) are byte-identical either way.
+    /// Sharing is sound only when every search handed the same ledger
+    /// uses the same pure `compare` metric, and when programs with equal
+    /// fingerprints have equal bodies: [`SimProgram::fingerprint`] leaves
+    /// function bodies out, so a clean tree and its fault-injected
+    /// copies must never share a ledger.
     ///
     /// [`QueryLedger`]: crate::ledger::QueryLedger
+    /// [`SimProgram::fingerprint`]: flit_program::model::SimProgram::fingerprint
     pub ledger: Option<LedgerHandle>,
     /// Optional execution backend deciding *where* Test queries
     /// evaluate. `None` (and any backend whose
@@ -389,10 +393,7 @@ fn certified_audit<I>(
     outcome: &BisectOutcome<I>,
     trace: &TraceSink,
     tally: &mut (usize, f64),
-) -> Result<Option<String>, TestError>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-{
+) -> Result<Option<String>, TestError> {
     let mut eval = |items: &[I]| {
         tally.0 += 1;
         let answer = oracle.eval(items);
@@ -415,29 +416,17 @@ where
 }
 
 /// A search's ledger handle with its canonical keys.
-pub(crate) type Ledgered<'c> = Option<(&'c LedgerHandle, SearchKeys)>;
+pub(crate) type Ledgered = (LedgerHandle, SearchKeys);
 
-/// One level's single-flight oracle: answers route through the search's
-/// ledger (under the key `key` digests) when it has one, else through
-/// the oracle's own memo.
+/// One level's oracle: answers route through the search's ledger under
+/// the key `key` digests.
 fn level_oracle<'f, I>(
     raw: impl Fn(&[I]) -> Answer + Sync + 'f,
-    trace: &TraceSink,
-    ledger: &Ledgered<'_>,
+    (handle, keys): &Ledgered,
     key: impl Fn(&SearchKeys, &[I]) -> String + Sync + 'f,
-) -> SharedOracle<'f, I>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-{
-    match ledger {
-        Some((handle, keys)) => {
-            let keys = keys.clone();
-            SharedOracle::with_ledger(raw, trace, (*handle).clone(), move |items| {
-                key(&keys, items)
-            })
-        }
-        None => SharedOracle::new(raw, trace),
-    }
+) -> SharedOracle<'f, I> {
+    let keys = keys.clone();
+    SharedOracle::new(raw, handle.clone(), move |items| key(&keys, items))
 }
 
 /// The crash reason of a search whose backend failed: a panicking Test
@@ -527,17 +516,15 @@ pub(crate) trait TestMetric: Sync {
     /// `symbols`): by default the `-fPIC` probe of §2.3.
     fn gate<'r>(
         &self,
-        ledger: &Ledgered<'_>,
+        (handle, keys): &Ledgered,
         variable: &str,
         file: usize,
         _symbols: &[String],
         reference: &'r [f64],
     ) -> Result<Gate<'r>, TestError> {
-        let probe = || self.query(&ExeRecipe::PicProbe { file }, reference);
-        let (value, _) = match ledger {
-            Some((handle, keys)) => handle.eval_score(&keys.probe(variable, file), probe),
-            None => probe(),
-        }?;
+        let (value, _) = handle.eval_score(&keys.probe(variable, file), || {
+            self.query(&ExeRecipe::PicProbe { file }, reference)
+        })?;
         if value == 0.0 {
             return Ok(Gate::Closed);
         }
@@ -620,9 +607,9 @@ fn unexplained<I: Clone + Ord>(
 /// Each stage is *decided* by the planner and *folded* in the serial
 /// order: the file-level search runs as a frontier-driven plan (both
 /// halves of every split, plus speculation up to the backend width,
-/// evaluated through a single-flight [`SharedOracle`]); the `-fPIC`
-/// probes of all found files run as one wave; the per-file symbol
-/// searches run as *joint* plans sharing the backend. The result —
+/// evaluated through a [`SharedOracle`] over the search's ledger); the
+/// `-fPIC` probes of all found files run as one wave; the per-file
+/// symbol searches run as *joint* plans sharing the backend. The result —
 /// outcome, findings, execution counts, violations, and the `bisect.*`
 /// spans/counters — is byte-identical at any worker count; only the
 /// `exec.*` scheduling telemetry depends on the width. With a remote
@@ -671,10 +658,11 @@ pub(crate) fn walk<M: TestMetric>(
     // pair that identifies the search.
     let search = format!("{}/{}", driver.name, variable.compilation.label());
     let variable_label = variable.compilation.label();
-    let ledger: Ledgered<'_> = cfg
-        .ledger
-        .as_ref()
-        .map(|l| (l, search_keys(baseline, variable, driver, input, cfg)));
+    let handle = cfg.ledger.clone().unwrap_or_else(|| {
+        let private = QueryLedger::new(baseline.program.fingerprint(), &cfg.trace);
+        LedgerHandle::new(private, 1, search.clone())
+    });
+    let ledger: Ledgered = (handle, search_keys(baseline, variable, driver, input, cfg));
     // Every search reports its gate counter, even one that ends early.
     cfg.trace.counter(names.gate_runs);
     let book = |res: &mut HierarchicalResult, counter: &str, runs: usize| {
@@ -682,15 +670,14 @@ pub(crate) fn walk<M: TestMetric>(
         cfg.trace.counter(counter).incr(runs as u64);
     };
 
-    // Reference run under the trusted baseline build. Through a ledger
-    // the answer (the full output vector) may be served by another
-    // search or a journal replay; the accounting is identical either
-    // way, and a failed baseline *link* is not an execution.
-    let compute = || metric.run(&ExeRecipe::Baseline);
-    let reference = match &ledger {
-        Some((handle, keys)) => handle.eval_output(&metric.reference_key(keys), compute),
-        None => compute(),
-    };
+    // Reference run under the trusted baseline build. The answer (the
+    // full output vector) may be served by another search or a journal
+    // replay; the accounting is identical either way, and a failed
+    // baseline *link* is not an execution.
+    let (handle, keys) = &ledger;
+    let reference = handle.eval_output(&metric.reference_key(keys), || {
+        metric.run(&ExeRecipe::Baseline)
+    });
     if !matches!(reference, Err(TestError::Link(_))) {
         book(&mut res, names.reference_runs, 1);
     }
@@ -732,7 +719,7 @@ pub(crate) fn walk<M: TestMetric>(
         let items = items.to_vec();
         metric.query(&ExeRecipe::FileMixed { items }, &base_out)
     };
-    let file_oracle = level_oracle(file_raw, &cfg.trace, &ledger, |keys, items| {
+    let file_oracle = level_oracle(file_raw, &ledger, |keys, items| {
         metric.file_key(keys, &variable_label, items)
     });
     let file_score = |items: &[usize]| -> f64 {
@@ -882,7 +869,7 @@ pub(crate) fn walk<M: TestMetric>(
                 let (file, items) = (fid, items.to_vec());
                 metric.query(&ExeRecipe::SymbolMixed { file, items }, reference)
             };
-            level_oracle(raw, &cfg.trace, &ledger, move |keys, items| {
+            level_oracle(raw, &ledger, move |keys, items| {
                 metric.symbol_key(keys, variable_label, fid, items)
             })
         })

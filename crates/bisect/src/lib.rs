@@ -22,12 +22,13 @@
 //!   byte-identical at any worker count.
 //! * [`parallel`] — the one wave driver: every search (`bisect_all`,
 //!   `bisect_biggest`, the hierarchy's levels) runs its plans on a
-//!   `flit-exec` [`ExecBackend`](flit_exec::ExecBackend) with a shared
-//!   single-flight Test oracle; `ThreadsBackend::new(1)` is the serial
-//!   search.
-//! * [`ledger`] — the workflow-wide query ledger: one sharded
-//!   single-flight answer table shared by every search a workflow
-//!   spawns, keyed on canonical link-recipe digests.
+//!   `flit-exec` [`ExecBackend`](flit_exec::ExecBackend) with a Test
+//!   oracle keyed into a query ledger; `ThreadsBackend::new(1)` is the
+//!   serial search.
+//! * [`ledger`] — the query ledger every search answers through: one
+//!   sharded single-flight answer table, shared by every search a
+//!   workflow spawns (or private to one search), keyed on canonical
+//!   link-recipe digests.
 //! * [`journal`] — the on-disk checkpoint journal backing the ledger:
 //!   CRC-checked JSONL records written atomically, replayed on
 //!   `--resume` for byte-identical continuation of killed searches.

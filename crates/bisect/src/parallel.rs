@@ -1,97 +1,67 @@
-//! The wave driver for [`BisectPlan`]: a shared single-flight Test
-//! oracle plus a wave scheduler on an [`ExecBackend`].
+//! The wave driver for [`BisectPlan`]: a Test oracle answering through
+//! a query ledger plus a wave scheduler on an [`ExecBackend`].
 //!
 //! The division of labor: the *planner* decides which queries matter
 //! and in what canonical order their answers are consumed; the *oracle*
-//! memoizes evaluations (single-flight, shareable across concurrent
-//! searches); the *driver* below batches frontier queries into waves
-//! and fans them out on an [`ExecBackend`]. Answers only ever enter a plan
-//! through its answer table, so speculative or wasted evaluations can
-//! never change an outcome — `--jobs 8` is byte-identical to
-//! `--jobs 1`, and a width-1 backend is the serial search.
+//! keys each item set into the search's [`QueryLedger`], whose
+//! single-flight table memoizes evaluations (and shares them across
+//! searches handed the same ledger); the *driver* below batches
+//! frontier queries into waves and fans them out on an
+//! [`ExecBackend`]. Answers only ever enter a plan through its answer
+//! table, so speculative or wasted evaluations can never change an
+//! outcome — `--jobs 8` is byte-identical to `--jobs 1`, and a width-1
+//! backend is the serial search.
 
 use std::hash::Hash;
 
-#[cfg(test)]
-use flit_exec::ThreadsBackend;
-use flit_exec::{run_on, ExecBackend, ExecError, SingleFlight};
+use flit_exec::{run_on, ExecBackend, ExecError};
+use flit_persist::Fnv128;
 use flit_trace::names::{counter, phase};
 use flit_trace::sink::TraceSink;
 
 use crate::algo::BisectOutcome;
-use crate::ledger::LedgerHandle;
+use crate::ledger::{LedgerHandle, QueryLedger};
 use crate::planner::{Answer, BisectPlan, PlanFailure, PlanOutcome, PlanStep};
 use crate::test_fn::TestError;
 
 /// A raw thread-safe Test function, boxed.
 type RawTest<'f, I> = Box<dyn Fn(&[I]) -> Answer + Sync + 'f>;
 
-/// A ledger routing: the search's handle plus the function that digests
-/// an item set into the workflow-wide canonical key.
-type LedgerRoute<'f, I> = (LedgerHandle, Box<dyn Fn(&[I]) -> String + Sync + 'f>);
+/// A function digesting an item set into its ledger key, boxed.
+type KeyFn<'f, I> = Box<dyn Fn(&[I]) -> String + Sync + 'f>;
 
-/// A memoized, single-flight Test oracle shareable across workers and
-/// across concurrent searches (the concurrent analogue of
-/// [`MemoTest`](crate::test_fn::MemoTest)).
+/// A Test oracle: a raw thread-safe Test function whose every
+/// evaluation is answered through a [`LedgerHandle`] under the key
+/// `key` digests from the (canonical) item set.
 pub struct SharedOracle<'f, I> {
-    memo: SingleFlight<Vec<I>, Answer>,
     raw: RawTest<'f, I>,
-    executed: flit_trace::registry::Counter,
-    memoized: flit_trace::registry::Counter,
-    ledger: Option<LedgerRoute<'f, I>>,
+    handle: LedgerHandle,
+    key: KeyFn<'f, I>,
 }
 
-impl<'f, I> SharedOracle<'f, I>
-where
-    I: Clone + Ord + Hash + Send + Sync,
-{
+impl<'f, I> SharedOracle<'f, I> {
     /// Wrap a raw thread-safe test function: items arrive canonical
     /// (sorted, deduplicated) and it returns the metric value plus the
-    /// run's simulated seconds. Memo hits and misses are recorded as
-    /// `exec.queries.*` counters on `trace`.
-    pub fn new(raw: impl Fn(&[I]) -> Answer + Sync + 'f, trace: &TraceSink) -> Self {
-        SharedOracle {
-            memo: SingleFlight::new(),
-            raw: Box::new(raw),
-            executed: trace.counter(counter::EXEC_QUERIES_EXECUTED),
-            memoized: trace.counter(counter::EXEC_QUERIES_MEMOIZED),
-            ledger: None,
-        }
-    }
-
-    /// Wrap a raw test function, routing every evaluation
-    /// through a workflow-wide [`QueryLedger`](crate::ledger::QueryLedger)
-    /// under keys produced by `key_fn`. The ledger's sharded
-    /// single-flight table replaces the oracle's local memo (and its
-    /// counters), so hits are classified as memoized / shared / replayed
-    /// workflow-wide.
-    pub fn with_ledger(
+    /// run's simulated seconds. The ledger's single-flight table
+    /// memoizes it under `key(items)` and records the hits and misses
+    /// as `exec.queries.*` counters.
+    pub fn new(
         raw: impl Fn(&[I]) -> Answer + Sync + 'f,
-        trace: &TraceSink,
         handle: LedgerHandle,
-        key_fn: impl Fn(&[I]) -> String + Sync + 'f,
+        key: impl Fn(&[I]) -> String + Sync + 'f,
     ) -> Self {
         SharedOracle {
-            ledger: Some((handle, Box::new(key_fn))),
-            ..Self::new(raw, trace)
+            raw: Box::new(raw),
+            handle,
+            key: Box::new(key),
         }
     }
 
     /// Evaluate (memoized, single-flight). `items` must be canonical —
     /// frontier queries already are.
     pub fn eval(&self, items: &[I]) -> Answer {
-        if let Some((handle, key_fn)) = &self.ledger {
-            return handle.eval_score(&key_fn(items), || (self.raw)(items));
-        }
-        let (answer, computed) = self
-            .memo
-            .get_or_compute(items.to_vec(), || (self.raw)(items));
-        if computed {
-            self.executed.incr(1);
-        } else {
-            self.memoized.incr(1);
-        }
-        answer
+        self.handle
+            .eval_score(&(self.key)(items), || (self.raw)(items))
     }
 }
 
@@ -246,7 +216,13 @@ where
     F: Fn(&[I]) -> Result<f64, TestError> + Sync,
 {
     let trace = TraceSink::disabled();
-    let oracle = SharedOracle::new(move |items: &[I]| test_fn(items).map(|v| (v, 0.0)), &trace);
+    let handle = LedgerHandle::new(QueryLedger::new(0, &trace), 1, "bisect");
+    let raw = move |items: &[I]| test_fn(items).map(|v| (v, 0.0));
+    let oracle = SharedOracle::new(raw, handle, |items: &[I]| {
+        let mut h = Fnv128::new();
+        items.hash(&mut h);
+        h.hex()
+    });
     let mut results = drive_plans(&mut [plan], &[&oracle], backend, &trace, "bisect", None)
         .map_err(|e| TestError::Crash(e.to_string()))?;
     match results.pop().expect("one plan in, one result out") {
@@ -261,6 +237,7 @@ mod tests {
     use crate::algo::{bisect_all, bisect_all_unpruned};
     use crate::biggest::bisect_biggest;
     use crate::planner::SearchMode;
+    use flit_exec::ThreadsBackend;
 
     fn magnitude(weights: Vec<(u32, f64)>) -> impl Fn(&[u32]) -> Result<f64, TestError> + Sync {
         move |items: &[u32]| {
@@ -321,12 +298,14 @@ mod tests {
         let weights = vec![(5, 1.0), (20, 2.0)];
         let items: Vec<u32> = (0..32).collect();
         let sink = TraceSink::enabled();
+        let handle = LedgerHandle::new(QueryLedger::new(0, &sink), 1, "joint");
         let oracle = SharedOracle::new(
             {
                 let f = magnitude(weights.clone());
                 move |items: &[u32]| f(items).map(|v| (v, 0.0))
             },
-            &sink,
+            handle,
+            |items: &[u32]| format!("{items:?}"),
         );
         let mut plans = [
             BisectPlan::new(&items, SearchMode::All),

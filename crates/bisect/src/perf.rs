@@ -64,8 +64,10 @@ pub struct PerfConfig {
     pub ctx: BuildCtx,
     /// Trace sink for `perf.*` spans and counters.
     pub trace: TraceSink,
-    /// Optional workflow-wide query ledger (see the variability
-    /// hierarchy); perf queries live under distinct `perf*/` keys.
+    /// Optional workflow-wide query ledger (see
+    /// `HierarchicalConfig::ledger`: without one the search answers
+    /// through a private ledger); perf queries live under distinct
+    /// `perf*/` keys.
     pub ledger: Option<LedgerHandle>,
     /// Optional execution backend deciding *where* timing queries
     /// evaluate (see `HierarchicalConfig::backend`): `None` or a local
@@ -332,7 +334,7 @@ impl TestMetric for Timing<'_> {
     /// so the pic speed penalty cancels instead of being blamed.
     fn gate<'r>(
         &self,
-        _: &Ledgered<'_>,
+        _: &Ledgered,
         _: &str,
         file: usize,
         symbols: &[String],
@@ -703,12 +705,13 @@ mod tests {
         let base = Build::new(&p, base_comp());
         let cand = Build::tagged(&p, slow_comp(), 1);
         let exec = flit_exec::ThreadsBackend::new(2);
+        let plain_trace = TraceSink::enabled();
         let plain = perf_bisect(
             &base,
             &cand,
             &driver(),
             &[0.5, 0.25],
-            &PerfConfig::new(),
+            &PerfConfig::new().with_trace(plain_trace.clone()),
             &exec,
         );
         let trace = TraceSink::enabled();
@@ -719,10 +722,18 @@ mod tests {
             &cand,
             &driver(),
             &[0.5, 0.25],
-            &PerfConfig::new().with_ledger(handle.clone()),
+            &PerfConfig::new()
+                .with_trace(trace.clone())
+                .with_ledger(handle.clone()),
             &exec,
         );
         assert_eq!(first, plain, "ledger must not change observables");
+        // A search without a caller ledger answers through a private
+        // one: its trace is the fresh-ledger trace, byte for byte.
+        assert_eq!(
+            trace.snapshot().to_jsonl(),
+            plain_trace.snapshot().to_jsonl()
+        );
         let executed_once = ledger.stats().executed;
         let again = perf_bisect(
             &base,

@@ -16,9 +16,9 @@
 //! - [`memo::SingleFlight`]: a sharded concurrent memo table with
 //!   single-flight semantics — the compute closure runs under the
 //!   per-key cell lock, so two workers asking for the same key never
-//!   both compute it. `flit-bisect` keys it on canonical item-set
-//!   digests so concurrent searches share one Test oracle and never
-//!   build the same mixed binary twice.
+//!   both compute it. It is the table of `flit-bisect`'s query ledger,
+//!   keyed on canonical item-set digests, so concurrent searches share
+//!   answers and never build the same mixed binary twice.
 
 pub mod backend;
 pub mod memo;

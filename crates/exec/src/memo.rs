@@ -1,4 +1,4 @@
-//! A sharded single-flight memo table for shared oracles.
+//! A sharded single-flight memo table: the query ledger's answer table.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -15,7 +15,7 @@ const SHARDS: usize = 16;
 /// workers racing on the same key therefore serialize on the cell — the
 /// loser blocks until the winner's value is ready and gets a memo hit —
 /// while workers on different keys proceed in parallel. This is what
-/// lets concurrent bisect searches share one Test oracle without ever
+/// lets concurrent bisect searches share one query ledger without ever
 /// building the same mixed binary twice.
 pub struct SingleFlight<K, V> {
     shards: Vec<Mutex<HashMap<K, Cell<V>>>>,

@@ -304,6 +304,18 @@ impl Fnv128 {
     }
 }
 
+/// Digest any `Hash` value's byte stream into the 128-bit state: read
+/// the digest with [`Fnv128::hex`] (`finish` keeps only the low 64 bits).
+impl std::hash::Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,17 +75,36 @@ fn tmp_journal(tag: &str) -> PathBuf {
 }
 
 /// Run the fixture search at the given width, optionally through a
-/// ledger, with the given compare metric. Returns the result and the
-/// `bisect.*` execution counters its trace recorded.
+/// ledger, with the given compare metric. Returns the result, the
+/// `bisect.*` execution counters its trace recorded, and the trace's
+/// JSONL.
 fn run_search(
     program: &SimProgram,
     compare: &(dyn Fn(&[f64], &[f64]) -> f64 + Sync),
     ledger: Option<&std::sync::Arc<QueryLedger>>,
     jobs: usize,
-) -> (flit::bisect::hierarchy::HierarchicalResult, [u64; 4]) {
+) -> (
+    flit::bisect::hierarchy::HierarchicalResult,
+    [u64; 4],
+    String,
+) {
+    run_search_on(&TraceSink::enabled(), program, compare, ledger, jobs)
+}
+
+/// [`run_search`], recording into `trace`.
+fn run_search_on(
+    trace: &TraceSink,
+    program: &SimProgram,
+    compare: &(dyn Fn(&[f64], &[f64]) -> f64 + Sync),
+    ledger: Option<&std::sync::Arc<QueryLedger>>,
+    jobs: usize,
+) -> (
+    flit::bisect::hierarchy::HierarchicalResult,
+    [u64; 4],
+    String,
+) {
     let baseline = Build::new(program, Compilation::baseline());
     let variable = Build::tagged(program, variable_compilation(), 1);
-    let trace = TraceSink::enabled();
     let mut cfg = HierarchicalConfig::all().with_trace(trace.clone());
     if let Some(ledger) = ledger {
         let pair = format!(
@@ -112,7 +131,7 @@ fn run_search(
         counter::BISECT_SYMBOL_RUNS,
     ]
     .map(|key| snap.counter(key));
-    (res, counters)
+    (res, counters, snap.to_jsonl())
 }
 
 /// Per-width gold standard: the uninterrupted, ledger-free result and
@@ -131,7 +150,7 @@ fn gold(jobs: usize) -> &'static Gold {
             .into_iter()
             .map(|jobs| {
                 let program = fixture();
-                let (result, counters) = run_search(&program, &l2_compare, None, jobs);
+                let (result, counters, _) = run_search(&program, &l2_compare, None, jobs);
                 assert_eq!(
                     result.outcome,
                     SearchOutcome::Completed,
@@ -142,7 +161,7 @@ fn gold(jobs: usize) -> &'static Gold {
                     "fixture must blame symbols: {result:?}"
                 );
                 let ledger = QueryLedger::new(program.fingerprint(), &TraceSink::disabled());
-                let (ledgered, _) = run_search(&program, &l2_compare, Some(&ledger), jobs);
+                let (ledgered, ..) = run_search(&program, &l2_compare, Some(&ledger), jobs);
                 assert_eq!(ledgered, result, "ledger must not change the result");
                 let gold = Gold {
                     result,
@@ -204,7 +223,7 @@ fn kill_and_resume_roundtrip(k: usize, jobs: usize) {
     let (writer, records) = JournalWriter::resume(&path, fp).unwrap();
     resumed_ledger.preload(&records);
     resumed_ledger.attach_journal(writer);
-    let (resumed, counters) = run_search(&program, &l2_compare, Some(&resumed_ledger), jobs);
+    let (resumed, counters, _) = run_search(&program, &l2_compare, Some(&resumed_ledger), jobs);
 
     // Byte-identical to an uninterrupted, ledger-free run: the whole
     // result struct (found sets, f64 bits, executions, violations) and
@@ -241,7 +260,7 @@ fn resuming_a_completed_journal_executes_nothing() {
         std::fs::remove_file(&path).ok();
         let ledger = QueryLedger::new(fp, &TraceSink::disabled());
         ledger.attach_journal(JournalWriter::create(&path, fp).unwrap());
-        let (first, _) = run_search(&program, &l2_compare, Some(&ledger), jobs);
+        let (first, ..) = run_search(&program, &l2_compare, Some(&ledger), jobs);
         assert_eq!(first, gold(jobs).result);
         let appended = ledger.stats().appended;
         assert!(appended > 0);
@@ -252,13 +271,29 @@ fn resuming_a_completed_journal_executes_nothing() {
         assert_eq!(records.len() as u64, appended);
         resumed_ledger.preload(&records);
         resumed_ledger.attach_journal(writer);
-        let (resumed, counters) = run_search(&program, &l2_compare, Some(&resumed_ledger), jobs);
+        let (resumed, counters, _) = run_search(&program, &l2_compare, Some(&resumed_ledger), jobs);
         assert_eq!(resumed, gold(jobs).result, "jobs={jobs}");
         assert_eq!(counters, gold(jobs).counters, "jobs={jobs}");
         let stats = resumed_ledger.stats();
         assert_eq!(stats.executed, 0, "jobs={jobs}: everything must replay");
         assert_eq!(stats.appended, 0, "jobs={jobs}: nothing new to journal");
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn a_search_without_a_ledger_answers_through_a_fresh_one() {
+    // No caller ledger means a private one on the search's trace: the
+    // result and the whole trace equal a run handed a fresh ledger.
+    let program = fixture();
+    for jobs in [1usize, 8] {
+        let (plain, _, plain_jsonl) = run_search(&program, &l2_compare, None, jobs);
+        let trace = TraceSink::enabled();
+        let ledger = QueryLedger::new(program.fingerprint(), &trace);
+        let (fresh, _, fresh_jsonl) =
+            run_search_on(&trace, &program, &l2_compare, Some(&ledger), jobs);
+        assert_eq!(plain, fresh, "jobs={jobs}");
+        assert_eq!(plain_jsonl, fresh_jsonl, "jobs={jobs}");
     }
 }
 

@@ -14,7 +14,7 @@ if [[ "${1:-}" == "--quick" ]]; then
   echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
   cargo test -q -p flit-lint
   cargo test -q --test lint_soundness
-  echo "== quick: resume + dedup (kill-and-resume, shared query ledger) =="
+  echo "== quick: resume + dedup (kill-and-resume, shared query ledger, private ledger = fresh ledger) =="
   cargo test -q --test resume_durability
   cargo test -q -p flit-bisect
   cargo test -q -p flit-persist
