@@ -3,8 +3,6 @@
 //! compilation pair, reported for the functions a test driver can
 //! reach.
 
-use std::collections::{BTreeSet, VecDeque};
-
 use flit_program::kernel::Kernel;
 use flit_program::model::{Driver, SimProgram};
 
@@ -43,33 +41,10 @@ pub fn kernel_hazards(kernel: &Kernel) -> Vec<Hazard> {
     }
 }
 
-/// Symbols reachable from the driver entry points over *all* calls
-/// (bound or interposed — any call executes its callee under some
-/// environment). Functions outside this set never run, so they cannot
-/// contribute variability.
-pub fn reachable(program: &SimProgram, entries: &[String]) -> BTreeSet<String> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut queue: VecDeque<&str> = entries.iter().map(String::as_str).collect();
-    while let Some(symbol) = queue.pop_front() {
-        let Some(func) = program.function(symbol) else {
-            continue;
-        };
-        if !seen.insert(func.name.clone()) {
-            continue;
-        }
-        for callee in &func.calls {
-            if !seen.contains(callee) {
-                queue.push_back(callee);
-            }
-        }
-    }
-    seen
-}
-
 /// Hazard lints on the functions reachable from `driver`, as
 /// `(symbol, hazard)` in program order.
 pub fn reachable_hazards(program: &SimProgram, driver: &Driver) -> Vec<(String, Hazard)> {
-    let live = reachable(program, &driver.entries);
+    let live = program.reachable(&driver.entries);
     program
         .files
         .iter()
@@ -123,14 +98,6 @@ mod tests {
             vec![Hazard::UndefinedBehaviour]
         );
         assert!(kernel_hazards(&Kernel::DivScan).is_empty());
-    }
-
-    #[test]
-    fn reachability_walks_all_calls() {
-        let r = reachable(&program(), &["cross".into()]);
-        assert!(r.contains("cross") && r.contains("wrap"));
-        assert!(r.contains("hot"), "transitively via wrap");
-        assert!(!r.contains("cold"));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! [`Certificate::score`]s seed a Bisect search's speculation order,
 //! their `Invariant` verdicts prune it, and
 //! [`PairCertificates::abi_hazard`] flags a pair whose mixed binaries
-//! can crash at link time.
+//! can crash at link time. Beside them, [`hazards`] holds the
+//! pair-independent kernel lints `flit lint` reports.
 //!
 //! ## Soundness argument (sketch)
 //!
@@ -53,10 +54,12 @@
 
 pub mod certify;
 pub mod domain;
+pub mod hazards;
 pub mod realization;
 pub mod transfer;
 
 pub use certify::{certify_pair, PairCertificates};
+pub use hazards::{kernel_hazards, reachable_hazards, Hazard};
 
 /// What the abstract interpreter can promise about one bisect item.
 #[derive(Debug, Clone, Copy, PartialEq)]

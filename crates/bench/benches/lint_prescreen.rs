@@ -8,9 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use flit_absint::certify_pair;
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig};
+use flit_bisect::{prescreen_for, LintMode};
 use flit_core::metrics::l2_compare;
 use flit_exec::ThreadsBackend;
-use flit_lint::{prescreen_for, LintMode};
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_program;
 use flit_program::build::Build;

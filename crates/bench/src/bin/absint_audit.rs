@@ -20,11 +20,11 @@
 use flit_absint::{certify_pair, Certificate};
 use flit_bench::mfem_study::{default_threads, mfem_sweep};
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
+use flit_bisect::{prescreen_for, LintMode};
 use flit_core::metrics::l2_compare;
 use flit_exec::{run_on, ThreadsBackend};
 use flit_inject::sites::apply_injection;
 use flit_inject::study::{run_study, Classification, StudyConfig};
-use flit_lint::{prescreen_for, LintMode};
 use flit_lulesh::{lulesh_driver, lulesh_program};
 use flit_mfem::examples::example_driver;
 use flit_mfem::mfem_program;

@@ -40,8 +40,9 @@ use crate::planner::{Answer, BisectPlan, SearchMode};
 use crate::test_fn::TestError;
 use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
-/// A static prescreen of the hierarchical search space (produced by
-/// `flit-lint` from `flit-absint` certificates, consumed here):
+/// A static prescreen of the hierarchical search space (built by
+/// [`prescreen_for`](crate::prescreen_for) from `flit-absint`
+/// certificates, consumed here):
 /// speculation scores per file and per exported symbol, plus — for a
 /// pruning search — the certified divergence bounds themselves.
 ///
@@ -141,7 +142,8 @@ pub struct HierarchicalConfig {
     /// Trace sink for per-level spans and execution counters (the
     /// paper's Tables 2/4 "number of runs"). Disabled by default.
     pub trace: TraceSink,
-    /// Optional static prescreen from `flit-lint`: seeds speculative
+    /// Optional static prescreen from
+    /// [`prescreen_for`](crate::prescreen_for): seeds speculative
     /// frontiers in predicted-sensitivity order and, when it carries
     /// certificates, removes `Invariant`-certified items from the search
     /// space under a residual audit.

@@ -14,6 +14,10 @@
 //!   over any Test metric: File Bisect mixes object files, Symbol
 //!   Bisect re-compiles the found file with `-fPIC` and links two
 //!   complementarily-weakened copies.
+//! * [`prescreen`] — the static prescreen in front of it: one
+//!   `flit-absint` certification of the pair seeds speculation
+//!   ([`LintMode::Seed`]) or also prunes `Invariant` items
+//!   ([`LintMode::Prune`]).
 //! * [`baselines`] — Zeller–Hildebrandt `ddmin` (delta debugging) and a
 //!   linear scan, implemented for the complexity comparisons
 //!   (O(k·log N) vs O(k²·log N) vs O(N)).
@@ -49,6 +53,7 @@ pub mod ledger;
 pub mod parallel;
 pub mod perf;
 pub mod planner;
+pub mod prescreen;
 pub mod test_fn;
 pub mod wire;
 
@@ -67,5 +72,6 @@ pub use perf::{
     PerfFileFinding, PerfOutcome, PerfSymbolFinding,
 };
 pub use planner::{BisectPlan, PlanFailure, PlanOutcome, PlanStep, Query, SearchMode};
+pub use prescreen::{prescreen_for, record_certificates, LintMode};
 pub use test_fn::{MemoTest, TestError, TestFn};
 pub use wire::{evaluate, ExeRecipe, LocalPlane, QueryPlane, RemotePlane, WireRequest, WireTask};

@@ -1,6 +1,5 @@
 //! The Bisect prescreen: one `flit-absint` certification of a
-//! `(baseline, variable)` pair, turned into a
-//! [`Prescreen`](flit_bisect::hierarchy::Prescreen).
+//! `(baseline, variable)` pair, turned into a [`Prescreen`].
 //!
 //! * **Seed** — every item not certified `Invariant` gets its
 //!   [`Certificate::score`](flit_absint::Certificate::score) as its
@@ -16,11 +15,12 @@
 //! rank, and a seeded search of it speculates nothing.
 
 use flit_absint::PairCertificates;
-use flit_bisect::hierarchy::{HierarchicalConfig, Prescreen};
 use flit_program::build::Build;
 use flit_program::model::Driver;
 use flit_trace::names::counter;
 use flit_trace::TraceSink;
+
+use crate::hierarchy::{HierarchicalConfig, Prescreen};
 
 /// How the static prescreen participates in a hierarchical search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

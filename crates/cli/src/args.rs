@@ -8,8 +8,8 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use flit_bisect::journal::BACKEND_LOCAL;
+use flit_bisect::LintMode;
 use flit_exec::{ExecBackend, ProcessBackend, ThreadsBackend};
-use flit_lint::LintMode;
 use flit_trace::sink::TraceSink;
 
 /// A parsed command line.

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use flit_bisect::hierarchy::{bisect_hierarchical, HierarchicalConfig, SearchOutcome};
 use flit_bisect::journal::JournalWriter;
 use flit_bisect::ledger::{LedgerHandle, QueryLedger};
+use flit_bisect::LintMode;
 use flit_core::analysis::{
     category_bars, compiler_summary, fastest_is_reproducible_count, variability_summary,
 };
@@ -14,7 +15,6 @@ use flit_core::metrics::l2_compare;
 use flit_core::runner::{run_matrix, RunnerConfig};
 use flit_core::test::{DriverTest, FlitTest};
 use flit_inject::study::{run_study, StudyConfig};
-use flit_lint::LintMode;
 use flit_program::build::Build;
 use flit_report::table::{fmt_f64, Align, Table};
 use flit_report::trace_view::render_trace;
@@ -256,7 +256,7 @@ fn cmd_lint(args: &LintArgs) -> Result<String, ParseError> {
         Compilation::baseline().label(),
         comp.label()
     );
-    Ok(flit_lint::render_lint(
+    Ok(crate::render::render_lint(
         &title,
         &app.program,
         test.driver(),
@@ -321,7 +321,8 @@ fn cmd_bisect(args: &BisectArgs) -> Result<String, ParseError> {
         ctx: BuildCtx::cached(),
         ..HierarchicalConfig::all()
     };
-    cfg.prescreen = flit_lint::prescreen_for(args.lint, &baseline, &variable, test.driver(), &cfg);
+    cfg.prescreen =
+        flit_bisect::prescreen_for(args.lint, &baseline, &variable, test.driver(), &cfg);
     // Test hook (like FLIT_WORKER_EXIT_AFTER): forge a dishonest
     // Invariant certificate for the named file so the integration suite
     // can prove the residual audit fails the process.
@@ -437,7 +438,7 @@ fn cmd_bound(args: &PairArgs) -> Result<String, ParseError> {
         &cand_comp,
         CompilerKind::Gcc,
     );
-    flit_lint::record_certificates(&trace, &certs);
+    flit_bisect::record_certificates(&trace, &certs);
 
     let mut out = format!(
         "flit bound {}: test {} | {} vs {} | link driver g++\n\n",
@@ -446,7 +447,7 @@ fn cmd_bound(args: &PairArgs) -> Result<String, ParseError> {
         base_comp.label(),
         cand_comp.label()
     );
-    out.push_str(&flit_lint::render_certificates(&app.program, &certs));
+    out.push_str(&crate::render::render_certificates(&app.program, &certs));
     if let Some(path) = &args.trace {
         out.push_str(&format!("\n{}", export_trace(&trace, path)?));
     }

@@ -12,6 +12,7 @@
 pub mod apps;
 pub mod args;
 pub mod commands;
+pub mod render;
 pub mod serve;
 pub mod worker;
 

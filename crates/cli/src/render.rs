@@ -3,11 +3,9 @@
 //! `flit lint` prints them followed by the pair's warnings and the
 //! hazard lints.
 
-use flit_absint::{Certificate, PairCertificates};
+use flit_absint::{reachable_hazards, Certificate, PairCertificates};
 use flit_program::model::{Driver, SimProgram};
 use flit_report::table::{Align, Table};
-
-use crate::hazards::reachable_hazards;
 
 fn cert_cells(cert: &Certificate) -> (String, String) {
     let bound = match cert {

@@ -4,7 +4,7 @@
 //! table layout, section order) shows up as a diff against a
 //! known-good snapshot.
 
-use flit_lint::render::render_lint;
+use flit_cli::render::render_lint;
 use flit_program::kernel::Kernel;
 use flit_program::model::{Driver, Function, SimProgram, SourceFile};
 use flit_toolchain::compilation::Compilation;

@@ -29,10 +29,10 @@ use crate::metrics::l2_compare;
 use crate::runner::{run_matrix_in, RunnerConfig, RunnerError};
 use crate::test::{DriverTest, FlitTest};
 
-/// How the static prescreen (`flit-lint`) participates in the bisection
-/// stage; [`LintMode::Prune`] runs every search under the certified
-/// prune.
-pub use flit_lint::LintMode;
+/// How the static prescreen (`flit_bisect::prescreen`) participates in
+/// the bisection stage; [`LintMode::Prune`] runs every search under the
+/// certified prune.
+pub use flit_bisect::LintMode;
 
 /// Why a workflow could not produce a report.
 ///
@@ -381,7 +381,7 @@ pub fn bisect_variable_rows(
         );
         let mut row_cfg = bisect_cfg.clone();
         if let Some(p) =
-            flit_lint::prescreen_for(cfg.lint, &baseline, &variable, driver, &bisect_cfg)
+            flit_bisect::prescreen_for(cfg.lint, &baseline, &variable, driver, &bisect_cfg)
         {
             row_cfg.prescreen = Some(p);
         }

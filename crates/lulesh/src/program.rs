@@ -437,6 +437,7 @@ mod tests {
         // ~22% indirect (static, live), ~16% not measurable (dead).
         let p = lulesh_program();
         let driver = lulesh_driver();
+        let live = p.reachable(&driver.entries);
         let mut live_exported = 0usize;
         let mut live_static = 0usize;
         let mut dead = 0usize;
@@ -446,11 +447,7 @@ mod tests {
                 if sites == 0 {
                     continue;
                 }
-                let reachable = driver
-                    .entries
-                    .iter()
-                    .any(|e| e == &f.name || p.calls_transitively(e, &f.name));
-                if !reachable {
+                if !live.contains(&f.name) {
                     dead += sites;
                 } else if f.visibility == flit_program::model::Visibility::Exported {
                     live_exported += sites;

@@ -1,6 +1,6 @@
 //! The program model: source files, functions, drivers.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use flit_toolchain::cache::RecipeHasher;
 use flit_toolchain::compilation::Compilation;
@@ -250,37 +250,40 @@ impl SimProgram {
     /// source function is not a visible symbol but Bisect was able to
     /// find the visible symbol which used the injected function").
     pub fn visible_callers(&self, symbol: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for file in &self.files {
-            for f in &file.functions {
-                if f.visibility == Visibility::Exported && self.calls_transitively(&f.name, symbol)
-                {
-                    out.push(f.name.clone());
-                }
-            }
-        }
+        let mut out: Vec<String> = self
+            .files
+            .iter()
+            .flat_map(|file| &file.functions)
+            .filter(|f| {
+                f.visibility == Visibility::Exported && self.reachable(&f.calls).contains(symbol)
+            })
+            .map(|f| f.name.clone())
+            .collect();
         out.sort();
         out
     }
 
-    /// Does `from` reach `to` through the call graph?
-    pub fn calls_transitively(&self, from: &str, to: &str) -> bool {
-        let mut stack = vec![from.to_string()];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(cur) = stack.pop() {
-            if !seen.insert(cur.clone()) {
+    /// Symbols reachable from `entries` over *all* calls (bound or
+    /// interposed — any call executes its callee under some
+    /// environment). Functions outside this set never run, so they
+    /// cannot contribute variability.
+    pub fn reachable(&self, entries: &[String]) -> BTreeSet<String> {
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        let mut queue: VecDeque<&str> = entries.iter().map(String::as_str).collect();
+        while let Some(symbol) = queue.pop_front() {
+            let Some(func) = self.function(symbol) else {
+                continue;
+            };
+            if !seen.insert(func.name.clone()) {
                 continue;
             }
-            if let Some(f) = self.function(&cur) {
-                for callee in &f.calls {
-                    if callee == to {
-                        return true;
-                    }
-                    stack.push(callee.clone());
+            for callee in &func.calls {
+                if !seen.contains(callee) {
+                    queue.push_back(callee);
                 }
             }
         }
-        false
+        seen
     }
 
     /// Compile one file under a compilation, producing its object file.
@@ -440,6 +443,38 @@ mod tests {
         let p = tiny_program();
         assert_eq!(p.visible_callers("helper"), vec!["alpha".to_string()]);
         assert_eq!(p.visible_callers("beta"), vec!["alpha".to_string()]);
+    }
+
+    /// a.cpp: exported `wrap` → static `hot` (ZeroGate); exported
+    /// `cold` (UbSwap). b.cpp: exported `cross` calls `wrap`.
+    fn program() -> SimProgram {
+        SimProgram::new(
+            "hazard-test",
+            vec![
+                SourceFile::new(
+                    "a.cpp",
+                    vec![
+                        Function::exported("wrap", Kernel::Benign { flavor: 0 })
+                            .with_calls(vec!["hot".into()]),
+                        Function::local("hot", Kernel::ZeroGate { boost: 2.0 }),
+                        Function::exported("cold", Kernel::UbSwap),
+                    ],
+                ),
+                SourceFile::new(
+                    "b.cpp",
+                    vec![Function::exported("cross", Kernel::Benign { flavor: 2 })
+                        .with_calls(vec!["wrap".into()])],
+                ),
+            ],
+        )
+    }
+
+    #[test]
+    fn reachability_walks_all_calls() {
+        let r = program().reachable(&["cross".into()]);
+        assert!(r.contains("cross") && r.contains("wrap"));
+        assert!(r.contains("hot"), "transitively via wrap");
+        assert!(!r.contains("cold"));
     }
 
     #[test]

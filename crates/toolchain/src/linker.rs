@@ -111,7 +111,7 @@ impl Executable {
 /// with at least one GNU-family object *or* a GNU-family driver (§2.3).
 ///
 /// This is the single source of truth for the hazard model — [`link`]
-/// applies it to decide [`Executable::abi_hazard`], and `flit-lint`
+/// applies it to decide [`Executable::abi_hazard`], and `flit-absint`
 /// calls it to predict mixed-link crashes without building anything.
 pub fn mixed_abi_hazard(object_compilers: &[CompilerKind], driver: CompilerKind) -> bool {
     let has_intel = object_compilers.contains(&CompilerKind::Icpc);

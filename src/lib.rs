@@ -36,7 +36,6 @@ pub use flit_fpsim as fpsim;
 pub use flit_fuzz as fuzz;
 pub use flit_inject as inject;
 pub use flit_laghos as laghos;
-pub use flit_lint as lint;
 pub use flit_lulesh as lulesh;
 pub use flit_mfem as mfem;
 pub use flit_persist as persist;

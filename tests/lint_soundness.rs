@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use flit::lint::{prescreen_for, LintMode};
+use flit::bisect::{prescreen_for, LintMode};
 use flit::prelude::*;
 use flit::program::generate::{filler_files, FillerSpec};
 use flit::trace::names::counter;

@@ -11,8 +11,8 @@ cd "$(dirname "$0")"
 if [[ "${1:-}" == "--quick" ]]; then
   echo "== quick: jobs determinism (widths 2 and 8 vs width 1, width-1 work pin) =="
   cargo test -q --test jobs_determinism
-  echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
-  cargo test -q -p flit-lint
+  echo "== quick: static prescreen (report pin + soundness suite) =="
+  cargo test -q -p flit-cli --test render_regression
   cargo test -q --test lint_soundness
   echo "== quick: resume + dedup (kill-and-resume, shared query ledger, private ledger = fresh ledger) =="
   cargo test -q --test resume_durability
