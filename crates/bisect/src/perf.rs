@@ -98,12 +98,6 @@ impl PerfConfig {
         self
     }
 
-    /// Set the significance level.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
     /// Set the noise seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -2,8 +2,6 @@
 
 use flit_fpsim::ulp::{l2_diff, round_sig_digits};
 
-use crate::test::TestResult;
-
 /// ℓ2 comparison over raw state vectors (the File/Symbol Bisect Test
 /// functions compare engine outputs directly).
 pub fn l2_compare(baseline: &[f64], other: &[f64]) -> f64 {
@@ -30,18 +28,6 @@ pub fn digit_limited_compare(digits: u32) -> impl Fn(&[f64], &[f64]) -> f64 {
     }
 }
 
-/// Digit-limited comparison lifted to [`TestResult`]s.
-pub fn digit_limited_result_compare(digits: u32) -> impl Fn(&TestResult, &TestResult) -> f64 {
-    let inner = digit_limited_compare(digits);
-    move |baseline: &TestResult, other: &TestResult| match (baseline, other) {
-        (TestResult::Vector(a), TestResult::Vector(b)) => inner(a, b),
-        (TestResult::Scalar(a), TestResult::Scalar(b)) => {
-            inner(std::slice::from_ref(a), std::slice::from_ref(b))
-        }
-        _ => crate::test::default_compare(baseline, other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,24 +50,5 @@ mod tests {
         assert_eq!(d(&[1.0], &[1.0, 2.0]), f64::INFINITY);
         assert_eq!(d(&[f64::NAN], &[1.0]), f64::INFINITY);
         assert_eq!(d(&[f64::NAN], &[f64::NAN]), 0.0);
-    }
-
-    #[test]
-    fn result_compare_dispatches() {
-        let c = digit_limited_result_compare(2);
-        assert_eq!(
-            c(
-                &TestResult::Vector(vec![100.4]),
-                &TestResult::Vector(vec![100.1])
-            ),
-            0.0
-        );
-        let d = c(&TestResult::Scalar(100.4), &TestResult::Scalar(109.0));
-        // Rounded to 2 significant digits: 100 vs 110.
-        assert!((d - 10.0).abs() < 1e-9, "d = {d}");
-        assert_eq!(
-            c(&TestResult::Str("a".into()), &TestResult::Str("a".into())),
-            0.0
-        );
     }
 }

@@ -221,15 +221,19 @@ pub fn run_matrix(
     compilations: &[Compilation],
     cfg: &RunnerConfig,
 ) -> Result<ResultsDb, RunnerError> {
-    // When a trace sink is attached, the cache's work counters live in
-    // the sink's registry so one snapshot covers both.
-    let ctx = match cfg.trace.registry() {
+    run_matrix_in(program, tests, compilations, cfg, &build_ctx_for(cfg))
+}
+
+/// The build context a sweep under `cfg` runs in: caching per
+/// `cfg.cache`, and, when a trace sink is attached, with the cache's
+/// work counters in the sink's registry so one snapshot covers both.
+pub(crate) fn build_ctx_for(cfg: &RunnerConfig) -> BuildCtx {
+    match cfg.trace.registry() {
         Some(reg) if cfg.cache => BuildCtx::cached_in(&reg),
         Some(reg) => BuildCtx::counting_in(&reg),
         None if cfg.cache => BuildCtx::cached(),
         None => BuildCtx::counting(),
-    };
-    run_matrix_in(program, tests, compilations, cfg, &ctx)
+    }
 }
 
 /// [`run_matrix`] through an explicit build context, so a caller (the

@@ -26,7 +26,7 @@ use flit_trace::sink::TraceSink;
 use crate::analysis::{category_bars, fastest_is_reproducible_count, CategoryBars};
 use crate::db::ResultsDb;
 use crate::metrics::l2_compare;
-use crate::runner::{run_matrix_in, RunnerConfig, RunnerError};
+use crate::runner::{build_ctx_for, run_matrix_in, RunnerConfig, RunnerError};
 use crate::test::{DriverTest, FlitTest};
 
 /// How the static prescreen (`flit_bisect::prescreen`) participates in
@@ -280,12 +280,7 @@ pub fn run_workflow(
     // The shared build context's counters live in the trace registry
     // when tracing, so `db.build_stats` and the trace snapshot report
     // the same numbers.
-    let ctx = match runner_cfg.trace.registry() {
-        Some(reg) if runner_cfg.cache => BuildCtx::cached_in(&reg),
-        Some(reg) => BuildCtx::counting_in(&reg),
-        None if runner_cfg.cache => BuildCtx::cached(),
-        None => BuildCtx::counting(),
-    };
+    let ctx = build_ctx_for(&runner_cfg);
     let dyn_tests: Vec<&dyn FlitTest> = tests.iter().map(|t| t as &dyn FlitTest).collect();
     let mut db = run_matrix_in(program, &dyn_tests, compilations, &runner_cfg, &ctx)
         .map_err(WorkflowError::Runner)?;

@@ -1,54 +1,19 @@
-//! Compensated and *reproducible* summation.
+//! *Reproducible* summation.
 //!
 //! The paper's related work (§4.1, Arteaga–Fuhrer–Hoefler \[3\]) discusses
 //! "the design of efficient reduction operators" for **bitwise
 //! reproducible** applications: summation whose result is identical
 //! regardless of evaluation order — and therefore identical under every
-//! compilation. This module implements that substrate:
-//!
-//! * [`sum_kahan`] / [`sum_neumaier`] — classical compensated sums
-//!   (more accurate, but still order-*dependent*);
-//! * [`sum_reproducible`] — a pre-rounding (binned) sum in the style of
-//!   Demmel–Nguyen/Arteaga: every addend is first split against a set
-//!   of power-of-two bins wide enough that intra-bin accumulation is
-//!   **exact**; the per-bin partials are then combined in a fixed
-//!   order. Exact operations commute, so the result is bit-identical
-//!   under any reassociation — which the property tests and the
-//!   `reproducible_sum` example verify through the full compilation
-//!   matrix.
+//! compilation. [`ReproducibleSum`] is a pre-rounding (binned) sum in
+//! the style of Demmel–Nguyen/Arteaga: every addend is first split
+//! against a set of power-of-two bins wide enough that intra-bin
+//! accumulation is **exact**; the per-bin partials are then combined in
+//! a fixed order. Exact operations commute, so the result is
+//! bit-identical under any reassociation — which the
+//! `reproducible_fix` example verifies through the full compilation
+//! matrix (`Kernel::DotMixReproducible` in flit-program).
 
 use crate::env::FpEnv;
-use crate::reduce;
-
-/// Kahan compensated summation (order-dependent, ~2 ulp accurate).
-pub fn sum_kahan(xs: &[f64]) -> f64 {
-    let mut sum = 0.0f64;
-    let mut c = 0.0f64;
-    for &x in xs {
-        let y = x - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Neumaier's improved compensated summation (handles addends larger
-/// than the running sum).
-pub fn sum_neumaier(xs: &[f64]) -> f64 {
-    let mut sum = 0.0f64;
-    let mut c = 0.0f64;
-    for &x in xs {
-        let t = sum + x;
-        if sum.abs() >= x.abs() {
-            c += (sum - t) + x;
-        } else {
-            c += (x - t) + sum;
-        }
-        sum = t;
-    }
-    sum + c
-}
 
 /// Number of bins in the reproducible accumulator. Bins are spaced
 /// `BIN_WIDTH` binary digits apart covering the full double range down
@@ -181,16 +146,11 @@ pub fn sum_dd(xs: &[f64]) -> f64 {
     acc.to_f64()
 }
 
-/// Convenience: the plain environment-sensitive sum, for comparisons in
-/// examples (`reduce::sum` re-export).
-pub fn sum_ordered(env: &FpEnv, xs: &[f64]) -> f64 {
-    reduce::sum(env, xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::SimdWidth;
+    use crate::reduce;
 
     fn nasty(n: usize) -> Vec<f64> {
         (0..n)
@@ -199,24 +159,6 @@ mod tests {
                 s * (1.0 + (i as f64) * 0.003_7) * 10f64.powi(((i * 13) % 25) as i32 - 12)
             })
             .collect()
-    }
-
-    #[test]
-    fn kahan_and_neumaier_beat_naive() {
-        let xs = nasty(5000);
-        let exact = sum_dd(&xs);
-        let naive: f64 = xs.iter().sum();
-        let kahan = sum_kahan(&xs);
-        let neumaier = sum_neumaier(&xs);
-        assert!((kahan - exact).abs() <= (naive - exact).abs());
-        assert!((neumaier - exact).abs() <= (naive - exact).abs());
-    }
-
-    #[test]
-    fn neumaier_handles_large_addends() {
-        // The classic Kahan failure: [1, huge, 1, -huge].
-        let xs = [1.0, 1e100, 1.0, -1e100];
-        assert_eq!(sum_neumaier(&xs), 2.0);
     }
 
     #[test]

@@ -81,38 +81,6 @@ impl Dd {
     pub fn mul_add(self, b: Dd, c: Dd) -> Dd {
         self * b + c
     }
-
-    /// Absolute value.
-    #[inline]
-    pub fn abs(self) -> Dd {
-        if self.hi < 0.0 || (self.hi == 0.0 && self.lo < 0.0) {
-            -self
-        } else {
-            self
-        }
-    }
-
-    /// Square root via one Newton refinement of the `f64` estimate.
-    pub fn sqrt(self) -> Dd {
-        if self.hi == 0.0 && self.lo == 0.0 {
-            return Dd::ZERO;
-        }
-        if self.hi < 0.0 {
-            return Dd::from_f64(f64::NAN);
-        }
-        // x ≈ 1/sqrt(a); r = a*x; refine: r + x*(a - r*r)/2
-        let x = 1.0 / self.hi.sqrt();
-        let r = self.hi * x;
-        let rdd = Dd::from_f64(r);
-        let diff = self - rdd * rdd;
-        Dd::new(r, diff.hi * (x * 0.5))
-    }
-
-    /// True if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.hi.is_nan() || self.lo.is_nan()
-    }
 }
 
 impl Add for Dd {
@@ -235,23 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn dd_sqrt_squares_back() {
-        let two = Dd::from_f64(2.0);
-        let r = two.sqrt();
-        let sq = r * r;
-        assert!((sq.to_f64() - 2.0).abs() < 1e-30);
-    }
-
-    #[test]
-    fn dd_sqrt_edge_cases() {
-        assert_eq!(Dd::ZERO.sqrt().to_f64(), 0.0);
-        assert!(Dd::from_f64(-1.0).sqrt().is_nan());
-    }
-
-    #[test]
-    fn dd_abs_and_neg() {
+    fn dd_neg() {
         let x = Dd::new(-2.0, 1e-20);
-        assert!(x.abs().hi > 0.0);
         assert_eq!((-x).hi, 2.0);
     }
 }

@@ -37,16 +37,6 @@ impl SimdWidth {
             SimdWidth::W8 => 8,
         }
     }
-
-    /// Construct from a lane count, clamping to the nearest supported width.
-    pub fn from_lanes(lanes: usize) -> Self {
-        match lanes {
-            0 | 1 => SimdWidth::W1,
-            2 | 3 => SimdWidth::W2,
-            4..=7 => SimdWidth::W4,
-            _ => SimdWidth::W8,
-        }
-    }
 }
 
 /// Which math library implementation an executable was linked against.
@@ -134,16 +124,6 @@ impl FpEnv {
         }
     }
 
-    /// Returns true if this environment can produce results that are
-    /// bitwise different from [`FpEnv::strict`] on *some* kernel.
-    ///
-    /// Note the converse does not hold per-kernel: a kernel whose
-    /// arithmetic is exact (e.g. sums of small integers) produces
-    /// identical results under every environment.
-    pub fn is_value_changing(&self) -> bool {
-        *self != FpEnv::strict()
-    }
-
     /// Builder-style setter for [`FpEnv::fma`].
     pub fn with_fma(mut self, fma: bool) -> Self {
         self.fma = fma;
@@ -194,12 +174,6 @@ mod tests {
     #[test]
     fn strict_is_default() {
         assert_eq!(FpEnv::default(), FpEnv::strict());
-        assert!(!FpEnv::strict().is_value_changing());
-    }
-
-    #[test]
-    fn fast_is_value_changing() {
-        assert!(FpEnv::fast().is_value_changing());
     }
 
     #[test]
@@ -219,13 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn simd_width_lanes_roundtrip() {
-        for w in [SimdWidth::W1, SimdWidth::W2, SimdWidth::W4, SimdWidth::W8] {
-            assert_eq!(SimdWidth::from_lanes(w.lanes()), w);
+    fn simd_width_lanes() {
+        for (w, n) in [
+            (SimdWidth::W1, 1),
+            (SimdWidth::W2, 2),
+            (SimdWidth::W4, 4),
+            (SimdWidth::W8, 8),
+        ] {
+            assert_eq!(w.lanes(), n);
         }
-        assert_eq!(SimdWidth::from_lanes(0), SimdWidth::W1);
-        assert_eq!(SimdWidth::from_lanes(3), SimdWidth::W2);
-        assert_eq!(SimdWidth::from_lanes(100), SimdWidth::W8);
     }
 
     #[test]

@@ -1,18 +1,10 @@
-//! Interval arithmetic and filtered (robust) predicates.
-//!
-//! The CGAL case in the paper's conclusion shows *discrete* results
-//! (mesh point counts) changing under optimization because geometric
-//! predicates branch on the sign of an inexact expression. The robust
-//! fix — which this module provides — is the classic **filtered
-//! predicate**: evaluate the expression in interval arithmetic first;
-//! if the interval excludes zero the sign is certain under *every*
-//! evaluation order, otherwise fall back to higher precision
-//! (double-double here, exact arithmetic in real CGAL).
+//! Outward-rounded interval arithmetic for the sound analyses in
+//! flit-absint: an operation's interval contains the concrete
+//! [`crate::ops`] result under every [`crate::FpEnv`] (after
+//! [`Interval::with_flush`] where the environment flushes subnormals).
 //!
 //! Without directed rounding (stable Rust), the intervals inflate every
 //! bound by one ulp step, which keeps them conservative.
-
-use crate::dd::Dd;
 
 /// A closed interval `[lo, hi]` with outward-rounded endpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,15 +151,6 @@ impl Interval {
         plain.union(self.mul(recip))
     }
 
-    /// Interval square root (outward rounded). Any negative part makes
-    /// the concrete result possibly NaN → top interval.
-    pub fn sqrt(self) -> Interval {
-        if self.is_nan() || self.lo < 0.0 {
-            return Interval::nan();
-        }
-        Interval::checked(next_down(self.lo.sqrt()), next_up(self.hi.sqrt()))
-    }
-
     /// Interval absolute value (exact).
     pub fn abs(self) -> Interval {
         if self.is_nan() {
@@ -232,18 +215,6 @@ impl Interval {
         !(self.lo > 0.0 || self.hi < 0.0)
     }
 
-    /// The certain sign, if any: `Some(1)`, `Some(-1)`, or `None` when
-    /// zero is inside.
-    pub fn certain_sign(&self) -> Option<i32> {
-        if self.lo > 0.0 {
-            Some(1)
-        } else if self.hi < 0.0 {
-            Some(-1)
-        } else {
-            None
-        }
-    }
-
     /// Width of the interval.
     pub fn width(&self) -> f64 {
         self.hi - self.lo
@@ -272,103 +243,10 @@ impl Interval {
     }
 }
 
-/// The relative-error accumulation factor `γₙ = n·u / (1 − n·u)`
-/// (Higham), rounded up. For any of the evaluation orders an [`FpEnv`]
-/// can induce in an `n`-term reduction — lane splits, FMA contraction,
-/// extended accumulators — the total rounding error is bounded by
-/// `γₙ · Σ|terms|` as long as `n` counts every rounding the slowest
-/// path performs.
-pub fn gamma(n: usize) -> f64 {
-    let nu = (n as f64) * (f64::EPSILON / 2.0);
-    if nu >= 0.5 {
-        return f64::INFINITY;
-    }
-    next_up(next_up(nu / (1.0 - nu)))
-}
-
-/// A sound envelope for `reduce::sum(env, xs)` under **every**
-/// [`FpEnv`]: contains the exact real sum, every reassociated /
-/// extended / FMA-contracted evaluation order, and FTZ flushing.
-///
-/// Construction: the real sum lies in the outward-rounded interval
-/// accumulation; any FP order then adds at most `γ · Σ|xᵢ|` of rounding
-/// error plus one `MIN_POSITIVE` per possible flush.
-pub fn sum_envelope(xs: &[f64]) -> Interval {
-    let mut real = Interval::point(0.0);
-    let mut abs_hi = Interval::point(0.0);
-    for &x in xs {
-        real = real.add(Interval::point(x));
-        abs_hi = abs_hi.add(Interval::point(x.abs()));
-    }
-    let n_ops = xs.len() + 4;
-    let margin = gamma(n_ops) * abs_hi.hi + (n_ops as f64) * f64::MIN_POSITIVE;
-    real.pad(next_up(margin)).with_flush()
-}
-
-/// A sound envelope for `reduce::dot(env, xs, ys)` under **every**
-/// [`FpEnv`] (see [`sum_envelope`]; the op count doubles because each
-/// term also carries a product rounding).
-pub fn dot_envelope(xs: &[f64], ys: &[f64]) -> Interval {
-    assert_eq!(xs.len(), ys.len(), "dot_envelope: length mismatch");
-    let mut real = Interval::point(0.0);
-    let mut abs_hi = Interval::point(0.0);
-    for (&x, &y) in xs.iter().zip(ys) {
-        let p = Interval::point(x).mul(Interval::point(y));
-        real = real.add(p);
-        abs_hi = abs_hi.add(p.abs());
-    }
-    let n_ops = 2 * xs.len() + 8;
-    let margin = gamma(n_ops) * abs_hi.hi + (n_ops as f64) * f64::MIN_POSITIVE;
-    real.pad(next_up(margin)).with_flush()
-}
-
-/// Outcome statistics of a filtered-predicate evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FilterStats {
-    /// Decisions resolved by the interval filter.
-    pub fast_path: usize,
-    /// Decisions that needed the high-precision fallback.
-    pub fallback: usize,
-}
-
-/// A robust sign-of-dot-product predicate: interval filter with a
-/// double-double fallback. The returned sign is the sign of the
-/// *exactly computed* expression — identical under every compilation,
-/// unlike the naive `sign(dot(a, b))`.
-pub fn robust_dot_sign(a: &[f64], b: &[f64], stats: &mut FilterStats) -> i32 {
-    assert_eq!(a.len(), b.len(), "robust_dot_sign: length mismatch");
-    // Filter: interval accumulation.
-    let mut acc = Interval::point(0.0);
-    for (&x, &y) in a.iter().zip(b) {
-        acc = acc.add(Interval::point(x).mul(Interval::point(y)));
-    }
-    if let Some(sign) = acc.certain_sign() {
-        stats.fast_path += 1;
-        return sign;
-    }
-    // Fallback: double-double (106-bit) evaluation; for dot products of
-    // doubles this is exact enough to fix the sign in all but
-    // astronomically degenerate cases, where we return 0.
-    stats.fallback += 1;
-    let mut acc = Dd::ZERO;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = Dd::from_f64(x).mul_add(Dd::from_f64(y), acc);
-    }
-    let v = acc.to_f64();
-    if v > 0.0 {
-        1
-    } else if v < 0.0 {
-        -1
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{FpEnv, SimdWidth};
-    use crate::reduce;
+    use crate::env::FpEnv;
 
     #[test]
     fn interval_ops_are_conservative() {
@@ -395,15 +273,6 @@ mod tests {
             }
         }
         assert!(p.contains_zero());
-        assert_eq!(p.certain_sign(), None);
-    }
-
-    #[test]
-    fn certain_signs() {
-        assert_eq!(Interval::new(1.0, 2.0).certain_sign(), Some(1));
-        assert_eq!(Interval::new(-2.0, -1.0).certain_sign(), Some(-1));
-        assert_eq!(Interval::new(-1.0, 1.0).certain_sign(), None);
-        assert_eq!(Interval::point(0.0).certain_sign(), None);
     }
 
     #[test]
@@ -445,7 +314,6 @@ mod tests {
         assert!(top.contains(f64::INFINITY));
         assert!(top.contains(0.0));
         assert!(top.contains_zero());
-        assert_eq!(top.certain_sign(), None);
     }
 
     #[test]
@@ -488,10 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_abs_union_mag() {
-        let iv = Interval::new(4.0, 9.0).sqrt();
-        assert!(iv.contains(2.0) && iv.contains(3.0));
-        assert!(Interval::new(-1.0, 4.0).sqrt().is_nan());
+    fn abs_union_mag() {
         assert_eq!(Interval::new(-3.0, 2.0).abs().lo, 0.0);
         assert_eq!(Interval::new(-3.0, 2.0).abs().hi, 3.0);
         assert_eq!(Interval::new(-5.0, -2.0).abs().lo, 2.0);
@@ -499,64 +364,5 @@ mod tests {
         assert_eq!((u.lo, u.hi), (0.0, 4.0));
         assert_eq!(Interval::new(-3.0, 2.0).mag(), 3.0);
         assert!(Interval::nan().mag().is_nan());
-    }
-
-    #[test]
-    fn robust_sign_agrees_with_obvious_cases() {
-        let mut stats = FilterStats::default();
-        assert_eq!(robust_dot_sign(&[1.0, 2.0], &[3.0, 4.0], &mut stats), 1);
-        assert_eq!(robust_dot_sign(&[1.0, 2.0], &[-3.0, -4.0], &mut stats), -1);
-        assert_eq!(robust_dot_sign(&[0.0], &[0.0], &mut stats), 0);
-        assert!(stats.fast_path >= 2);
-    }
-
-    #[test]
-    fn robust_sign_is_env_invariant_where_naive_is_not() {
-        // A nearly-cancelling dot whose naive sign differs between
-        // evaluation orders — the CGAL failure. Pair structure
-        // (a₂ₖ·a₂ₖ₊₁ − a₂ₖ₊₁·a₂ₖ) makes the exact dot zero; a tiny
-        // tilt decides the true sign at a scale below the interval
-        // filter's certainty.
-        let n = 64;
-        let a: Vec<f64> = (0..n)
-            .map(|i| (1.0 + i as f64 * 0.0137) * 2f64.powi((i % 7) as i32 - 3))
-            .collect();
-        let mut b = vec![0.0; n];
-        for k in 0..n / 2 {
-            b[2 * k] = a[2 * k + 1];
-            b[2 * k + 1] = -a[2 * k];
-        }
-        b[0] += 1e-14;
-        // Naive signs under different envs may disagree (they at least
-        // may; robust must be identical regardless).
-        let strict_dot = reduce::dot(&FpEnv::strict(), &a, &b);
-        let w4_dot = reduce::dot(&FpEnv::strict().with_simd(SimdWidth::W4), &a, &b);
-        eprintln!("naive dots: {strict_dot:e} vs {w4_dot:e}");
-
-        let mut stats = FilterStats::default();
-        let s1 = robust_dot_sign(&a, &b, &mut stats);
-        let s2 = robust_dot_sign(&a, &b, &mut stats);
-        assert_eq!(s1, s2);
-        // The filter cannot certify a nearly-zero value: fallback used.
-        assert!(stats.fallback >= 1, "{stats:?}");
-        // The robust sign matches the double-double reference.
-        let mut acc = Dd::ZERO;
-        for (&x, &y) in a.iter().zip(&b) {
-            acc = Dd::from_f64(x).mul_add(Dd::from_f64(y), acc);
-        }
-        let expect = if acc.to_f64() > 0.0 { 1 } else { -1 };
-        assert_eq!(s1, expect);
-    }
-
-    #[test]
-    fn filter_takes_the_fast_path_for_clear_cases() {
-        let mut stats = FilterStats::default();
-        for k in 1..50 {
-            let a = vec![k as f64; 8];
-            let b = vec![1.0; 8];
-            assert_eq!(robust_dot_sign(&a, &b, &mut stats), 1);
-        }
-        assert_eq!(stats.fallback, 0);
-        assert_eq!(stats.fast_path, 49);
     }
 }

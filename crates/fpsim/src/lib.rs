@@ -31,10 +31,10 @@
 //! Layered on top of the scalar semantics are the numerical kernels the
 //! paper's case studies blame for variability: reductions and dot
 //! products ([`reduce`]), dense linear algebra including the
-//! `M += a·A·Aᵀ` rank-1 update of MFEM Finding 2 ([`linalg`]), iterative
-//! solvers with tolerance-based stopping criteria as in MFEM Finding 1
-//! ([`solve`]), polynomial evaluation ([`poly`]), and stencil updates
-//! ([`stencil`]).
+//! `M += a·A·Aᵀ` rank-1 update of MFEM Finding 2 ([`linalg`]), a
+//! conjugate-gradient solve with a tolerance-based stopping criterion
+//! as in MFEM Finding 1 ([`solve`]), polynomial evaluation ([`poly`]),
+//! and stencil updates ([`stencil`]).
 
 pub mod compensated;
 pub mod dd;
@@ -46,7 +46,6 @@ pub mod ops;
 pub mod poly;
 pub mod reduce;
 pub mod solve;
-pub mod sparse;
 pub mod stencil;
 pub mod ulp;
 
@@ -55,4 +54,3 @@ pub use env::{FpEnv, MathLib, SimdWidth};
 pub use interval::Interval;
 pub use linalg::DenseMatrix;
 pub use ops::Accum;
-pub use sparse::CsrMatrix;

@@ -6,7 +6,7 @@
 //! in a straightforward manner using nested for loops".
 
 use crate::env::FpEnv;
-use crate::ops::{self, Accum};
+use crate::ops;
 use crate::reduce;
 
 /// A row-major dense matrix of `f64`.
@@ -60,11 +60,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major storage.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -76,24 +71,6 @@ impl DenseMatrix {
         (0..self.rows)
             .map(|r| reduce::dot(env, self.row(r), x))
             .collect()
-    }
-
-    /// Matrix-matrix product `C = A B` under `env` (i-k-j loop order with
-    /// per-element dot products, like a textbook implementation).
-    pub fn gemm(&self, env: &FpEnv, b: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, b.rows, "gemm: dimension mismatch");
-        let mut c = DenseMatrix::zeros(self.rows, b.cols);
-        // Gather B's columns once to expose contiguous dots.
-        let mut bcol = vec![0.0; b.rows];
-        for j in 0..b.cols {
-            for (k, slot) in bcol.iter_mut().enumerate() {
-                *slot = b[(k, j)];
-            }
-            for i in 0..self.rows {
-                c[(i, j)] = reduce::dot(env, self.row(i), &bcol);
-            }
-        }
-        c
     }
 
     /// The rank-1-ish update of MFEM Finding 2: `M += a · A Aᵀ`,
@@ -113,22 +90,6 @@ impl DenseMatrix {
                 self[(i, j)] = ops::add(env, self[(i, j)], scaled);
             }
         }
-    }
-
-    /// Frobenius norm under `env`.
-    pub fn frobenius(&self, env: &FpEnv) -> f64 {
-        reduce::norm_l2(env, &self.data)
-    }
-
-    /// Transpose (exact, no arithmetic).
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 }
 
@@ -162,26 +123,6 @@ pub fn axpby(env: &FpEnv, a: f64, x: &[f64], b: f64, y: &mut [f64]) {
     for (xi, yi) in x.iter().zip(y.iter_mut()) {
         let by = ops::mul(env, b, *yi);
         *yi = ops::mul_add(env, a, *xi, by);
-    }
-}
-
-/// Scale a vector in place.
-pub fn scal(env: &FpEnv, a: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi = ops::mul(env, a, *xi);
-    }
-}
-
-/// Elementwise product accumulated into an output vector using a single
-/// extended-capable accumulator per element (models a fused loop body).
-pub fn hadamard_acc(env: &FpEnv, x: &[f64], y: &[f64], out: &mut [f64]) {
-    assert!(
-        x.len() == y.len() && y.len() == out.len(),
-        "hadamard_acc: length mismatch"
-    );
-    for i in 0..x.len() {
-        let acc = Accum::new(env, out[i]).mul_acc(env, x[i], y[i]);
-        out[i] = acc.store(env);
     }
 }
 
@@ -228,22 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_against_gemv_columns() {
-        let env = FpEnv::strict();
-        let a = test_matrix(8, 1);
-        let b = test_matrix(8, 2);
-        let c = a.gemm(&env, &b);
-        // Column j of C equals A * (column j of B).
-        for j in 0..8 {
-            let bj: Vec<f64> = (0..8).map(|k| b[(k, j)]).collect();
-            let abj = a.gemv(&env, &bj);
-            for i in 0..8 {
-                assert_eq!(c[(i, j)], abj[i], "entry ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn add_a_aat_is_symmetric_in_exact_cases() {
         let env = FpEnv::strict();
         let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
@@ -274,12 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = test_matrix(5, 9);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn axpy_matches_reference_in_strict() {
         let env = FpEnv::strict();
         let x = [1.0, 2.0, 3.0];
@@ -289,32 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn axpby_and_scal() {
+    fn axpby_matches_reference_in_strict() {
         let env = FpEnv::strict();
         let x = [1.0, 2.0];
         let mut y = [10.0, 20.0];
         axpby(&env, 1.0, &x, 0.5, &mut y);
         assert_eq!(y, [6.0, 12.0]);
-        let mut z = [3.0, -6.0];
-        scal(&env, 1.0 / 3.0, &mut z);
-        assert_eq!(z, [1.0, -2.0]);
-    }
-
-    #[test]
-    fn hadamard_acc_accumulates() {
-        let env = FpEnv::strict();
-        let x = [2.0, 3.0];
-        let y = [5.0, 7.0];
-        let mut out = [1.0, 1.0];
-        hadamard_acc(&env, &x, &y, &mut out);
-        assert_eq!(out, [11.0, 22.0]);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let env = FpEnv::strict();
-        let m = DenseMatrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        assert_eq!(m.frobenius(&env), 5.0);
     }
 
     #[test]

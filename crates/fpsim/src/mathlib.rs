@@ -26,48 +26,11 @@ pub fn exp(env: &FpEnv, x: f64) -> f64 {
     }
 }
 
-/// `ln(x)` under the environment's math library.
-pub fn log(env: &FpEnv, x: f64) -> f64 {
-    match env.mathlib {
-        MathLib::Reference => x.ln(),
-        MathLib::Vendor => vendor_log(x),
-    }
-}
-
 /// `sin(x)` under the environment's math library.
 pub fn sin(env: &FpEnv, x: f64) -> f64 {
     match env.mathlib {
         MathLib::Reference => x.sin(),
         MathLib::Vendor => vendor_sin(x),
-    }
-}
-
-/// `cos(x)` under the environment's math library.
-pub fn cos(env: &FpEnv, x: f64) -> f64 {
-    match env.mathlib {
-        MathLib::Reference => x.cos(),
-        MathLib::Vendor => vendor_cos(x),
-    }
-}
-
-/// `x^y` under the environment's math library (`exp(y ln x)` for the
-/// vendor path, as vendor libraries typically compose).
-pub fn pow(env: &FpEnv, x: f64, y: f64) -> f64 {
-    match env.mathlib {
-        MathLib::Reference => x.powf(y),
-        MathLib::Vendor => {
-            if x == 0.0 {
-                return 0.0f64.powf(y);
-            }
-            if x < 0.0 {
-                // Vendor fast-path only handles integral exponents for
-                // negative bases, like SVML's pow does in fast mode.
-                let yi = y.round();
-                let mag = vendor_exp(y * vendor_log(-x));
-                return if (yi as i64) % 2 == 0 { mag } else { -mag };
-            }
-            vendor_exp(y * vendor_log(x))
-        }
     }
 }
 
@@ -109,44 +72,6 @@ fn vendor_exp(x: f64) -> f64 {
     scale_by_pow2(p, k as i32)
 }
 
-/// Vendor `log`: decompose `x = m·2^e` with `m ∈ [sqrt(1/2), sqrt(2))`,
-/// then `ln m = 2 atanh(s)` with `s = (m-1)/(m+1)` via an odd series.
-fn vendor_log(x: f64) -> f64 {
-    if x.is_nan() || x < 0.0 {
-        return f64::NAN;
-    }
-    if x == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if x.is_infinite() {
-        return f64::INFINITY;
-    }
-    let (mut m, mut e) = frexp(x);
-    // frexp gives m in [0.5, 1); shift to [sqrt(1/2), sqrt(2)).
-    if m < std::f64::consts::FRAC_1_SQRT_2 {
-        m *= 2.0;
-        e -= 1;
-    }
-    let s = (m - 1.0) / (m + 1.0);
-    let s2 = s * s;
-    // 2*atanh(s) = 2s(1 + s2/3 + s4/5 + ...) up to degree 15 (fast
-    // vendor accuracy, a few ulps).
-    let mut p = 1.0 / 15.0;
-    for c in [
-        1.0 / 13.0,
-        1.0 / 11.0,
-        1.0 / 9.0,
-        1.0 / 7.0,
-        1.0 / 5.0,
-        1.0 / 3.0,
-        1.0,
-    ] {
-        p = p * s2 + c;
-    }
-    let ln_m = 2.0 * s * p;
-    (e as f64) * LN2_HI + ((e as f64) * LN2_LO + ln_m)
-}
-
 /// Vendor `sin` via Cody–Waite-style reduction modulo π/2 and a
 /// degree-17 Taylor kernel.
 fn vendor_sin(x: f64) -> f64 {
@@ -156,17 +81,6 @@ fn vendor_sin(x: f64) -> f64 {
         1 => cos_kernel(r),
         2 => -sin_kernel(r),
         _ => -cos_kernel(r),
-    }
-}
-
-/// Vendor `cos` via the same reduction.
-fn vendor_cos(x: f64) -> f64 {
-    let (r, quadrant) = reduce_pi_2(x);
-    match quadrant & 3 {
-        0 => cos_kernel(r),
-        1 => -sin_kernel(r),
-        2 => -cos_kernel(r),
-        _ => sin_kernel(r),
     }
 }
 
@@ -220,22 +134,6 @@ fn cos_kernel(r: f64) -> f64 {
     1.0 - r2 * p
 }
 
-/// Decompose a positive finite `x` into `(m, e)` with `x = m·2^e` and
-/// `m ∈ [0.5, 1)`.
-fn frexp(x: f64) -> (f64, i32) {
-    let bits = x.to_bits();
-    let exp_bits = ((bits >> 52) & 0x7ff) as i32;
-    if exp_bits == 0 {
-        // Subnormal: scale up by 2^54 first.
-        let scaled = x * 18_014_398_509_481_984.0; // 2^54
-        let (m, e) = frexp(scaled);
-        return (m, e - 54);
-    }
-    let e = exp_bits - 1022;
-    let m = f64::from_bits((bits & !(0x7ffu64 << 52)) | (1022u64 << 52));
-    (m, e)
-}
-
 /// Multiply by 2^k exactly (with graceful under/overflow).
 fn scale_by_pow2(x: f64, k: i32) -> f64 {
     if (-1022..=1023).contains(&k) {
@@ -285,28 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn vendor_log_is_close_but_not_identical() {
-        let v = vendor_env();
-        let r = FpEnv::strict();
-        let mut any_diff = false;
-        let mut x = 0.05;
-        while x < 1000.0 {
-            let a = log(&r, x);
-            let b = log(&v, x);
-            assert!(
-                ((a - b) / a).abs() < 1e-12,
-                "log({x}): rel err {}",
-                ((a - b) / a).abs()
-            );
-            if a != b {
-                any_diff = true;
-            }
-            x *= 1.173;
-        }
-        assert!(any_diff);
-    }
-
-    #[test]
     fn vendor_trig_is_close() {
         let v = vendor_env();
         let r = FpEnv::strict();
@@ -318,7 +194,6 @@ mod tests {
                 sin(&r, x),
                 sin(&v, x)
             );
-            assert!((cos(&r, x) - cos(&v, x)).abs() < 1e-12, "cos({x})");
             x += 0.261;
         }
     }
@@ -332,45 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn vendor_log_extremes() {
-        assert!(vendor_log(-1.0).is_nan());
-        assert_eq!(vendor_log(0.0), f64::NEG_INFINITY);
-        assert_eq!(vendor_log(f64::INFINITY), f64::INFINITY);
-        assert_eq!(vendor_log(1.0), 0.0);
-    }
-
-    #[test]
-    fn frexp_roundtrips() {
-        for x in [0.5, 1.0, 3.75, 1e-300, 1e300, f64::MIN_POSITIVE / 8.0] {
-            let (m, e) = frexp(x);
-            assert!((0.5..1.0).contains(&m), "mantissa {m} for {x}");
-            // powi underflows for the subnormal case; scale_by_pow2 is exact.
-            assert_eq!(scale_by_pow2(m, e), x);
-        }
-    }
-
-    #[test]
-    fn pow_composes() {
-        let v = vendor_env();
-        let r = FpEnv::strict();
-        let a = pow(&r, 2.0, 10.0);
-        let b = pow(&v, 2.0, 10.0);
-        assert!((a - b).abs() / a < 1e-13);
-        // Negative base with integral exponent.
-        let c = pow(&v, -2.0, 3.0);
-        assert!((c + 8.0).abs() < 1e-12);
-        let d = pow(&v, -2.0, 2.0);
-        assert!((d - 4.0).abs() < 1e-12);
-        assert_eq!(pow(&v, 0.0, 2.0), 0.0);
-    }
-
-    #[test]
     fn reference_mathlib_is_std() {
         let r = FpEnv::strict();
         assert_eq!(exp(&r, 1.25), 1.25f64.exp());
-        assert_eq!(log(&r, 1.25), 1.25f64.ln());
         assert_eq!(sin(&r, 1.25), 1.25f64.sin());
-        assert_eq!(cos(&r, 1.25), 1.25f64.cos());
-        assert_eq!(pow(&r, 1.25, 2.5), 1.25f64.powf(2.5));
     }
 }

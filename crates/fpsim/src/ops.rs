@@ -120,15 +120,6 @@ impl Accum {
         }
     }
 
-    /// Multiply by a value.
-    #[inline]
-    pub fn mul(self, env: &FpEnv, x: f64) -> Self {
-        match self {
-            Accum::F64(a) => Accum::F64(mul(env, a, x)),
-            Accum::Ext(a) => Accum::Ext(a * Dd::from_f64(x)),
-        }
-    }
-
     /// Accumulate a product: `self += a*b`, honoring FMA contraction.
     #[inline]
     pub fn mul_acc(self, env: &FpEnv, a: f64, b: f64) -> Self {

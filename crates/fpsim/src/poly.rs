@@ -1,12 +1,11 @@
 //! Polynomial evaluation under an [`FpEnv`].
 //!
 //! Horner's rule is a chain of `acc = acc*x + c` steps — the canonical
-//! FMA-contraction site. Expanded (power-basis) evaluation is the
-//! canonical reassociation site. Equations of state and basis-function
-//! evaluation in the proxy apps are built from these.
+//! FMA-contraction site. Equations of state and basis-function
+//! evaluation in the proxy apps are built from it.
 
 use crate::env::FpEnv;
-use crate::ops::{self, Accum};
+use crate::ops::Accum;
 
 /// Evaluate `Σ coeffs[i]·x^i` by Horner's rule under `env`.
 /// `coeffs` is low-order first.
@@ -18,49 +17,9 @@ pub fn horner(env: &FpEnv, coeffs: &[f64], x: f64) -> f64 {
     acc.store(env)
 }
 
-/// Evaluate the same polynomial with explicit powers and a left-to-right
-/// (or vectorized, per env) summation — a different rounding sequence
-/// from Horner even in strict mode.
-pub fn power_basis(env: &FpEnv, coeffs: &[f64], x: f64) -> f64 {
-    let mut terms = Vec::with_capacity(coeffs.len());
-    let mut xp = 1.0;
-    for &c in coeffs {
-        terms.push(ops::mul(env, c, xp));
-        xp = ops::mul(env, xp, x);
-    }
-    crate::reduce::sum(env, &terms)
-}
-
-/// Derivative coefficients of a polynomial (exact integer scaling).
-pub fn derivative(coeffs: &[f64]) -> Vec<f64> {
-    coeffs
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(i, &c)| c * i as f64)
-        .collect()
-}
-
-/// Evaluate a 1-D Lagrange nodal basis function `ℓ_j(x)` over `nodes`
-/// under `env` — the finite-element shape-function kernel.
-pub fn lagrange_basis(env: &FpEnv, nodes: &[f64], j: usize, x: f64) -> f64 {
-    assert!(j < nodes.len(), "lagrange_basis: node index out of range");
-    let mut acc = Accum::new(env, 1.0);
-    for (m, &node) in nodes.iter().enumerate() {
-        if m == j {
-            continue;
-        }
-        let num = ops::sub(env, x, node);
-        let den = ops::sub(env, nodes[j], node);
-        acc = acc.mul(env, ops::div(env, num, den));
-    }
-    acc.store(env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::SimdWidth;
 
     #[test]
     fn horner_exact_small_ints() {
@@ -94,59 +53,5 @@ mod tests {
             any_diff,
             "FMA contraction should change bits at some sample"
         );
-    }
-
-    #[test]
-    fn power_basis_agrees_approximately_with_horner() {
-        let env = FpEnv::strict();
-        let coeffs = [0.5, -1.25, 0.75, 2.0, -0.125];
-        let x = 1.379;
-        let h = horner(&env, &coeffs, x);
-        let p = power_basis(&env, &coeffs, x);
-        assert!((h - p).abs() < 1e-12 * h.abs().max(1.0));
-    }
-
-    #[test]
-    fn power_basis_reassociates_under_simd() {
-        let strict = FpEnv::strict();
-        let vec4 = FpEnv::strict().with_simd(SimdWidth::W4);
-        let coeffs: Vec<f64> = (0..40)
-            .map(|i| ((i as f64) * 0.713).sin() * 10f64.powi((i % 9) - 4))
-            .collect();
-        let a = power_basis(&strict, &coeffs, 0.99);
-        let b = power_basis(&vec4, &coeffs, 0.99);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn derivative_coefficients() {
-        // d/dx (1 + 2x + 3x^2) = 2 + 6x
-        assert_eq!(derivative(&[1.0, 2.0, 3.0]), vec![2.0, 6.0]);
-        assert_eq!(derivative(&[5.0]), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn lagrange_basis_is_cardinal() {
-        let env = FpEnv::strict();
-        let nodes = [0.0, 0.5, 1.0];
-        for j in 0..3 {
-            for (m, &node) in nodes.iter().enumerate() {
-                let v = lagrange_basis(&env, &nodes, j, node);
-                if m == j {
-                    assert_eq!(v, 1.0);
-                } else {
-                    assert_eq!(v, 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lagrange_partition_of_unity() {
-        let env = FpEnv::strict();
-        let nodes = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let x = 0.3371;
-        let total: f64 = (0..5).map(|j| lagrange_basis(&env, &nodes, j, x)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 }

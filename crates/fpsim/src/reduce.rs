@@ -67,17 +67,6 @@ pub fn norm_l2(env: &FpEnv, xs: &[f64]) -> f64 {
     ops::sqrt(env, dot(env, xs, xs))
 }
 
-/// Sum of squared differences — used by residual computations.
-pub fn sum_sq_diff(env: &FpEnv, xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "sum_sq_diff: length mismatch");
-    let diffs: Vec<f64> = xs
-        .iter()
-        .zip(ys)
-        .map(|(&x, &y)| ops::sub(env, x, y))
-        .collect();
-    dot(env, &diffs, &diffs)
-}
-
 /// Generic lane-split reduction used by [`sum`].
 fn lane_reduce(env: &FpEnv, xs: &[f64], step: impl Fn(Accum, &FpEnv, f64) -> Accum) -> f64 {
     let w = env.simd_width.lanes();
@@ -96,22 +85,6 @@ fn lane_reduce(env: &FpEnv, xs: &[f64], step: impl Fn(Accum, &FpEnv, f64) -> Acc
         acc = step(acc, env, x);
     }
     acc.store(env)
-}
-
-/// Pairwise (tree) summation — the order some BLAS implementations use;
-/// provided so tests can demonstrate a *third* distinct result.
-pub fn sum_pairwise(env: &FpEnv, xs: &[f64]) -> f64 {
-    fn rec(env: &FpEnv, xs: &[f64]) -> f64 {
-        match xs.len() {
-            0 => 0.0,
-            1 => xs[0],
-            n => {
-                let mid = n / 2;
-                ops::add(env, rec(env, &xs[..mid]), rec(env, &xs[mid..]))
-            }
-        }
-    }
-    rec(env, xs)
 }
 
 #[cfg(test)]
@@ -224,28 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_is_a_third_order() {
-        let strict = FpEnv::strict();
-        let xs = ill_conditioned(1025);
-        let seq = sum(&strict, &xs);
-        let pair = sum_pairwise(&strict, &xs);
-        let vec4 = sum(&FpEnv::strict().with_simd(SimdWidth::W4), &xs);
-        assert_ne!(seq, pair);
-        assert_ne!(pair, vec4);
-    }
-
-    #[test]
     fn norm_l2_is_nonnegative_and_zero_on_zero() {
         let env = FpEnv::fast();
         assert_eq!(norm_l2(&env, &[0.0; 64]), 0.0);
         assert!(norm_l2(&env, &ill_conditioned(64)) > 0.0);
-    }
-
-    #[test]
-    fn sum_sq_diff_of_identical_is_zero() {
-        let env = FpEnv::fast();
-        let xs = ill_conditioned(128);
-        assert_eq!(sum_sq_diff(&env, &xs, &xs), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Iterative solvers whose *control flow* depends on floating-point
+//! An iterative solver whose *control flow* depends on floating-point
 //! comparisons.
 //!
 //! MFEM Finding 1: "example 8 is an iterative algorithm with a stopping
@@ -6,7 +6,8 @@
 //! error of 1e-6, meaning it converged differently because of compiler
 //! optimizations." That behaviour — a tolerance test observing slightly
 //! different residuals and therefore stopping at a different iterate —
-//! is exactly what these solvers exhibit under different [`FpEnv`]s.
+//! is exactly what [`conjugate_gradient`] exhibits under different
+//! [`FpEnv`]s.
 
 use crate::env::FpEnv;
 use crate::linalg::{axpby, axpy, DenseMatrix};
@@ -68,106 +69,6 @@ pub fn conjugate_gradient(
         residual: rsq,
         converged: rsq <= tol_sq,
     }
-}
-
-/// Jacobi iteration for diagonally dominant `A x = b`, stopping when the
-/// update norm drops below `tol`.
-pub fn jacobi(env: &FpEnv, a: &DenseMatrix, b: &[f64], tol: f64, max_iter: usize) -> SolveResult {
-    let n = b.len();
-    assert_eq!(a.rows(), n, "jacobi: dimension mismatch");
-    let mut x = vec![0.0; n];
-    let mut x_new = vec![0.0; n];
-    let mut iterations = 0;
-    let mut delta = f64::INFINITY;
-
-    while delta > tol && iterations < max_iter {
-        for i in 0..n {
-            // sigma = sum_{j != i} a[i][j] x[j], evaluated under env.
-            let row = a.row(i);
-            let mut acc = crate::ops::Accum::new(env, 0.0);
-            for (j, (&aij, &xj)) in row.iter().zip(x.iter()).enumerate() {
-                if j != i {
-                    acc = acc.mul_acc(env, aij, xj);
-                }
-            }
-            let sigma = acc.store(env);
-            x_new[i] = ops::div(env, ops::sub(env, b[i], sigma), a[(i, i)]);
-        }
-        let diffs: Vec<f64> = x_new
-            .iter()
-            .zip(&x)
-            .map(|(&xn, &xo)| ops::sub(env, xn, xo))
-            .collect();
-        delta = reduce::norm_l2(env, &diffs);
-        std::mem::swap(&mut x, &mut x_new);
-        iterations += 1;
-    }
-
-    SolveResult {
-        converged: delta <= tol,
-        residual: delta,
-        x,
-        iterations,
-    }
-}
-
-/// Newton's method on a polynomial-like scalar function given by a
-/// closure pair (f, f'), stopping on `|f(x)| < tol`. The iteration
-/// count and the converged root both depend on `env` through the
-/// closure's arithmetic.
-pub fn newton(
-    env: &FpEnv,
-    f: impl Fn(&FpEnv, f64) -> f64,
-    df: impl Fn(&FpEnv, f64) -> f64,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> (f64, usize, bool) {
-    let mut x = x0;
-    for it in 0..max_iter {
-        let fx = f(env, x);
-        if fx.abs() < tol {
-            return (x, it, true);
-        }
-        let dfx = df(env, x);
-        if dfx == 0.0 || !dfx.is_finite() {
-            return (x, it, false);
-        }
-        x = ops::sub(env, x, ops::div(env, fx, dfx));
-    }
-    (x, max_iter, false)
-}
-
-/// Power iteration for the dominant eigenvalue of `A`, normalized each
-/// step; stops when successive Rayleigh quotients agree to `tol`.
-pub fn power_iteration(
-    env: &FpEnv,
-    a: &DenseMatrix,
-    tol: f64,
-    max_iter: usize,
-) -> (f64, Vec<f64>, usize) {
-    let n = a.rows();
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 1e-3).collect();
-    let mut lambda = 0.0;
-    let mut iterations = 0;
-    for it in 0..max_iter {
-        iterations = it + 1;
-        let av = a.gemv(env, &v);
-        let norm = reduce::norm_l2(env, &av);
-        if norm == 0.0 {
-            break;
-        }
-        let v_new: Vec<f64> = av.iter().map(|&x| ops::div(env, x, norm)).collect();
-        let av2 = a.gemv(env, &v_new);
-        let lambda_new = reduce::dot(env, &v_new, &av2);
-        let drift = ops::sub(env, lambda_new, lambda).abs();
-        v = v_new;
-        lambda = lambda_new;
-        if drift < tol && it > 0 {
-            break;
-        }
-    }
-    (lambda, v, iterations)
 }
 
 #[cfg(test)]
@@ -246,58 +147,6 @@ mod tests {
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
         assert_eq!(res.x, vec![0.0; 10]);
-    }
-
-    #[test]
-    fn jacobi_converges_on_dominant_system() {
-        let env = FpEnv::strict();
-        let mut a = spd(20);
-        for i in 0..20 {
-            a[(i, i)] += 3.0; // strengthen dominance
-        }
-        let b = rhs(20);
-        let res = jacobi(&env, &a, &b, 1e-13, 10_000);
-        assert!(res.converged);
-        let ax = a.gemv(&env, &res.x);
-        for (axi, bi) in ax.iter().zip(&b) {
-            assert!((axi - bi).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn newton_finds_sqrt2() {
-        let env = FpEnv::strict();
-        let (root, iters, ok) = newton(
-            &env,
-            |e, x| ops::sub(e, ops::mul(e, x, x), 2.0),
-            |e, x| ops::mul(e, 2.0, x),
-            1.0,
-            1e-14,
-            100,
-        );
-        assert!(ok, "newton should converge");
-        assert!(iters < 10);
-        assert!((root - 2f64.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_detects_zero_derivative() {
-        let env = FpEnv::strict();
-        let (_, _, ok) = newton(&env, |_, _| 1.0, |_, _| 0.0, 0.0, 1e-10, 10);
-        assert!(!ok);
-    }
-
-    #[test]
-    fn power_iteration_dominant_eigenvalue() {
-        let env = FpEnv::strict();
-        // Diagonal matrix: dominant eigenvalue obvious.
-        let mut a = DenseMatrix::zeros(4, 4);
-        for (i, lam) in [5.0, 1.0, 0.5, 0.1].iter().enumerate() {
-            a[(i, i)] = *lam;
-        }
-        let (lambda, v, _) = power_iteration(&env, &a, 1e-13, 10_000);
-        assert!((lambda - 5.0).abs() < 1e-8, "lambda = {lambda}");
-        assert!(v[0].abs() > 0.99);
     }
 
     #[test]

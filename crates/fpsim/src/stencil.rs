@@ -28,27 +28,6 @@ pub fn heat_step(env: &FpEnv, u: &[f64], r: f64) -> Vec<f64> {
     out
 }
 
-/// One step of a 5-point 2-D Laplacian smoother on a `nx × ny` grid
-/// stored row-major, with fixed boundary.
-pub fn laplace2d_step(env: &FpEnv, u: &[f64], nx: usize, ny: usize, omega: f64) -> Vec<f64> {
-    assert_eq!(u.len(), nx * ny, "laplace2d_step: grid size mismatch");
-    let mut out = u.to_vec();
-    for j in 1..ny.saturating_sub(1) {
-        for i in 1..nx.saturating_sub(1) {
-            let idx = j * nx + i;
-            let sum_n = ops::add(
-                env,
-                ops::add(env, u[idx - 1], u[idx + 1]),
-                ops::add(env, u[idx - nx], u[idx + nx]),
-            );
-            let avg = ops::mul(env, 0.25, sum_n);
-            let delta = ops::sub(env, avg, u[idx]);
-            out[idx] = ops::mul_add(env, omega, delta, u[idx]);
-        }
-    }
-    out
-}
-
 /// A nonlinear logistic-map relaxation: `u ← u + dt·λ·u·(1−u)` applied
 /// pointwise for `steps` iterations. For `dt·λ` in the chaotic regime
 /// this amplifies last-ulp input differences to O(1) — the mechanism by
@@ -95,16 +74,6 @@ mod tests {
         let out = heat_step(&env, &u, 0.25);
         assert!(out[5] < 1.0);
         assert!(out[4] > 0.0 && out[6] > 0.0);
-    }
-
-    #[test]
-    fn laplace2d_fixed_point_on_linear_field() {
-        let env = FpEnv::strict();
-        let (nx, ny) = (8, 8);
-        // u(x, y) = x is harmonic → interior unchanged by smoothing.
-        let u: Vec<f64> = (0..nx * ny).map(|k| (k % nx) as f64).collect();
-        let out = laplace2d_step(&env, &u, nx, ny, 1.0);
-        assert_eq!(out, u);
     }
 
     #[test]

@@ -28,26 +28,6 @@ fn ordered_bits(x: f64) -> i64 {
     }
 }
 
-/// Relative error `|a - b| / |a|`, with the conventions: 0 when both are
-/// equal (including both zero), infinity when `a == 0` but `b != 0`, and
-/// NaN-poisoning (any NaN input gives `f64::INFINITY`, since a NaN
-/// result is "maximally different" from any baseline).
-pub fn rel_err(baseline: f64, actual: f64) -> f64 {
-    if baseline.is_nan() || actual.is_nan() {
-        if baseline.is_nan() && actual.is_nan() {
-            return 0.0; // both NaN: reproducibly wrong is still reproducible
-        }
-        return f64::INFINITY;
-    }
-    if baseline == actual {
-        return 0.0;
-    }
-    if baseline == 0.0 {
-        return f64::INFINITY;
-    }
-    ((baseline - actual) / baseline).abs()
-}
-
 /// ℓ2 norm of the element-wise difference of two vectors — the
 /// `compare` metric used in the paper's MFEM study
 /// (`||baseline − actual||₂`). Mismatched lengths or NaN entries yield
@@ -111,17 +91,6 @@ mod tests {
         for (a, b) in pairs {
             assert_eq!(ulp_diff(a, b), ulp_diff(b, a));
         }
-    }
-
-    #[test]
-    fn rel_err_conventions() {
-        assert_eq!(rel_err(2.0, 2.0), 0.0);
-        assert_eq!(rel_err(2.0, 1.0), 0.5);
-        assert_eq!(rel_err(0.0, 1.0), f64::INFINITY);
-        assert_eq!(rel_err(0.0, 0.0), 0.0);
-        assert_eq!(rel_err(f64::NAN, 1.0), f64::INFINITY);
-        assert_eq!(rel_err(1.0, f64::NAN), f64::INFINITY);
-        assert_eq!(rel_err(f64::NAN, f64::NAN), 0.0);
     }
 
     #[test]

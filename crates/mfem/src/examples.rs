@@ -13,11 +13,6 @@ use flit_program::model::Driver;
 /// Mesh size used by every example.
 pub const STATE_SIZE: usize = 64;
 
-/// The 19 example names, `ex01` … `ex19`.
-pub fn example_names() -> Vec<String> {
-    (1..=19).map(|i| format!("ex{i:02}")).collect()
-}
-
 /// Which examples can be wrapped for the MPI study (§3.6: "only 17 of
 /// the 19 tests were able to be easily wrapped so that the FLiT
 /// framework could call MPI_Init and MPI_Finalize — tests 17 and 18
@@ -157,8 +152,6 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             tests.iter().map(flit_core::FlitTest::name).collect();
         assert_eq!(names.len(), 19);
-        assert_eq!(example_names()[0], "ex01");
-        assert_eq!(example_names()[18], "ex19");
     }
 
     #[test]

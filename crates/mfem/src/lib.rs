@@ -25,4 +25,4 @@ pub mod examples;
 pub mod files;
 
 pub use codebase::{mfem_program, CodebaseStats, TABLE3};
-pub use examples::{example_names, mfem_examples, mpi_wrappable};
+pub use examples::{mfem_examples, mpi_wrappable};

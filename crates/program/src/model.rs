@@ -86,12 +86,6 @@ impl Function {
         self
     }
 
-    /// Builder: set the performance-model work multiplier.
-    pub fn with_work_scale(mut self, scale: f64) -> Self {
-        self.work_scale = scale;
-        self
-    }
-
     /// Performance class of the body.
     pub fn class(&self) -> KernelClass {
         self.kernel.class()

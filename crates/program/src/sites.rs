@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use flit_fpsim::env::FpEnv;
-use flit_fpsim::{mathlib, ops};
+use flit_fpsim::ops;
 
 /// The additional operation `OP'` applied at an injection site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -206,20 +206,6 @@ impl<'a> SiteCtx<'a> {
         } else {
             b
         }
-    }
-
-    /// `exp(a)` through the environment's math library.
-    #[inline]
-    pub fn exp(&mut self, a: f64) -> f64 {
-        let a = self.tick(a);
-        mathlib::exp(self.env, a)
-    }
-
-    /// `sin(a)` through the environment's math library.
-    #[inline]
-    pub fn sin(&mut self, a: f64) -> f64 {
-        let a = self.tick(a);
-        mathlib::sin(self.env, a)
     }
 
     /// The environment this context evaluates under.

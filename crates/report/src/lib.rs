@@ -4,18 +4,16 @@
 //! ASCII tables ([`table`]), text bar charts and sorted-series plots
 //! ([`plot`]), order statistics for boxplots plus the inferential
 //! layer for performance verdicts ([`stats`]), statistical speedup
-//! reports ([`speedup`]), and CSV emission ([`csv`]). Everything
-//! renders to `String` so outputs can be asserted in tests and diffed
-//! across runs.
+//! reports ([`speedup`]), and the `flit trace` report
+//! ([`trace_view`]). Everything renders to `String` so outputs can be
+//! asserted in tests and diffed across runs.
 
-pub mod csv;
 pub mod plot;
 pub mod speedup;
 pub mod stats;
 pub mod table;
 pub mod trace_view;
 
-pub use csv::CsvWriter;
 pub use plot::{bar_chart, series_plot, BarRow};
 pub use speedup::SpeedupReport;
 pub use stats::{

@@ -66,35 +66,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Render as a GitHub-flavored markdown table (used to regenerate
-    /// the EXPERIMENTS.md exhibits).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(t) = &self.title {
-            out.push_str(&format!("**{t}**\n\n"));
-        }
-        out.push('|');
-        for h in &self.headers {
-            out.push_str(&format!(" {h} |"));
-        }
-        out.push_str("\n|");
-        for a in &self.aligns {
-            out.push_str(match a {
-                Align::Left => "---|",
-                Align::Right => "--:|",
-            });
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push('|');
-            for cell in row {
-                out.push_str(&format!(" {cell} |"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -199,19 +170,6 @@ mod tests {
         assert!(!t.is_empty());
         let s = t.render();
         assert!(s.contains("only-one"));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new(&["k", "v"])
-            .with_title("M")
-            .with_aligns(&[Align::Left, Align::Right]);
-        t.row_strs(&["a", "1"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("**M**\n"));
-        assert!(md.contains("| k | v |"));
-        assert!(md.contains("|---|--:|"));
-        assert!(md.contains("| a | 1 |"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::compilation::Compilation;
-use crate::linker::{link, Executable, LinkError};
+use crate::linker::{Executable, LinkError};
 use crate::object::ObjectFile;
 
 /// Everything an [`ObjectFile`] produced by the simulated compiler can
@@ -256,16 +256,6 @@ impl BuildCtx {
         links.insert(digest, result.clone());
         result
     }
-
-    /// Convenience: memoized `link` over already-produced objects.
-    pub fn link_objects(
-        &self,
-        digest: u64,
-        objects: impl FnOnce() -> Vec<ObjectFile>,
-        driver: crate::compiler::CompilerKind,
-    ) -> Result<Arc<Executable>, LinkError> {
-        self.link_with(digest, || link(objects(), driver))
-    }
 }
 
 /// Incremental FNV-1a hasher for building link-recipe digests.
@@ -323,6 +313,7 @@ impl RecipeHasher {
 mod tests {
     use super::*;
     use crate::compiler::{CompilerKind, OptLevel};
+    use crate::linker::link;
     use crate::object::{Linkage, SymbolEntry};
 
     fn key(file_id: usize, pic: bool) -> ObjectKey {

@@ -47,14 +47,6 @@ impl CompilerKind {
         }
     }
 
-    /// Whether this compiler is ABI-compatible with the GNU toolchain
-    /// without hazard. Intel *claims* compatibility "but this does not
-    /// seem to always hold" (paper §3.3) — mixing icpc objects with GNU
-    /// objects occasionally produces executables that segfault.
-    pub fn gnu_abi_reliable(self) -> bool {
-        !matches!(self, CompilerKind::Icpc)
-    }
-
     /// All compilers in the MFEM study.
     pub const MFEM_STUDY: [CompilerKind; 3] =
         [CompilerKind::Gcc, CompilerKind::Clang, CompilerKind::Icpc];
@@ -126,12 +118,5 @@ mod tests {
         assert_eq!(OptLevel::ALL.len(), 4);
         assert!(!OptLevel::O0.optimizing());
         assert!(OptLevel::O1.optimizing());
-    }
-
-    #[test]
-    fn icpc_abi_is_hazardous() {
-        assert!(CompilerKind::Gcc.gnu_abi_reliable());
-        assert!(CompilerKind::Clang.gnu_abi_reliable());
-        assert!(!CompilerKind::Icpc.gnu_abi_reliable());
     }
 }

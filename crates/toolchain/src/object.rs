@@ -71,11 +71,6 @@ impl ObjectFile {
         v
     }
 
-    /// Does this object define `name` (at any linkage)?
-    pub fn defines(&self, name: &str) -> bool {
-        self.symbols.iter().any(|s| s.name == name)
-    }
-
     /// Linkage of `name` in this object, if defined.
     pub fn linkage_of(&self, name: &str) -> Option<Linkage> {
         self.symbols

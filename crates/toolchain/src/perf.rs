@@ -171,7 +171,8 @@ fn flag_factor(comp: &Compilation, class: KernelClass) -> f64 {
 
 /// Relative standard deviation of one timing sample of `class` code
 /// under `comp` — the width of the seeded noise distribution that
-/// [`kernel_seconds`] draws from.
+/// [`noise_factor`] draws from (and that
+/// `flit_program::engine::TimingProfile::samples` sums per run).
 ///
 /// Memory- and branch-bound loops are the noisiest (cache and predictor
 /// state vary run to run); dense compute is the tightest. Unoptimized
@@ -227,24 +228,6 @@ fn noise_z(class: KernelClass, seed: u64, sample: u32) -> f64 {
         z += (x >> 11) as f64 / (1u64 << 53) as f64;
     }
     z
-}
-
-/// Draw `n` repeated timing samples of `work` abstract units of `class`
-/// code under `comp`: [`simulated_seconds`] scaled by the seeded
-/// per-(compilation, kernel-class) [`noise_factor`]. Byte-deterministic
-/// given the seed, so every downstream statistical verdict is
-/// replayable.
-pub fn kernel_seconds(
-    comp: &Compilation,
-    class: KernelClass,
-    work: f64,
-    seed: u64,
-    n: u32,
-) -> Vec<f64> {
-    let base = simulated_seconds(comp, class, work);
-    (0..n)
-        .map(|i| base * noise_factor(comp, class, seed, i))
-        .collect()
 }
 
 /// Deterministic per-(workload, compilation) jitter in `[-2.5%, +2.5%]`,
@@ -369,25 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_seconds_is_byte_deterministic_per_seed() {
-        let c = Compilation::new(CompilerKind::Icpc, OptLevel::O3, vec![Switch::XHost]);
-        let a = kernel_seconds(&c, KernelClass::DotHeavy, 1e6, 42, 16);
-        let b = kernel_seconds(&c, KernelClass::DotHeavy, 1e6, 42, 16);
-        assert_eq!(a.len(), 16);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // A different seed draws a different stream.
-        let other = kernel_seconds(&c, KernelClass::DotHeavy, 1e6, 43, 16);
-        assert_ne!(a, other);
-    }
-
-    #[test]
     fn noise_samples_stay_centered_on_the_deterministic_model() {
         let c = Compilation::perf_reference();
         for class in KernelClass::ALL {
             let base = simulated_seconds(&c, class, 1e6);
-            let samples = kernel_seconds(&c, class, 1e6, 7, 400);
+            let samples: Vec<f64> = (0..400)
+                .map(|i| base * noise_factor(&c, class, 7, i))
+                .collect();
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             let sigma = noise_sigma(&c, class);
             // Mean of 400 draws lands within ~4 standard errors.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + tests, formatting, and lints.
-# `./verify.sh --quick` runs only the planner/backend determinism
-# suite — the fast invariant check after touching the search machinery.
+# `./verify.sh --quick` first checks that the benchmark (`flitbench/`)
+# compiles, then runs the planner/backend determinism suite — the fast
+# invariant check after touching the search machinery.
 # `./verify.sh --fuzz` runs a time-boxed differential fuzz campaign
 # (the corpus plus a fixed seed range) through the release CLI; any
 # unexplained divergence from the planted blame sets fails the script.
@@ -9,6 +10,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 if [[ "${1:-}" == "--quick" ]]; then
+  echo "== quick: the benchmark compiles against this tree (flitbench/, all targets) =="
+  # Building flitbench/ rewrites its committed lock file; put it back
+  # however the script ends.
+  lock_backup=$(mktemp)
+  cp flitbench/Cargo.lock "$lock_backup"
+  trap 'cp "$lock_backup" flitbench/Cargo.lock; rm -f "$lock_backup"' EXIT
+  cargo check --offline --manifest-path flitbench/Cargo.toml --all-targets
   echo "== quick: jobs determinism (widths 2 and 8 vs width 1, width-1 work pin) =="
   cargo test -q --test jobs_determinism
   echo "== quick: static prescreen (report pin + soundness suite) =="
