@@ -212,4 +212,28 @@ mod tests {
         assert_eq!(exp(&r, 1.25), 1.25f64.exp());
         assert_eq!(sin(&r, 1.25), 1.25f64.sin());
     }
+
+    /// The host libm canary. `MathLib::Reference` is the platform's
+    /// `exp`/`sin`, so every pinned output depends on the host libm.
+    /// This pins one FNV-1a digest of their bit patterns over a fixed
+    /// grid; `./verify.sh --golden` runs it first and skips its byte
+    /// comparison, reporting "host libm differs", when it fails.
+    #[test]
+    #[ignore = "host libm canary; run by ./verify.sh --golden"]
+    fn reference_libm_canary() {
+        let r = FpEnv::strict();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..320 {
+            let x = -40.0 + f64::from(i) * 0.25 + 0.001_953_125 * f64::from(i % 7);
+            for y in [exp(&r, x / 2.0), sin(&r, x)] {
+                for b in y.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x134c_5149_787f_4891,
+            "host libm differs: digest {digest:#018x}"
+        );
+    }
 }

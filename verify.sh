@@ -115,6 +115,76 @@ if [[ "${1:-}" == "--quick" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "--golden" ]]; then
+  # Pinned outputs: every paper exhibit, the CLI workflows and two
+  # examples run from release binaries, each in an empty directory, and
+  # their stdout, exit code and written files are compared with
+  # tests/golden/. An output of up to 16 KiB is stored verbatim, so a
+  # change prints as a diff; a larger one as its size and sha256.
+  # `./verify.sh --golden --bless` rewrites tests/golden/ from this tree.
+  bless=0
+  [[ "${2:-}" == "--bless" ]] && bless=1
+  echo "== golden: host libm canary =="
+  # MathLib::Reference is the host's exp/sin: on another libm the pinned
+  # bytes legitimately differ, so skip rather than report a regression.
+  if ! cargo test -q --release --offline -p flit-fpsim --lib \
+      -- --ignored reference_libm_canary > /dev/null 2>&1; then
+    echo "host libm differs from the one tests/golden/ was blessed on: byte comparison skipped"
+    exit "$bless"
+  fi
+  cargo build -q --release --offline --workspace
+  cargo build -q --release --offline --example reproducible_fix --example cgal_discrete
+  bin=$PWD/target/release
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+  out=$work/golden
+  mkdir "$out"
+  pin() { # pin <label> <file>
+    local size
+    size=$(stat -c %s "$2")
+    if [[ $size -le 16384 ]]; then
+      cp "$2" "$out/$1"
+    else
+      echo "$1 $size $(sha256sum < "$2" | cut -d' ' -f1)" >> "$out/digests"
+    fi
+  }
+  run_case() { # run_case <name> "<files it writes>" <command...>
+    local name=$1 files=$2 code=0
+    shift 2
+    echo "-- $name"
+    mkdir "$work/run-$name"
+    (cd "$work/run-$name" && "$@") > "$work/$name.stdout" 2> /dev/null || code=$?
+    echo "$name $code" >> "$out/exit-codes"
+    pin "$name.stdout" "$work/$name.stdout"
+    for f in $files; do pin "$name.$f" "$work/run-$name/$f"; done
+  }
+  echo "== golden: run the pinned commands =="
+  for b in motivation fig2 fig4 fig5 fig6 table1 table3 table4 table5; do
+    run_case "$b" "" "$bin/$b"
+  done
+  run_case table2 BENCH_table2.json "$bin/table2"
+  run_case workflow-mfem "" "$bin/flit" workflow mfem
+  run_case workflow-mfem-journaled "t j" "$bin/flit" workflow mfem \
+      --jobs 1 --max-bisections 6 --trace t --checkpoint j
+  run_case perf-mfem "" "$bin/flit" perf mfem --pair "g++ -O3" "g++ -O0"
+  run_case inject-lulesh "" "$bin/flit" inject lulesh
+  run_case reproducible_fix "" "$bin/examples/reproducible_fix"
+  run_case cgal_discrete "" "$bin/examples/cgal_discrete"
+  if [[ $bless -eq 1 ]]; then
+    diff -rq tests/golden "$out" || true
+    rm -rf tests/golden
+    cp -r "$out" tests/golden
+    echo "verify --golden --bless: tests/golden/ rewritten"
+    exit 0
+  fi
+  if ! diff -ru tests/golden "$out"; then
+    echo "verify --golden: FAILED (outputs differ from tests/golden/; see the diff above)" >&2
+    exit 1
+  fi
+  echo "verify --golden: OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "--fuzz" ]]; then
   echo "== fuzz: differential campaign vs planted blame sets (60 s box) =="
   cargo build -q --release -p flit-cli
