@@ -1,16 +1,16 @@
-//! The abstract domain: one [`AbsState`] summarizes the *pair* of
+//! The abstract domain: one `AbsState` summarizes the *pair* of
 //! concrete state vectors (run A under the baseline environment
 //! assignment, run B with the item under analysis flipped).
 
 use flit_fpsim::interval::Interval;
 
 /// Machine epsilon for f64 (`2^-52`).
-pub const EPS: f64 = f64::EPSILON;
+pub(crate) const EPS: f64 = f64::EPSILON;
 
 /// Abstract summary of the two concrete state vectors at one program
 /// point.
 #[derive(Debug, Clone, Copy)]
-pub struct AbsState {
+pub(crate) struct AbsState {
     /// Envelope of every element of *both* runs (uniform over indices;
     /// element-wise precision is deliberately traded for a domain the
     /// saturating kernels keep small).
@@ -33,7 +33,7 @@ impl AbsState {
     /// Abstract initial state: `Driver::init_state` produces elements in
     /// `[0.15, 0.85]` (environment-independent harness arithmetic), and
     /// both runs start from the same bits.
-    pub fn initial() -> AbsState {
+    pub(crate) fn initial() -> AbsState {
         AbsState {
             iv: Interval::new(0.15, 0.85),
             delta: 0.0,
@@ -47,7 +47,7 @@ impl AbsState {
     /// kernel, run B another). Elements of run A lie in `a.iv`, of run B
     /// in `b.iv`, so the element-wise difference is bounded by the
     /// diameter of the union envelope.
-    pub fn merge_diverged(a: AbsState, b: AbsState) -> AbsState {
+    pub(crate) fn merge_diverged(a: AbsState, b: AbsState) -> AbsState {
         let iv = a.iv.union(b.iv);
         AbsState {
             iv,
@@ -62,7 +62,7 @@ impl AbsState {
     /// Only added when the runs are already apart (`delta > 0`) or the
     /// evaluation's realization differs — identical code on identical
     /// bits needs none.
-    pub fn slack(&self) -> f64 {
+    pub(crate) fn slack(&self) -> f64 {
         let m = if self.iv.is_nan() { 1.0 } else { self.iv.mag() };
         32.0 * EPS * m.max(1.0) + 8.0 * f64::MIN_POSITIVE
     }
@@ -70,7 +70,7 @@ impl AbsState {
     /// Clamp a candidate `delta` expression against the saturation cap
     /// (both outputs provably lie in `out`), propagating non-finite
     /// values so the finalizer can demote to `Unknown`.
-    pub fn capped_delta(out: Interval, candidate: f64) -> f64 {
+    pub(crate) fn capped_delta(out: Interval, candidate: f64) -> f64 {
         if out.is_nan() {
             return f64::INFINITY;
         }

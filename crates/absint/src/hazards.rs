@@ -32,7 +32,7 @@ impl Hazard {
 }
 
 /// Structural hazard lints for a kernel (see [`Hazard`]).
-pub fn kernel_hazards(kernel: &Kernel) -> Vec<Hazard> {
+pub(crate) fn kernel_hazards(kernel: &Kernel) -> Vec<Hazard> {
     match kernel {
         Kernel::ZeroGate { .. } => vec![Hazard::ExactFpCompare],
         Kernel::UbSwap => vec![Hazard::UndefinedBehaviour],

@@ -33,7 +33,7 @@
 //! ## Soundness argument (sketch)
 //!
 //! The two concrete executions start from the same `Driver::init_state`
-//! bits. The abstract state [`domain::AbsState`] carries (a) an
+//! bits. The abstract state `domain::AbsState` carries (a) an
 //! [`Interval`](flit_fpsim::interval::Interval) enveloping every element
 //! of both runs — maintained with outward-rounded interval arithmetic —
 //! and (b) `delta`, a bound on the element-wise `|A − B|` difference.
@@ -59,7 +59,7 @@ pub mod realization;
 pub mod transfer;
 
 pub use certify::{certify_pair, PairCertificates};
-pub use hazards::{kernel_hazards, reachable_hazards, Hazard};
+pub use hazards::{reachable_hazards, Hazard};
 
 /// What the abstract interpreter can promise about one bisect item.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -20,7 +20,7 @@ use flit_program::Kernel;
 /// reduction when both fall back to scalar for every length the kernel
 /// reduces over (`w == 1 || len < 2·w`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReducePath {
+pub(crate) enum ReducePath {
     /// In-order scalar accumulation.
     Scalar,
     /// `w` strided lane accumulators merged in order.
@@ -28,7 +28,7 @@ pub enum ReducePath {
 }
 
 /// The traversal `reduce::sum`/`dot` pick for `len` under `env`.
-pub fn reduce_path(env: &FpEnv, len: usize) -> ReducePath {
+pub(crate) fn reduce_path(env: &FpEnv, len: usize) -> ReducePath {
     let w = env.simd_width.lanes();
     if w == 1 || len < 2 * w {
         ReducePath::Scalar

@@ -79,7 +79,13 @@ impl Step {
 }
 
 /// Apply one kernel evaluation to the paired abstract state.
-pub fn apply(kernel: &Kernel, st: &mut AbsState, env_a: &FpEnv, env_b: &FpEnv, state_len: usize) {
+pub(crate) fn apply(
+    kernel: &Kernel,
+    st: &mut AbsState,
+    env_a: &FpEnv,
+    env_b: &FpEnv,
+    state_len: usize,
+) {
     if st.unknown {
         return;
     }

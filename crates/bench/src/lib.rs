@@ -8,7 +8,4 @@
 
 pub mod mfem_study;
 
-pub use mfem_study::{
-    bisect_all_variable, bisect_all_variable_with, mfem_sweep, mfem_sweep_with,
-    BisectCharacterization,
-};
+pub use mfem_study::{bisect_all_variable_with, mfem_sweep, BisectCharacterization};

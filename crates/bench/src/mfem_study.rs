@@ -18,15 +18,15 @@ use flit_toolchain::compiler::CompilerKind;
 
 /// Run the full 244-compilation × 19-example sweep.
 pub fn mfem_sweep(program: &SimProgram) -> ResultsDb {
-    mfem_sweep_with(program, &RunnerConfig::default())
-}
-
-/// [`mfem_sweep`] with explicit runner options (e.g. cache off for the
-/// A/B build-work comparison).
-pub fn mfem_sweep_with(program: &SimProgram, cfg: &RunnerConfig) -> ResultsDb {
     let tests = mfem_examples();
     let dyn_tests: Vec<&dyn FlitTest> = tests.iter().map(|t| t as &dyn FlitTest).collect();
-    run_matrix(program, &dyn_tests, &mfem_matrix(), cfg).expect("the MFEM sweep runs")
+    run_matrix(
+        program,
+        &dyn_tests,
+        &mfem_matrix(),
+        &RunnerConfig::default(),
+    )
+    .expect("the MFEM sweep runs")
 }
 
 /// Outcome counters of one compiler's bisect characterization
@@ -61,16 +61,7 @@ impl BisectCharacterization {
 
 /// Bisect every variable (test, compilation) pair in the sweep,
 /// aggregated per compiler. Searches are independent, so they fan out
-/// over `threads` workers with deterministic aggregation.
-pub fn bisect_all_variable(
-    program: &SimProgram,
-    db: &ResultsDb,
-    threads: usize,
-) -> Vec<(CompilerKind, BisectCharacterization)> {
-    bisect_all_variable_with(program, db, threads, &BuildCtx::cached())
-}
-
-/// [`bisect_all_variable`] with an explicit build context. All searches
+/// over `threads` workers with deterministic aggregation. All searches
 /// share `ctx`, so repeated baselines and mixed links across jobs are
 /// built once; its counters afterwards describe the whole
 /// characterization.
@@ -181,7 +172,7 @@ mod tests {
         let db = run_matrix(&program, &dyn_tests, &comps, &RunnerConfig::default())
             .expect("thinned sweep runs");
         assert_eq!(db.rows.len(), 4 * 19);
-        let character = bisect_all_variable(&program, &db, 4);
+        let character = bisect_all_variable_with(&program, &db, 4, &BuildCtx::cached());
         let total_searches: usize = character.iter().map(|(_, c)| c.searches).sum();
         let variable = db.rows.iter().filter(|r| r.is_variable()).count();
         assert_eq!(total_searches, variable);

@@ -1,5 +1,6 @@
-//! Algorithm 1: `BisectOne` and `BisectAll`, with the dynamic
-//! verification assertions.
+//! Algorithm 1: `BisectAll`, with the dynamic verification assertions.
+//! The planner replays the `BisectOne` recursion; its literal form is
+//! the planner's oracle in `planner`'s unit tests.
 //!
 //! The recursion in `BisectOne` returns a *pair*: the set `G` of
 //! elements that can safely be pruned from future searches (halves that
@@ -29,7 +30,7 @@ use flit_exec::ExecBackend;
 
 use crate::parallel::drive_flat;
 use crate::planner::{BisectPlan, SearchMode};
-use crate::test_fn::{MemoTest, TestError, TestFn};
+use crate::test_fn::TestError;
 
 /// A recorded Test invocation, for traces like the paper's Figure 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,63 +101,6 @@ impl<I> BisectOutcome<I> {
     /// (and false positives are impossible by construction — §2.4).
     pub fn verified(&self) -> bool {
         self.violations.is_empty()
-    }
-}
-
-/// What one `BisectOne` round found: the prunable set `G`, plus the
-/// blamed element and its singleton Test value (`None` when the
-/// singleton assertion failed).
-pub type BisectOneFound<I> = (Vec<I>, Option<(I, f64)>);
-
-/// `BisectOne` (Algorithm 1): find one variability-inducing element
-/// inside `items` (which must test positive). Returns `(G, found,
-/// found_value)` where `G` is the prunable set *including* `found`.
-pub fn bisect_one<I, F>(
-    test: &mut MemoTest<I, F>,
-    items: &[I],
-    space: &[I],
-    trace: &mut Vec<TraceRow<I>>,
-    violations: &mut Vec<AssumptionViolation<I>>,
-) -> Result<BisectOneFound<I>, TestError>
-where
-    I: Clone + Ord + Hash,
-    F: TestFn<I>,
-{
-    if items.len() == 1 {
-        // Base case — line 2-4, with the line-3 assertion as dynamic
-        // verification rather than a panic.
-        let v = test.test(items)?;
-        trace.push(TraceRow {
-            tested: items.to_vec(),
-            space: space.to_vec(),
-            value: v,
-        });
-        if v > 0.0 {
-            return Ok((items.to_vec(), Some((items[0].clone(), v))));
-        }
-        violations.push(AssumptionViolation::SingletonBlame {
-            element: items[0].clone(),
-        });
-        // The singleton is still prunable (it does not matter alone);
-        // report no find for this round.
-        return Ok((items.to_vec(), None));
-    }
-    let mid = items.len() / 2;
-    let (d1, d2) = items.split_at(mid);
-    let v1 = test.test(d1)?;
-    trace.push(TraceRow {
-        tested: d1.to_vec(),
-        space: space.to_vec(),
-        value: v1,
-    });
-    if v1 > 0.0 {
-        bisect_one(test, d1, space, trace, violations)
-    } else {
-        let (g, next) = bisect_one(test, d2, space, trace, violations)?;
-        // Line 10: Δ1 tested zero, so it is prunable alongside G.
-        let mut g2 = g;
-        g2.extend_from_slice(d1);
-        Ok((g2, next))
     }
 }
 

@@ -54,7 +54,7 @@ impl<I> Ord for Node<I> {
 /// early once the best frontier value no longer beats the k-th find.
 ///
 /// The UCS loop above lives in the planner's replay engine (sharing
-/// this module's [`Node`] ordering), driven on `backend`:
+/// this module's `Node` ordering), driven on `backend`:
 /// `ThreadsBackend::new(1)` asks `test_fn` the serial call sequence,
 /// both halves of an expansion in one wave; wider backends also
 /// evaluate the speculative frontier concurrently, with a

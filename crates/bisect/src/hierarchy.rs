@@ -77,12 +77,12 @@ pub struct Prescreen {
 
 impl Prescreen {
     /// Score for a file (`0.0` = predicted invariant).
-    pub fn file_score(&self, file_id: usize) -> f64 {
+    pub(crate) fn file_score(&self, file_id: usize) -> f64 {
         self.file_priority.get(&file_id).copied().unwrap_or(0.0)
     }
 
     /// Score for a symbol (`0.0` = predicted invariant).
-    pub fn symbol_score(&self, symbol: &str) -> f64 {
+    pub(crate) fn symbol_score(&self, symbol: &str) -> f64 {
         self.symbol_priority.get(symbol).copied().unwrap_or(0.0)
     }
 }
@@ -168,9 +168,9 @@ pub struct HierarchicalConfig {
     /// Optional execution backend deciding *where* Test queries
     /// evaluate. `None` (and any backend whose
     /// [`ExecBackend::is_remote`] is false) evaluates in-process via a
-    /// [`LocalPlane`]; a remote backend (the `process` coordinator)
+    /// `LocalPlane`; a remote backend (the `process` coordinator)
     /// ships every query through [`ExecBackend::dispatch`] via a
-    /// [`RemotePlane`]. Found sets, execution counts, `bisect.*`
+    /// `RemotePlane`. Found sets, execution counts, `bisect.*`
     /// counters/spans, and ledger accounting are byte-identical either
     /// way; only the `build.*` counters move into the workers.
     pub backend: Option<Arc<dyn ExecBackend>>,
@@ -616,7 +616,7 @@ fn unexplained<I: Clone + Ord>(
 /// spans/counters — is byte-identical at any worker count; only the
 /// `exec.*` scheduling telemetry depends on the width. With a remote
 /// [`HierarchicalConfig::backend`] each query evaluates in a worker
-/// subprocess via [`RemotePlane`].
+/// subprocess via `RemotePlane`.
 ///
 /// A panicking Test surfaces as [`SearchOutcome::Crashed`], as does a
 /// backend whose retry budget is exhausted.

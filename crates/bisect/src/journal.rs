@@ -10,7 +10,7 @@
 //! [`JournalError`] naming the offending record.
 //!
 //! Schema compatibility rule: every record embeds `version`; a loader
-//! only accepts records whose version it knows ([`JOURNAL_VERSION`]).
+//! only accepts records whose version it knows (`JOURNAL_VERSION`).
 //! Readers must reject — not skip — unknown versions, so a journal
 //! written by a newer tool can never be silently half-replayed.
 
@@ -27,7 +27,7 @@ use flit_persist::{decode_framed, encode_framed, write_atomic, CodecError, Frame
 /// - 1: seq/version/fingerprint/pair/key/answer.
 /// - 2: adds `backend` — which execution plane produced the answer —
 ///   when the record schema became the coordinator/worker wire format.
-pub const JOURNAL_VERSION: u32 = 2;
+pub(crate) const JOURNAL_VERSION: u32 = 2;
 
 /// The `backend` value for answers computed in the coordinator
 /// process (the serial and `threads` planes).
@@ -70,7 +70,7 @@ pub enum JournalAnswer {
 pub struct JournalRecord {
     /// Position in the journal (0-based); detects dropped lines.
     pub seq: u64,
-    /// Schema version ([`JOURNAL_VERSION`]).
+    /// Schema version (`JOURNAL_VERSION`).
     pub version: u32,
     /// Structural fingerprint of the program under search — a journal
     /// never replays into a search over a different program.
@@ -361,18 +361,8 @@ impl JournalWriter {
         write_atomic(&self.path, buf.as_bytes())
     }
 
-    /// Number of records in the journal.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Is the journal empty?
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
     /// The journal's path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }
@@ -473,7 +463,7 @@ mod tests {
         write_sample(&p, 7);
         let (mut w, recs) = JournalWriter::resume(&p, 7).unwrap();
         assert_eq!(recs.len(), 4);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.lines.len(), 4);
         w.append(
             "ex1/clang++ -O3",
             "probe/abc123/c/1",

@@ -38,7 +38,7 @@ const REPLAY_ORIGIN: u64 = 0;
 
 /// A completed, cacheable Test answer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StoredAnswer {
+pub(crate) enum StoredAnswer {
     /// A scored query: `(metric value, simulated seconds)`.
     Score {
         /// The Test metric value.
@@ -203,12 +203,6 @@ impl QueryLedger {
         *self.backend_label.lock() = label.to_string();
     }
 
-    /// The program fingerprint this ledger (and its journal) is keyed
-    /// to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Attach a checkpoint journal: every freshly computed answer is
     /// appended (atomically) from now on.
     pub fn attach_journal(&self, writer: JournalWriter) {
@@ -334,11 +328,6 @@ impl LedgerHandle {
         }
     }
 
-    /// The shared ledger.
-    pub fn ledger(&self) -> &Arc<QueryLedger> {
-        &self.ledger
-    }
-
     /// Evaluate a scored query through the ledger.
     pub fn eval_score(
         &self,
@@ -363,7 +352,7 @@ impl LedgerHandle {
     }
 
     /// Evaluate a reference (full-output) query through the ledger.
-    pub fn eval_output(
+    pub(crate) fn eval_output(
         &self,
         key: &str,
         compute: impl FnOnce() -> Result<(Vec<f64>, f64), TestError>,
@@ -402,7 +391,7 @@ pub struct SearchKeys {
 
 impl SearchKeys {
     /// Digest the task-level identity of a hierarchical search.
-    pub fn new(
+    pub(crate) fn new(
         baseline_fingerprint: u64,
         variable_fingerprint: u64,
         driver_name: &str,
@@ -424,7 +413,7 @@ impl SearchKeys {
     }
 
     /// Key of the trusted reference run (variable-independent).
-    pub fn reference(&self) -> String {
+    pub(crate) fn reference(&self) -> String {
         format!("ref/{}", self.task)
     }
 
@@ -432,7 +421,7 @@ impl SearchKeys {
     /// canonical item set plus — only when the set is nonempty — the
     /// variable compilation's label: an empty set links pure baseline
     /// objects, so its answer is shared across variable compilations.
-    pub fn file_query(&self, variable_label: &str, items: &[usize]) -> String {
+    pub(crate) fn file_query(&self, variable_label: &str, items: &[usize]) -> String {
         let mut sorted: Vec<usize> = items.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -448,7 +437,7 @@ impl SearchKeys {
     }
 
     /// Key of a `-fPIC` probe of one found file.
-    pub fn probe(&self, variable_label: &str, file_id: usize) -> String {
+    pub(crate) fn probe(&self, variable_label: &str, file_id: usize) -> String {
         let mut h = Fnv128::new();
         h.update_str(variable_label);
         h.update_u64(file_id as u64);
@@ -456,7 +445,12 @@ impl SearchKeys {
     }
 
     /// Key of a symbol-level Test query within one found file.
-    pub fn symbol_query(&self, variable_label: &str, file_id: usize, items: &[String]) -> String {
+    pub(crate) fn symbol_query(
+        &self,
+        variable_label: &str,
+        file_id: usize,
+        items: &[String],
+    ) -> String {
         let mut sorted: Vec<&String> = items.iter().collect();
         sorted.sort();
         sorted.dedup();
@@ -476,7 +470,7 @@ impl SearchKeys {
     /// or `sym/` answer for the same task) and digest the full noise
     /// protocol — sample count, significance level, and noise seed —
     /// because changing any of them changes the answer.
-    pub fn perf_reference(&self, samples: u32, alpha: f64, seed: u64) -> String {
+    pub(crate) fn perf_reference(&self, samples: u32, alpha: f64, seed: u64) -> String {
         let h = Self::perf_params(samples, alpha, seed);
         format!("perfref/{}/{}", self.task, h.hex())
     }
@@ -485,7 +479,7 @@ impl SearchKeys {
     /// binary vs the baseline samples). The empty set links pure
     /// baseline objects, so — like [`SearchKeys::file_query`] — it is
     /// shared across variable compilations.
-    pub fn perf_file_query(
+    pub(crate) fn perf_file_query(
         &self,
         variable_label: &str,
         items: &[usize],
@@ -511,7 +505,7 @@ impl SearchKeys {
     /// empty set is the `-fPIC`-overhead reference (target file pic'd
     /// under the baseline build), so symbol-level comparisons cancel
     /// the pic speed factor instead of misattributing it.
-    pub fn perf_symbol_query(
+    pub(crate) fn perf_symbol_query(
         &self,
         variable_label: &str,
         file_id: usize,

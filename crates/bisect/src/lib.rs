@@ -4,10 +4,11 @@
 //! algorithms that root-cause compiler-induced result variability down
 //! to source files and functions.
 //!
-//! * [`algo`] — Algorithm 1 (`BisectOne` / `BisectAll`) exactly as
-//!   printed, including the two dynamic-verification assertions that
-//!   check the **Unique Error** and **Singleton Blame Site** assumptions
-//!   at run time (§2.2, §2.4).
+//! * [`algo`] — Algorithm 1 (`BisectAll`), including the two
+//!   dynamic-verification assertions that check the **Unique Error**
+//!   and **Singleton Blame Site** assumptions at run time (§2.2, §2.4).
+//!   It runs as a [`planner`] plan; the literal `BisectOne` recursion
+//!   is that plan's oracle in the planner's unit tests.
 //! * [`biggest`] — `BisectBiggest` (§2.5): uniform-cost search for the
 //!   `k` largest contributors with early exit.
 //! * [`hierarchy`] — the dual-level File→Symbol search (§2.3), one walk
@@ -57,21 +58,16 @@ pub mod prescreen;
 pub mod test_fn;
 pub mod wire;
 
-pub use algo::{
-    bisect_all, bisect_all_unpruned, bisect_one, AssumptionViolation, BisectOutcome, TraceRow,
-};
+pub use algo::{bisect_all, bisect_all_unpruned, AssumptionViolation, BisectOutcome, TraceRow};
 pub use biggest::bisect_biggest;
 pub use hierarchy::{bisect_hierarchical, HierarchicalConfig, HierarchicalResult, SearchOutcome};
-pub use journal::{
-    load_journal, JournalAnswer, JournalError, JournalRecord, JournalWriter, JOURNAL_VERSION,
-};
-pub use ledger::{LedgerHandle, LedgerStats, QueryLedger, SearchKeys, StoredAnswer};
-pub use parallel::{drive_plans, SharedOracle};
+pub use journal::{load_journal, JournalAnswer, JournalError, JournalRecord, JournalWriter};
+pub use ledger::{LedgerHandle, LedgerStats, QueryLedger, SearchKeys};
+pub use parallel::SharedOracle;
 pub use perf::{
-    perf_bisect, predicted_slow_files, predicted_slow_symbols, PerfBisectResult, PerfConfig,
-    PerfFileFinding, PerfOutcome, PerfSymbolFinding,
+    perf_bisect, PerfBisectResult, PerfConfig, PerfFileFinding, PerfOutcome, PerfSymbolFinding,
 };
 pub use planner::{BisectPlan, PlanFailure, PlanOutcome, PlanStep, Query, SearchMode};
 pub use prescreen::{prescreen_for, record_certificates, LintMode};
 pub use test_fn::{MemoTest, TestError, TestFn};
-pub use wire::{evaluate, ExeRecipe, LocalPlane, QueryPlane, RemotePlane, WireRequest, WireTask};
+pub use wire::{evaluate, ExeRecipe, WireRequest, WireTask};

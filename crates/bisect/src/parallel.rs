@@ -45,7 +45,7 @@ impl<'f, I> SharedOracle<'f, I> {
     /// run's simulated seconds. The ledger's single-flight table
     /// memoizes it under `key(items)` and records the hits and misses
     /// as `exec.queries.*` counters.
-    pub fn new(
+    pub(crate) fn new(
         raw: impl Fn(&[I]) -> Answer + Sync + 'f,
         handle: LedgerHandle,
         key: impl Fn(&[I]) -> String + Sync + 'f,
@@ -59,7 +59,7 @@ impl<'f, I> SharedOracle<'f, I> {
 
     /// Evaluate (memoized, single-flight). `items` must be canonical —
     /// frontier queries already are.
-    pub fn eval(&self, items: &[I]) -> Answer {
+    pub(crate) fn eval(&self, items: &[I]) -> Answer {
         self.handle
             .eval_score(&(self.key)(items), || (self.raw)(items))
     }
@@ -70,7 +70,7 @@ impl<'f, I> SharedOracle<'f, I> {
 /// highest score first; zero-scoring queries are dropped from the
 /// speculative fill — evaluating them would only warm the memo for
 /// item sets a prescreen predicts invariant.
-pub type SpeculationScore<'a, I> = &'a (dyn Fn(&[I]) -> f64 + Sync);
+pub(crate) type SpeculationScore<'a, I> = &'a (dyn Fn(&[I]) -> f64 + Sync);
 
 /// Drive several plans to completion jointly on one execution backend.
 ///
@@ -97,7 +97,7 @@ pub type SpeculationScore<'a, I> = &'a (dyn Fn(&[I]) -> f64 + Sync);
 ///
 /// Returns one result per plan, in order. `Err(ExecError)` only on a
 /// panicking oracle (a Test *error* is a per-plan `PlanFailure`).
-pub fn drive_plans<I>(
+pub(crate) fn drive_plans<I>(
     plans: &mut [BisectPlan<I>],
     oracles: &[&SharedOracle<'_, I>],
     backend: &dyn ExecBackend,
@@ -189,7 +189,7 @@ where
 /// span per execution, in serial consumption order, with the item-set
 /// size as cost and the run's simulated seconds as duration. Identical
 /// at any worker count.
-pub fn emit_query_spans<I>(trace: &TraceSink, label: &str, outcome: &PlanOutcome<I>) {
+pub(crate) fn emit_query_spans<I>(trace: &TraceSink, label: &str, outcome: &PlanOutcome<I>) {
     if !trace.is_enabled() {
         return;
     }

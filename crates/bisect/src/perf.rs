@@ -27,13 +27,11 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use flit_program::build::Build;
-use flit_program::model::{Driver, SimProgram, Visibility};
+use flit_program::model::Driver;
 use flit_report::speedup::SpeedupReport;
 use flit_report::stats::{welch_test, Verdict};
 use flit_toolchain::cache::BuildCtx;
-use flit_toolchain::compilation::Compilation;
 use flit_toolchain::compiler::CompilerKind;
-use flit_toolchain::perf::speed_factor;
 use flit_trace::names::{counter as counter_names, phase};
 use flit_trace::sink::TraceSink;
 
@@ -92,18 +90,6 @@ impl PerfConfig {
         }
     }
 
-    /// Set the timing repetitions per binary.
-    pub fn with_samples(mut self, samples: u32) -> Self {
-        self.samples = samples;
-        self
-    }
-
-    /// Set the noise seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Run this search through the given build context.
     pub fn with_ctx(mut self, ctx: BuildCtx) -> Self {
         self.ctx = ctx;
@@ -119,13 +105,6 @@ impl PerfConfig {
     /// Answer this search's timing queries through a shared ledger.
     pub fn with_ledger(mut self, ledger: LedgerHandle) -> Self {
         self.ledger = Some(ledger);
-        self
-    }
-
-    /// Evaluate this search's timing queries through an execution
-    /// backend (see [`PerfConfig::backend`]).
-    pub fn with_backend(mut self, backend: Arc<dyn ExecBackend>) -> Self {
-        self.backend = Some(backend);
         self
     }
 }
@@ -204,49 +183,6 @@ pub struct PerfBisectResult {
     pub executions: usize,
     /// Violations that survived the Welch re-verification.
     pub violations: Vec<String>,
-}
-
-impl PerfBisectResult {
-    /// Did the search complete with full dynamic verification?
-    pub fn verified_complete(&self) -> bool {
-        self.outcome == PerfOutcome::Completed && self.violations.is_empty()
-    }
-}
-
-/// Files the deterministic speed model predicts slower under `cand`
-/// than under `base`: ground truth for validating [`perf_bisect`]
-/// (assumes the driver exercises every function, as the study drivers
-/// do).
-pub fn predicted_slow_files(
-    program: &SimProgram,
-    base: &Compilation,
-    cand: &Compilation,
-) -> Vec<usize> {
-    (0..program.files.len())
-        .filter(|&fid| {
-            program.files[fid]
-                .functions
-                .iter()
-                .any(|f| speed_factor(cand, f.class()) < speed_factor(base, f.class()))
-        })
-        .collect()
-}
-
-/// Exported symbols of `file_id` the speed model predicts slower under
-/// `cand`: symbol-level ground truth.
-pub fn predicted_slow_symbols(
-    program: &SimProgram,
-    base: &Compilation,
-    cand: &Compilation,
-    file_id: usize,
-) -> Vec<String> {
-    program.files[file_id]
-        .functions
-        .iter()
-        .filter(|f| f.visibility == Visibility::Exported)
-        .filter(|f| speed_factor(cand, f.class()) < speed_factor(base, f.class()))
-        .map(|f| f.name.clone())
-        .collect()
 }
 
 /// The timing metric: a query scores the Welch-gated slowdown effect of
@@ -472,9 +408,47 @@ mod tests {
     use super::*;
     use crate::ledger::QueryLedger;
     use flit_program::kernel::Kernel;
-    use flit_program::model::{Function, SourceFile};
+    use flit_program::model::{Function, SimProgram, SourceFile, Visibility};
+    use flit_toolchain::compilation::Compilation;
     use flit_toolchain::compiler::OptLevel;
     use flit_toolchain::flags::Switch;
+    use flit_toolchain::perf::speed_factor;
+
+    /// Files the deterministic speed model predicts slower under `cand`
+    /// than under `base`: ground truth for validating `perf_bisect`
+    /// (assumes the driver exercises every function, as the study drivers
+    /// do).
+    fn predicted_slow_files(
+        program: &SimProgram,
+        base: &Compilation,
+        cand: &Compilation,
+    ) -> Vec<usize> {
+        (0..program.files.len())
+            .filter(|&fid| {
+                program.files[fid]
+                    .functions
+                    .iter()
+                    .any(|f| speed_factor(cand, f.class()) < speed_factor(base, f.class()))
+            })
+            .collect()
+    }
+
+    /// Exported symbols of `file_id` the speed model predicts slower under
+    /// `cand`: symbol-level ground truth.
+    fn predicted_slow_symbols(
+        program: &SimProgram,
+        base: &Compilation,
+        cand: &Compilation,
+        file_id: usize,
+    ) -> Vec<String> {
+        program.files[file_id]
+            .functions
+            .iter()
+            .filter(|f| f.visibility == Visibility::Exported)
+            .filter(|f| speed_factor(cand, f.class()) < speed_factor(base, f.class()))
+            .map(|f| f.name.clone())
+            .collect()
+    }
 
     /// Table-2-shaped workload with a planted slow spot: `-prec-div`
     /// slows DivHeavy code only, and only `math/divide.cpp:div_scan`
@@ -542,7 +516,8 @@ mod tests {
             &flit_exec::ThreadsBackend::new(1),
         );
         assert_eq!(res.outcome, PerfOutcome::Completed, "{:?}", res.violations);
-        assert!(res.verified_complete());
+        assert_eq!(res.outcome, PerfOutcome::Completed);
+        assert!(res.violations.is_empty());
 
         // Ground truth from the deterministic speed model.
         let truth = predicted_slow_files(&p, &base_comp(), &slow_comp());
@@ -662,7 +637,11 @@ mod tests {
             &cand,
             &driver(),
             &[0.5],
-            &PerfConfig::new().with_samples(16).with_seed(7),
+            &PerfConfig {
+                samples: 16,
+                seed: 7,
+                ..PerfConfig::new()
+            },
             &exec,
         );
         let b = perf_bisect(
@@ -670,7 +649,11 @@ mod tests {
             &cand,
             &driver(),
             &[0.5],
-            &PerfConfig::new().with_samples(16).with_seed(7),
+            &PerfConfig {
+                samples: 16,
+                seed: 7,
+                ..PerfConfig::new()
+            },
             &exec,
         );
         // Same protocol: bitwise-identical result.
@@ -682,7 +665,11 @@ mod tests {
             &cand,
             &driver(),
             &[0.5],
-            &PerfConfig::new().with_samples(16).with_seed(8),
+            &PerfConfig {
+                samples: 16,
+                seed: 8,
+                ..PerfConfig::new()
+            },
             &exec,
         );
         let ids = |r: &PerfBisectResult| r.files.iter().map(|f| f.file_id).collect::<Vec<_>>();

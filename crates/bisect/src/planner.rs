@@ -7,7 +7,7 @@
 //! it suspends and returns the [`frontier`](PlanStep::Frontier): the one
 //! query the serial algorithm needs next (`required`), plus the
 //! speculative queries it would need soon on either branch of the
-//! pending split. The wave driver ([`drive_plans`](crate::parallel::drive_plans))
+//! pending split. The wave driver (`drive_plans`)
 //! evaluates a subset of the frontier on an execution backend — at
 //! width 1 just the required queries, wider with speculation too —
 //! feeds the answers back via [`BisectPlan::answer`], and steps again.
@@ -56,7 +56,7 @@ pub struct Query<I> {
 }
 
 /// A Test answer: the metric value plus the run's simulated seconds.
-pub type Answer = Result<(f64, f64), TestError>;
+pub(crate) type Answer = Result<(f64, f64), TestError>;
 
 /// A completed search: the outcome plus the canonical execution record.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +101,7 @@ pub enum PlanStep<I> {
 
 /// Canonicalize an item set into its memo key, exactly as
 /// [`MemoTest`](crate::test_fn::MemoTest) does.
-pub fn canonical<I: Clone + Ord>(items: &[I]) -> Vec<I> {
+pub(crate) fn canonical<I: Clone + Ord>(items: &[I]) -> Vec<I> {
     let mut key: Vec<I> = items.to_vec();
     key.sort();
     key.dedup();
@@ -488,7 +488,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{bisect_all, bisect_one};
+    use crate::algo::bisect_all;
     use crate::biggest::bisect_biggest;
     use crate::test_fn::{MemoTest, TestFn};
     use flit_exec::ThreadsBackend;
@@ -504,6 +504,65 @@ mod tests {
                         .map_or(0.0, |(_, v)| *v)
                 })
                 .sum())
+        }
+    }
+
+    /// What one `BisectOne` round found: the prunable set `G`, plus the
+    /// blamed element and its singleton Test value (`None` when the
+    /// singleton assertion failed).
+    type BisectOneFound<I> = (Vec<I>, Option<(I, f64)>);
+
+    /// `BisectOne` (Algorithm 1), the recursion the planner replays,
+    /// kept as its independent oracle: find one variability-inducing
+    /// element inside `items` (which must test positive). Returns `(G,
+    /// found, found_value)` where `G` is the prunable set *including*
+    /// `found`.
+    fn bisect_one<I, F>(
+        test: &mut MemoTest<I, F>,
+        items: &[I],
+        space: &[I],
+        trace: &mut Vec<TraceRow<I>>,
+        violations: &mut Vec<AssumptionViolation<I>>,
+    ) -> Result<BisectOneFound<I>, TestError>
+    where
+        I: Clone + Ord + Hash,
+        F: TestFn<I>,
+    {
+        if items.len() == 1 {
+            // Base case — line 2-4, with the line-3 assertion as dynamic
+            // verification rather than a panic.
+            let v = test.test(items)?;
+            trace.push(TraceRow {
+                tested: items.to_vec(),
+                space: space.to_vec(),
+                value: v,
+            });
+            if v > 0.0 {
+                return Ok((items.to_vec(), Some((items[0].clone(), v))));
+            }
+            violations.push(AssumptionViolation::SingletonBlame {
+                element: items[0].clone(),
+            });
+            // The singleton is still prunable (it does not matter alone);
+            // report no find for this round.
+            return Ok((items.to_vec(), None));
+        }
+        let mid = items.len() / 2;
+        let (d1, d2) = items.split_at(mid);
+        let v1 = test.test(d1)?;
+        trace.push(TraceRow {
+            tested: d1.to_vec(),
+            space: space.to_vec(),
+            value: v1,
+        });
+        if v1 > 0.0 {
+            bisect_one(test, d1, space, trace, violations)
+        } else {
+            let (g, next) = bisect_one(test, d2, space, trace, violations)?;
+            // Line 10: Δ1 tested zero, so it is prunable alongside G.
+            let mut g2 = g;
+            g2.extend_from_slice(d1);
+            Ok((g2, next))
         }
     }
 

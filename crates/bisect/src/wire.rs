@@ -1,11 +1,11 @@
-//! The coordinator/worker wire format and the [`QueryPlane`]
+//! The coordinator/worker wire format and the `QueryPlane`
 //! abstraction over *where* a search's Test queries evaluate.
 //!
 //! A hierarchical (or perf) search issues exactly five kinds of
 //! executable recipes ([`ExeRecipe`]); every query of the File→Symbol
 //! walk is one recipe plus a coordinator-side reduction (the comparison
 //! metric, Welch statistics, counters). The
-//! [`QueryPlane`] trait captures precisely the part that can move to
+//! `QueryPlane` trait captures precisely the part that can move to
 //! another process: *build the recipe's executable and run (or time)
 //! it*, returning raw vectors. Everything downstream of the raw
 //! vectors — `compare`, speedup reports, ledger accounting — stays in
@@ -13,10 +13,10 @@
 //! byte-identical to the serial search.
 //!
 //! Two implementations:
-//! - [`LocalPlane`]: evaluates in-process against borrowed [`Build`]s,
+//! - `LocalPlane`: evaluates in-process against borrowed [`Build`]s,
 //!   with the exact per-recipe error mappings the serial closures have
 //!   always used.
-//! - [`RemotePlane`]: serializes the search task once ([`WireTask`]),
+//! - `RemotePlane`: serializes the search task once ([`WireTask`]),
 //!   ships each query as a [`WireRequest`] through an
 //!   [`ExecBackend::dispatch`], and decodes the answer from the
 //!   checkpoint-journal answer schema ([`JournalAnswer`] doubles as
@@ -156,7 +156,7 @@ impl WireTask {
 
 /// Where a search's Test queries evaluate. Both methods take the
 /// recipe only; the plane owns (or transports) the task context.
-pub trait QueryPlane: Sync {
+pub(crate) trait QueryPlane: Sync {
     /// Build and run once: `(output vector, simulated seconds)`.
     fn run_recipe(&self, recipe: &ExeRecipe) -> Result<(Vec<f64>, f64), TestError>;
 
@@ -187,7 +187,7 @@ fn run_to_test_error(e: RunError) -> TestError {
 ///   (`MissingSymbol`/`CorruptBuildTag` are link-shaped);
 /// - the `-fPIC` probe keeps real crash messages verbatim and treats
 ///   everything else as a crash.
-pub struct LocalPlane<'a> {
+pub(crate) struct LocalPlane<'a> {
     /// The trusted baseline build.
     pub baseline: &'a Build<'a>,
     /// The variable (candidate) build.
@@ -329,7 +329,7 @@ fn decode_answer(answer: JournalAnswer) -> Result<(Vec<f64>, f64), TestError> {
 /// exhausted its retry budget) surface as `TestError::Crash` with the
 /// structured backend message, which aborts the search the same way a
 /// crashed mixed executable does.
-pub struct RemotePlane {
+pub(crate) struct RemotePlane {
     backend: Arc<dyn ExecBackend>,
     digest: String,
     task: String,
@@ -337,7 +337,7 @@ pub struct RemotePlane {
 
 impl RemotePlane {
     /// Capture and serialize the search task for `backend`.
-    pub fn new(
+    pub(crate) fn new(
         backend: Arc<dyn ExecBackend>,
         baseline: &Build,
         variable: &Build,

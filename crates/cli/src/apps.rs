@@ -19,7 +19,7 @@ pub struct BundledApp {
 }
 
 /// Names of all bundled applications.
-pub fn app_names() -> Vec<&'static str> {
+pub(crate) fn app_names() -> Vec<&'static str> {
     vec!["mfem", "laghos", "laghos-xsw", "lulesh"]
 }
 

@@ -279,12 +279,12 @@ pub struct ExecArgs {
     pub jobs: Option<usize>,
     /// The `flit worker` pool under `--backend process` (`None`: the
     /// in-process threads backend).
-    pub process: Option<ProcessArgs>,
+    pub(crate) process: Option<ProcessArgs>,
 }
 
 /// The worker pool of `--backend process`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProcessArgs {
+pub(crate) struct ProcessArgs {
     /// Pool width: `--workers`, falling back to `--jobs`, then 4.
     pub workers: usize,
     /// Deterministic worker-kill schedule (testing): the i-th spawned
@@ -376,7 +376,7 @@ impl fmt::Display for ParseError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 flit — compiler-induced variability tester (FLiT reproduction)
 
 USAGE:

@@ -5,7 +5,7 @@
 //! binary is a thin wrapper).
 //!
 //! The subcommand surface mirrors the real FLiT tool; `flit help`
-//! prints it ([`args::USAGE`]). Each subcommand parses once into its
+//! prints it (`args::USAGE`). Each subcommand parses once into its
 //! struct in [`args`] (`flit bisect` → [`args::BisectArgs`]), which its
 //! function in [`commands`] takes.
 
@@ -16,6 +16,6 @@ pub mod render;
 pub mod serve;
 pub mod worker;
 
-pub use apps::{app_names, resolve_app, BundledApp};
+pub use apps::{resolve_app, BundledApp};
 pub use args::{parse, Cli, Command};
 pub use worker::run_worker;

@@ -18,7 +18,7 @@ fn cert_cells(cert: &Certificate) -> (String, String) {
 /// The certificate tables for one pair: the whole-pair verdict, the
 /// item counts, and every file and symbol that can move the result
 /// (`Invariant` items, usually the vast majority, are only counted).
-pub fn render_certificates(program: &SimProgram, certs: &PairCertificates) -> String {
+pub(crate) fn render_certificates(program: &SimProgram, certs: &PairCertificates) -> String {
     let (inv, bnd, unk) = certs.counts();
     let (whole_kind, whole_bound) = cert_cells(&certs.whole);
     let mut out = format!("whole pair: {whole_kind}");

@@ -84,7 +84,7 @@ impl WorkflowRunner for CliRunner {
 /// Run the daemon: bind, advertise the address, and serve until a
 /// `Shutdown` request drains it. Blocks for the daemon's lifetime and
 /// returns the drain summary as the command report.
-pub fn run_serve(args: &ListenArgs) -> Result<String, ParseError> {
+pub(crate) fn run_serve(args: &ListenArgs) -> Result<String, ParseError> {
     let listener = TcpListener::bind(&args.addr)
         .map_err(|e| ParseError(format!("cannot listen on `{}`: {e}", args.addr)))?;
     let addr = listener

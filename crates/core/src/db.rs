@@ -82,7 +82,7 @@ impl ResultsDb {
     }
 
     /// All records for one compilation label.
-    pub fn for_compilation(&self, label: &str) -> Vec<&RunRecord> {
+    pub(crate) fn for_compilation(&self, label: &str) -> Vec<&RunRecord> {
         self.rows.iter().filter(|r| r.label == label).collect()
     }
 
@@ -108,7 +108,7 @@ impl ResultsDb {
 
     /// `(variable runs, total runs)` for one compiler — Table 1's
     /// "# Variable Runs" column.
-    pub fn variable_runs(&self, compiler: CompilerKind) -> (usize, usize) {
+    pub(crate) fn variable_runs(&self, compiler: CompilerKind) -> (usize, usize) {
         let rows: Vec<&RunRecord> = self
             .rows
             .iter()

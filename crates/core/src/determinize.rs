@@ -80,18 +80,13 @@ impl ScheduleLog {
     }
 
     /// Current mode.
-    pub fn mode(&self) -> RrMode {
+    pub(crate) fn mode(&self) -> RrMode {
         *self.mode.lock()
     }
 
     /// Number of recorded schedules.
-    pub fn len(&self) -> usize {
+    pub fn recorded(&self) -> usize {
         self.orders.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Rewind the calling thread's replay cursor (each FLiT run replays
@@ -254,7 +249,7 @@ mod tests {
         // Record one execution (4 rounds → 4 schedules).
         log.set_mode(RrMode::Record);
         let (recorded, _) = test.run_impl(&[0.41], &ctx).unwrap();
-        assert_eq!(log.len(), 4);
+        assert_eq!(log.recorded(), 4);
 
         // Replay twice: bitwise identical to the recording and to each
         // other — the ReMPI property.

@@ -29,7 +29,7 @@ pub enum TestResult {
 
 impl TestResult {
     /// ℓ2 norm of the result (0 for strings), used to relativize errors.
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         match self {
             TestResult::Scalar(x) => x.abs(),
             TestResult::Vector(v) => ulp::l2_norm(v),
@@ -100,7 +100,7 @@ pub trait FlitTest: Send + Sync {
 
 /// The default comparison metric: ℓ2 difference for numeric results,
 /// discrete mismatch for strings or type mismatches.
-pub fn default_compare(baseline: &TestResult, other: &TestResult) -> f64 {
+pub(crate) fn default_compare(baseline: &TestResult, other: &TestResult) -> f64 {
     match (baseline, other) {
         (TestResult::Scalar(a), TestResult::Scalar(b)) => {
             if a.to_bits() == b.to_bits() {
@@ -171,7 +171,7 @@ impl FlitTest for DriverTest {
 
 /// Split a default input into per-run chunks (data-driven testing).
 /// A zero `inputs_per_run` means the test takes no input and runs once.
-pub fn split_input(default_input: &[f64], inputs_per_run: usize) -> Vec<Vec<f64>> {
+pub(crate) fn split_input(default_input: &[f64], inputs_per_run: usize) -> Vec<Vec<f64>> {
     if inputs_per_run == 0 || default_input.is_empty() {
         return vec![default_input.to_vec()];
     }

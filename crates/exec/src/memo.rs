@@ -75,13 +75,6 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
             false
         }
     }
-
-    /// The memoized value for `key`, if any (never computes).
-    pub fn peek(&self, key: &K) -> Option<V> {
-        let cell = self.shards[self.shard(key)].lock().get(key).cloned()?;
-        let slot = cell.lock();
-        slot.clone()
-    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Default for SingleFlight<K, V> {
@@ -94,6 +87,15 @@ impl<K: Hash + Eq + Clone, V: Clone> Default for SingleFlight<K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
+        /// The memoized value for `key`, if any (never computes).
+        fn peek(&self, key: &K) -> Option<V> {
+            let cell = self.shards[self.shard(key)].lock().get(key).cloned()?;
+            let slot = cell.lock();
+            slot.clone()
+        }
+    }
 
     #[test]
     fn second_lookup_is_a_hit() {

@@ -13,8 +13,6 @@
 //! `reproducible_fix` example verifies through the full compilation
 //! matrix (`Kernel::DotMixReproducible` in flit-program).
 
-use crate::env::FpEnv;
-
 /// Number of bins in the reproducible accumulator. Bins are spaced
 /// `BIN_WIDTH` binary digits apart covering the full double range down
 /// into the subnormals.
@@ -121,36 +119,36 @@ impl ReproducibleSum {
     }
 }
 
-/// Reproducible sum of a slice.
-///
-/// The result is **independent of the evaluation environment**: the
-/// per-element splitting uses only exact operations (multiplication by
-/// powers of two, round-to-integer, exact subtraction), so FMA
-/// contraction, reassociation, and extended precision cannot change it.
-/// The `env` parameter documents the call site's compilation; it is
-/// deliberately unused.
-pub fn sum_reproducible(_env: &FpEnv, xs: &[f64]) -> f64 {
-    let mut acc = ReproducibleSum::new();
-    for &x in xs {
-        acc.add(x);
-    }
-    acc.value()
-}
-
-/// Accuracy reference for tests: the double-double sum.
-pub fn sum_dd(xs: &[f64]) -> f64 {
-    let mut acc = crate::dd::Dd::ZERO;
-    for &x in xs {
-        acc = acc + crate::dd::Dd::from_f64(x);
-    }
-    acc.to_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::SimdWidth;
+    use crate::env::{FpEnv, SimdWidth};
     use crate::reduce;
+
+    /// Reproducible sum of a slice.
+    ///
+    /// The result is **independent of the evaluation environment**: the
+    /// per-element splitting uses only exact operations (multiplication by
+    /// powers of two, round-to-integer, exact subtraction), so FMA
+    /// contraction, reassociation, and extended precision cannot change it.
+    /// The `env` parameter documents the call site's compilation; it is
+    /// deliberately unused.
+    fn sum_reproducible(_env: &FpEnv, xs: &[f64]) -> f64 {
+        let mut acc = ReproducibleSum::new();
+        for &x in xs {
+            acc.add(x);
+        }
+        acc.value()
+    }
+
+    /// Accuracy reference for tests: the double-double sum.
+    fn sum_dd(xs: &[f64]) -> f64 {
+        let mut acc = crate::dd::Dd::ZERO;
+        for &x in xs {
+            acc = acc + crate::dd::Dd::from_f64(x);
+        }
+        acc.to_f64()
+    }
 
     fn nasty(n: usize) -> Vec<f64> {
         (0..n)

@@ -29,7 +29,7 @@ pub struct Dd {
 
 /// Error-free transformation: `a + b = s + e` exactly, no precondition.
 #[inline]
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let bb = s - a;
     let e = (a - (s - bb)) + (b - bb);
@@ -39,7 +39,7 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 /// Error-free transformation: `a + b = s + e` exactly, requires `|a| >= |b|`
 /// (or one of them zero/non-finite).
 #[inline]
-pub fn quick_two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn quick_two_sum(a: f64, b: f64) -> (f64, f64) {
     let s = a + b;
     let e = b - (s - a);
     (s, e)
@@ -47,7 +47,7 @@ pub fn quick_two_sum(a: f64, b: f64) -> (f64, f64) {
 
 /// Error-free transformation: `a * b = p + e` exactly (uses hardware FMA).
 #[inline]
-pub fn two_prod(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_prod(a: f64, b: f64) -> (f64, f64) {
     let p = a * b;
     let e = a.mul_add(b, -p);
     (p, e)
@@ -65,7 +65,7 @@ impl Dd {
 
     /// Construct from components, renormalizing.
     #[inline]
-    pub fn new(hi: f64, lo: f64) -> Self {
+    pub(crate) fn new(hi: f64, lo: f64) -> Self {
         let (s, e) = quick_two_sum(hi, lo);
         Dd { hi: s, lo: e }
     }

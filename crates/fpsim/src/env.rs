@@ -148,12 +148,6 @@ impl FpEnv {
         self
     }
 
-    /// Builder-style setter for [`FpEnv::flush_to_zero`].
-    pub fn with_ftz(mut self, f: bool) -> Self {
-        self.flush_to_zero = f;
-        self
-    }
-
     /// Builder-style setter for [`FpEnv::mathlib`].
     pub fn with_mathlib(mut self, m: MathLib) -> Self {
         self.mathlib = m;
@@ -183,10 +177,9 @@ mod tests {
             .with_simd(SimdWidth::W8)
             .with_extended(true)
             .with_recip(true)
-            .with_ftz(true)
             .with_mathlib(MathLib::Vendor)
             .with_exploit_ub(true);
-        assert!(e.fma && e.extended_precision && e.reciprocal_math && e.flush_to_zero);
+        assert!(e.fma && e.extended_precision && e.reciprocal_math);
         assert_eq!(e.simd_width, SimdWidth::W8);
         assert_eq!(e.mathlib, MathLib::Vendor);
         assert!(e.exploit_ub);

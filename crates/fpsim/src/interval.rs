@@ -37,7 +37,7 @@ pub fn next_up(x: f64) -> f64 {
 }
 
 /// The largest f64 strictly less than `x` (NaN and −∞ pass through).
-pub fn next_down(x: f64) -> f64 {
+pub(crate) fn next_down(x: f64) -> f64 {
     -next_up(-x)
 }
 
@@ -211,7 +211,7 @@ impl Interval {
     /// NaN-safely: the top interval reports `true` (zero *may* be in
     /// the unbounded result set), where `lo <= 0.0 && hi >= 0.0` would
     /// report `false`.
-    pub fn contains_zero(&self) -> bool {
+    pub(crate) fn contains_zero(&self) -> bool {
         !(self.lo > 0.0 || self.hi < 0.0)
     }
 

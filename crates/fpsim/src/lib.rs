@@ -53,4 +53,3 @@ pub use dd::Dd;
 pub use env::{FpEnv, MathLib, SimdWidth};
 pub use interval::Interval;
 pub use linalg::DenseMatrix;
-pub use ops::Accum;

@@ -36,32 +36,18 @@ impl DenseMatrix {
         DenseMatrix { rows, cols, data }
     }
 
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
-    /// Borrow the underlying row-major storage.
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Borrow row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -110,7 +96,7 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 
 /// `y := a*x + y` under `env` (BLAS `axpy`); elementwise, so the only
 /// env sensitivity is FMA contraction (and FTZ).
-pub fn axpy(env: &FpEnv, a: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(env: &FpEnv, a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (xi, yi) in x.iter().zip(y.iter_mut()) {
         *yi = ops::mul_add(env, a, *xi, *yi);
@@ -118,7 +104,7 @@ pub fn axpy(env: &FpEnv, a: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// `y := a*x + b*y` elementwise.
-pub fn axpby(env: &FpEnv, a: f64, x: &[f64], b: f64, y: &mut [f64]) {
+pub(crate) fn axpby(env: &FpEnv, a: f64, x: &[f64], b: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpby: length mismatch");
     for (xi, yi) in x.iter().zip(y.iter_mut()) {
         let by = ops::mul(env, b, *yi);
@@ -130,6 +116,17 @@ pub fn axpby(env: &FpEnv, a: f64, x: &[f64], b: f64, y: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::env::SimdWidth;
+
+    impl DenseMatrix {
+        /// The identity matrix of order `n`.
+        fn identity(n: usize) -> Self {
+            let mut m = Self::zeros(n, n);
+            for i in 0..n {
+                m[(i, i)] = 1.0;
+            }
+            m
+        }
+    }
 
     fn test_matrix(n: usize, seed: u64) -> DenseMatrix {
         // Deterministic pseudo-random entries via splitmix64.
@@ -195,7 +192,7 @@ mod tests {
             0.731,
             &a,
         );
-        assert_ne!(m1.data(), m2.data());
+        assert_ne!(m1.data, m2.data);
     }
 
     #[test]

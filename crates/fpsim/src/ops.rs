@@ -1,5 +1,5 @@
 //! Scalar floating-point operations under an [`FpEnv`], and the
-//! [`Accum`] type that models register-resident intermediates.
+//! `Accum` type that models register-resident intermediates.
 
 use crate::dd::Dd;
 use crate::env::FpEnv;
@@ -7,7 +7,7 @@ use crate::env::FpEnv;
 /// Flush a value to zero if it is subnormal and the environment has
 /// FTZ/DAZ enabled.
 #[inline]
-pub fn canon(env: &FpEnv, x: f64) -> f64 {
+pub(crate) fn canon(env: &FpEnv, x: f64) -> f64 {
     if env.flush_to_zero && x != 0.0 && x.abs() < f64::MIN_POSITIVE {
         if x.is_sign_negative() {
             -0.0
@@ -84,7 +84,7 @@ pub fn sqrt(env: &FpEnv, a: f64) -> f64 {
 /// memory (which rounds extended values back to `f64`, exactly as an
 /// x87 store or `-ffloat-store` does).
 #[derive(Debug, Clone, Copy)]
-pub enum Accum {
+pub(crate) enum Accum {
     /// Plain double-precision register.
     F64(f64),
     /// Extended-precision register (double-double emulation).
@@ -94,7 +94,7 @@ pub enum Accum {
 impl Accum {
     /// Create an accumulator holding `x` under `env`.
     #[inline]
-    pub fn new(env: &FpEnv, x: f64) -> Self {
+    pub(crate) fn new(env: &FpEnv, x: f64) -> Self {
         if env.extended_precision {
             Accum::Ext(Dd::from_f64(x))
         } else {
@@ -104,25 +104,16 @@ impl Accum {
 
     /// Add a value.
     #[inline]
-    pub fn add(self, env: &FpEnv, x: f64) -> Self {
+    pub(crate) fn add(self, env: &FpEnv, x: f64) -> Self {
         match self {
             Accum::F64(a) => Accum::F64(add(env, a, x)),
             Accum::Ext(a) => Accum::Ext(a + Dd::from_f64(x)),
         }
     }
 
-    /// Subtract a value.
-    #[inline]
-    pub fn sub(self, env: &FpEnv, x: f64) -> Self {
-        match self {
-            Accum::F64(a) => Accum::F64(sub(env, a, x)),
-            Accum::Ext(a) => Accum::Ext(a - Dd::from_f64(x)),
-        }
-    }
-
     /// Accumulate a product: `self += a*b`, honoring FMA contraction.
     #[inline]
-    pub fn mul_acc(self, env: &FpEnv, a: f64, b: f64) -> Self {
+    pub(crate) fn mul_acc(self, env: &FpEnv, a: f64, b: f64) -> Self {
         match self {
             Accum::F64(acc) => Accum::F64(mul_add(env, a, b, acc)),
             Accum::Ext(acc) => {
@@ -135,7 +126,7 @@ impl Accum {
 
     /// Horner step: `self = self * x + c`, honoring FMA contraction.
     #[inline]
-    pub fn horner_step(self, env: &FpEnv, x: f64, c: f64) -> Self {
+    pub(crate) fn horner_step(self, env: &FpEnv, x: f64, c: f64) -> Self {
         match self {
             Accum::F64(acc) => Accum::F64(mul_add(env, acc, x, c)),
             Accum::Ext(acc) => Accum::Ext(acc * Dd::from_f64(x) + Dd::from_f64(c)),
@@ -145,7 +136,7 @@ impl Accum {
     /// Merge another accumulator into this one (used when combining
     /// SIMD lanes).
     #[inline]
-    pub fn merge(self, env: &FpEnv, other: Accum) -> Self {
+    pub(crate) fn merge(self, env: &FpEnv, other: Accum) -> Self {
         match (self, other) {
             (Accum::F64(a), Accum::F64(b)) => Accum::F64(add(env, a, b)),
             (Accum::Ext(a), Accum::Ext(b)) => Accum::Ext(a + b),
@@ -156,7 +147,7 @@ impl Accum {
 
     /// Store to memory: round to `f64` (and flush).
     #[inline]
-    pub fn store(self, env: &FpEnv) -> f64 {
+    pub(crate) fn store(self, env: &FpEnv) -> f64 {
         match self {
             Accum::F64(a) => canon(env, a),
             Accum::Ext(a) => canon(env, a.to_f64()),
@@ -217,7 +208,10 @@ mod tests {
 
     #[test]
     fn ftz_flushes_subnormals() {
-        let e = FpEnv::strict().with_ftz(true);
+        let e = FpEnv {
+            flush_to_zero: true,
+            ..FpEnv::strict()
+        };
         let sub = f64::MIN_POSITIVE / 2.0;
         assert_eq!(canon(&e, sub), 0.0);
         assert_eq!(canon(&e, -sub), 0.0);
@@ -235,8 +229,8 @@ mod tests {
         let ext = FpEnv::strict().with_extended(true);
         let std = FpEnv::strict();
         // 1 + 1e-17 - 1: plain f64 loses the small term, extended keeps it.
-        let a_std = Accum::new(&std, 1.0).add(&std, 1e-17).sub(&std, 1.0);
-        let a_ext = Accum::new(&ext, 1.0).add(&ext, 1e-17).sub(&ext, 1.0);
+        let a_std = Accum::new(&std, 1.0).add(&std, 1e-17).add(&std, -1.0);
+        let a_ext = Accum::new(&ext, 1.0).add(&ext, 1e-17).add(&ext, -1.0);
         assert_eq!(a_std.store(&std), 0.0);
         assert_eq!(a_ext.store(&ext), 1e-17);
     }

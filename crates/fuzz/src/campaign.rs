@@ -97,7 +97,7 @@ impl CampaignResult {
 
 /// Seeds from the checked-in corpus file (`crates/fuzz/corpus.txt`):
 /// known-interesting seeds that run before the requested range.
-pub fn corpus_seeds() -> Vec<u64> {
+pub(crate) fn corpus_seeds() -> Vec<u64> {
     include_str!("../corpus.txt")
         .lines()
         .filter_map(|l| {

@@ -19,7 +19,7 @@
 //!    and the observed divergences, and flag the ABI hazard exactly
 //!    when the linker does.
 //!
-//! Divergent seeds feed a delta-debugging shrinker ([`shrink::shrink`])
+//! Divergent seeds feed a delta-debugging shrinker (`shrink::shrink`)
 //! that minimizes the planted spec and emits a self-contained fixture
 //! snippet. The campaign driver ([`campaign::run_campaign`]) surfaces
 //! as `flit fuzz --seeds A..B`.
@@ -29,7 +29,5 @@ pub mod oracle;
 pub mod pairs;
 pub mod shrink;
 
-pub use campaign::{corpus_seeds, render_report, run_campaign, CampaignConfig, CampaignResult};
-pub use oracle::{check_seed, check_spec, OracleConfig, SeedVerdict};
-pub use pairs::{pair_for_seed, pair_menu, FuzzPair};
-pub use shrink::{shrink, ShrinkResult};
+pub use campaign::{render_report, run_campaign, CampaignConfig, CampaignResult};
+pub use oracle::{check_seed, OracleConfig, SeedVerdict};

@@ -91,14 +91,14 @@ pub struct SeedVerdict {
 
 impl SeedVerdict {
     /// Did every oracle layer agree with the ground truth?
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.divergences.is_empty()
     }
 }
 
 /// The planted blame set under a pair: files and symbols of every site
 /// whose kernel feels this pair's env diff.
-pub fn expected_blame(
+pub(crate) fn expected_blame(
     planted: &PlantedCodebase,
     pair: &FuzzPair,
 ) -> (BTreeSet<usize>, BTreeSet<String>) {
@@ -171,7 +171,7 @@ fn killing_compare(budget: usize) -> impl Fn(&[f64], &[f64]) -> f64 + Sync {
 
 /// Run the oracle against an explicit spec (the shrinker re-enters
 /// here with mutated specs).
-pub fn check_spec(seed: u64, spec: &PlantedSpec, cfg: &OracleConfig) -> SeedVerdict {
+pub(crate) fn check_spec(seed: u64, spec: &PlantedSpec, cfg: &OracleConfig) -> SeedVerdict {
     let planted = plant(spec);
     let pair = pair_for_seed(seed);
     let (expected_files, expected_symbols) = expected_blame(&planted, &pair);

@@ -2,7 +2,7 @@
 //! table*: which plantable kernels actually feel each pair's FpEnv
 //! difference. The table is engineered (not measured at campaign time)
 //! and pinned against the fpsim ground truth by
-//! [`tests::hit_tables_match_the_dynamic_truth`] — if the environment
+//! `tests::hit_tables_match_the_dynamic_truth` — if the environment
 //! derivation or a kernel's numerics ever drift, that unit test breaks,
 //! not a thousand campaign seeds.
 
@@ -16,7 +16,7 @@ use flit_toolchain::flags::Switch;
 /// bisections link with the baseline driver (g++), exactly as
 /// `flit bisect` does.
 #[derive(Debug, Clone)]
-pub struct FuzzPair {
+pub(crate) struct FuzzPair {
     /// Short name for reports and shrunk fixtures.
     pub name: &'static str,
     /// The variable compilation.
@@ -53,7 +53,7 @@ const GCC_FMA_HITS: &[PlantKernel] = &[Dot, MatVec, Rank1, Norm, Poly, Chaotic, 
 const ICPC_FAST2_HITS: &[PlantKernel] = &[Dot, MatVec, Norm, Cg, Div];
 
 /// The full pair menu.
-pub fn pair_menu() -> Vec<FuzzPair> {
+pub(crate) fn pair_menu() -> Vec<FuzzPair> {
     vec![
         FuzzPair {
             name: "gcc-unsafe",
@@ -86,7 +86,7 @@ pub fn pair_menu() -> Vec<FuzzPair> {
 
 /// The pair a seed bisects: round-robin over the menu, so every third
 /// seed exercises the ABI-hazard path.
-pub fn pair_for_seed(seed: u64) -> FuzzPair {
+pub(crate) fn pair_for_seed(seed: u64) -> FuzzPair {
     let mut menu = pair_menu();
     menu.swap_remove((seed % menu.len() as u64) as usize)
 }

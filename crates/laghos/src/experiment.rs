@@ -19,7 +19,7 @@ pub const LAGHOS_INPUT: [f64; 2] = [0.42, 0.77];
 /// Scale factor mapping the proxy's unit-scale energy field onto the
 /// paper's reported ℓ2 magnitudes (the motivating example quotes the
 /// energy norm as 129,664.9 under the trusted compilation).
-pub const ENERGY_SCALE: f64 = 63_000.0;
+pub(crate) const ENERGY_SCALE: f64 = 63_000.0;
 
 /// The three trusted baselines of Table 4.
 pub fn table4_baselines() -> Vec<(String, Compilation)> {

@@ -17,17 +17,17 @@ use flit_program::sites::{Injection, SiteCtx};
 use flit_toolchain::perf::KernelClass;
 
 /// Fields per element record.
-pub const ELEM_WIDTH: usize = 4;
+pub(crate) const ELEM_WIDTH: usize = 4;
 /// Lower bound every field is clamped to.
-pub const FLOOR: f64 = 0.05;
+pub(crate) const FLOOR: f64 = 0.05;
 /// Upper bound every field is clamped to.
-pub const CEIL: f64 = 1.95;
+pub(crate) const CEIL: f64 = 1.95;
 
 /// An element-loop kernel: a straight-line body applied per element,
 /// lexically repeated `corners` times — the way the real LULESH kernels
 /// unroll over hexahedron corners and faces (each unrolled copy is its
 /// own set of static instructions).
-pub struct ElemLoopKernel {
+pub(crate) struct ElemLoopKernel {
     /// Function name (matches the LULESH source symbol).
     pub name: &'static str,
     /// The per-corner body. Must be branch-free so every iteration
@@ -96,14 +96,14 @@ fn clamp(ctx: &mut SiteCtx, v: f64) -> f64 {
 // ---------------------------------------------------------------------
 
 /// Nodal driver body: mild smoothing of coordinates against velocity.
-pub fn lagrange_nodal(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn lagrange_nodal(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dt = 0.0107;
     let xn = ctx.mul_add(e[1], dt, e[0]);
     e[0] = clamp(ctx, xn);
 }
 
 /// Force accumulation driver: couples pressure-like energy into force.
-pub fn calc_force_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_force_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
     let stress = ctx.mul_add(e[2], -0.731, e[3]);
     let f = ctx.mul(stress, 0.25);
     let vn = ctx.add(e[1], f);
@@ -111,7 +111,7 @@ pub fn calc_force_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Stress-term force: σ = −p − q integrated over faces.
-pub fn calc_volume_force_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_volume_force_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let p = ctx.mul(e[2], 0.617);
     let sigma = ctx.sub(-0.0, p);
     let sigma = ctx.sub(sigma, e[3]);
@@ -123,7 +123,7 @@ pub fn calc_volume_force_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// a = F/m with a nodal mass derived from the coordinate field.
-pub fn calc_acceleration_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_acceleration_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
     let mass = ctx.add(e[0], 0.731);
     let accel = ctx.div(e[1], mass);
     let damped = ctx.mul(accel, 0.0625);
@@ -132,7 +132,7 @@ pub fn calc_acceleration_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// v += a·dt with a velocity cutoff (u_cut in real LULESH).
-pub fn calc_velocity_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_velocity_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dt = 0.0093;
     let dv = ctx.mul(e[1], dt);
     let vn = ctx.add(e[1], dv);
@@ -141,7 +141,7 @@ pub fn calc_velocity_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// x += v·dt.
-pub fn calc_position_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_position_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dt = 0.0093;
     let xn = ctx.mul_add(e[1], dt, e[0]);
     e[0] = clamp(ctx, xn);
@@ -152,7 +152,7 @@ pub fn calc_position_for_nodes(ctx: &mut SiteCtx, e: &mut [f64]) {
 // ---------------------------------------------------------------------
 
 /// Element driver: relaxes energy toward the kinetic field.
-pub fn lagrange_elements(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn lagrange_elements(ctx: &mut SiteCtx, e: &mut [f64]) {
     let ke = ctx.mul(e[1], e[1]);
     let blend = ctx.mul_add(ke, 0.125, e[2]);
     let en = ctx.mul(blend, 0.888);
@@ -160,7 +160,7 @@ pub fn lagrange_elements(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Kinematics: strain rates from the deformation field.
-pub fn calc_kinematics_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_kinematics_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dvol = ctx.sub(e[0], e[1]);
     let rate = ctx.mul(dvol, 0.43);
     let denom = ctx.add(e[0], 0.311);
@@ -172,7 +172,7 @@ pub fn calc_kinematics_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Q gradients: monotonic gradient estimate for the viscosity.
-pub fn calc_monotonic_q_gradients(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_monotonic_q_gradients(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dv = ctx.sub(e[1], e[3]);
     let norm = ctx.add(e[0], 0.233);
     let grad = ctx.div(dv, norm);
@@ -183,7 +183,7 @@ pub fn calc_monotonic_q_gradients(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Q region: the qlin/qquad viscosity update.
-pub fn calc_monotonic_q_region(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_monotonic_q_region(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dvel = ctx.sub(e[1], 0.5);
     let qlin = ctx.mul(dvel, 0.17);
     let qquad = ctx.mul(dvel, dvel);
@@ -197,7 +197,7 @@ pub fn calc_monotonic_q_region(ctx: &mut SiteCtx, e: &mut [f64]) {
 
 /// EOS pressure: a linear-in-compression pressure with a floor
 /// (p_min in the real code).
-pub fn calc_pressure_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_pressure_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let relvol = ctx.add(e[0], 0.5);
     let invvol = ctx.div(1.0, relvol);
     let compression = ctx.sub(invvol, 0.667);
@@ -211,7 +211,7 @@ pub fn calc_pressure_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 
 /// EOS energy: the iterative e_new refinement, unrolled (the real
 /// CalcEnergyForElems performs several corrector passes).
-pub fn calc_energy_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_energy_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     // Pass 1.
     let work = ctx.mul(e[3], 0.043);
     let e1 = ctx.sub(e[2], work);
@@ -232,7 +232,7 @@ pub fn calc_energy_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Sound speed: c = sqrt(γ·p/ρ)-shaped.
-pub fn calc_sound_speed_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_sound_speed_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let rho = ctx.add(e[0], 0.41);
     let p = ctx.mul(e[2], 0.63);
     let ratio = ctx.div(p, rho);
@@ -243,7 +243,7 @@ pub fn calc_sound_speed_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Apply material properties: EOS preamble with volume error bounds.
-pub fn apply_material_properties(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn apply_material_properties(ctx: &mut SiteCtx, e: &mut [f64]) {
     let vol = ctx.max(e[0], 0.12);
     let vol = ctx.min(vol, 1.88);
     let rest = ctx.mul(e[0], 0.95);
@@ -252,7 +252,7 @@ pub fn apply_material_properties(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// EvalEOS driver body: mixes compression history.
-pub fn eval_eos_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn eval_eos_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let relvol = ctx.add(e[0], 0.52);
     let comp = ctx.div(1.0, relvol);
     let delta = ctx.sub(comp, 0.66);
@@ -261,7 +261,7 @@ pub fn eval_eos_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// v_new = v·(1 + dvov) with the volume cut.
-pub fn update_volumes_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn update_volumes_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dvov = ctx.mul(e[1], 0.021);
     let vn = ctx.mul_add(e[0], dvov, e[0]);
     let cut = ctx.max(vn, 0.11);
@@ -269,7 +269,7 @@ pub fn update_volumes_for_elems(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Courant constraint: dt ≤ ℓ/(c + |vdov|·ℓ)-shaped.
-pub fn calc_courant_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_courant_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
     let e_shift = ctx.add(e[2], 0.09);
     let c = ctx.sqrt(e_shift);
     let ell = ctx.add(e[0], 0.21);
@@ -280,7 +280,7 @@ pub fn calc_courant_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Hydro constraint: dt ≤ dvovmax guard.
-pub fn calc_hydro_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_hydro_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dvov = ctx.mul(e[1], 0.067);
     let mag = ctx.max(dvov, 0.011);
     let dt = ctx.div(0.31, mag);
@@ -290,7 +290,7 @@ pub fn calc_hydro_constraint(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Time-constraint driver body.
-pub fn calc_time_constraints(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_time_constraints(ctx: &mut SiteCtx, e: &mut [f64]) {
     let eterm = ctx.mul(e[2], 0.02);
     let blend = ctx.mul_add(e[3], 0.06, eterm);
     let vn = ctx.add(e[1], blend);
@@ -303,7 +303,7 @@ pub fn calc_time_constraints(ctx: &mut SiteCtx, e: &mut [f64]) {
 
 /// Shape-function derivatives: the 8-node hexahedron Jacobian, heavily
 /// unrolled in the real code; `static inline` in lulesh.cc.
-pub fn calc_elem_shape_function_derivatives(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_shape_function_derivatives(ctx: &mut SiteCtx, e: &mut [f64]) {
     // Jacobian columns from the element fields (a 3x3-ish reduction).
     let j0 = ctx.sub(e[0], e[1]);
     let j1 = ctx.sub(e[1], e[2]);
@@ -323,7 +323,7 @@ pub fn calc_elem_shape_function_derivatives(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Element volume: the triple-product volume formula (static).
-pub fn calc_elem_volume(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_volume(ctx: &mut SiteCtx, e: &mut [f64]) {
     let d1 = ctx.sub(e[1], e[0]);
     let d2 = ctx.sub(e[2], e[0]);
     let d3 = ctx.sub(e[3], e[0]);
@@ -340,7 +340,7 @@ pub fn calc_elem_volume(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Face-normal accumulation (static SumElemFaceNormal).
-pub fn sum_elem_face_normal(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn sum_elem_face_normal(ctx: &mut SiteCtx, e: &mut [f64]) {
     let bisect_x = ctx.add(e[0], e[1]);
     let bisect_y = ctx.add(e[2], e[3]);
     let ax = ctx.mul(bisect_x, 0.25);
@@ -351,7 +351,7 @@ pub fn sum_elem_face_normal(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Nodal force gather (static CalcElemNodalForce-alike).
-pub fn calc_elem_nodal_force(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_nodal_force(ctx: &mut SiteCtx, e: &mut [f64]) {
     let fx = ctx.mul(e[2], 0.311);
     let fy = ctx.mul(e[3], 0.177);
     let f = ctx.sub(fx, fy);
@@ -360,7 +360,7 @@ pub fn calc_elem_nodal_force(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Velocity gradient (static CalcElemVelocityGradient).
-pub fn calc_elem_velocity_gradient(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_velocity_gradient(ctx: &mut SiteCtx, e: &mut [f64]) {
     let dv = ctx.sub(e[1], e[3]);
     let detj = ctx.add(e[0], 0.37);
     let inv_det = ctx.div(1.0, detj);
@@ -372,7 +372,7 @@ pub fn calc_elem_velocity_gradient(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Face area (static AreaFace).
-pub fn area_face(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn area_face(ctx: &mut SiteCtx, e: &mut [f64]) {
     let fx = ctx.sub(e[0], e[2]);
     let gx = ctx.sub(e[1], e[3]);
     let f2 = ctx.mul(fx, fx);
@@ -386,7 +386,7 @@ pub fn area_face(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Characteristic length (static CalcElemCharacteristicLength).
-pub fn calc_elem_characteristic_length(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_characteristic_length(ctx: &mut SiteCtx, e: &mut [f64]) {
     let a = ctx.mul(e[0], e[0]);
     let vol = ctx.mul(e[0], a);
     let area = ctx.max(a, 0.019);
@@ -399,7 +399,7 @@ pub fn calc_elem_characteristic_length(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Volume derivative (static VoluDer).
-pub fn volu_der(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn volu_der(ctx: &mut SiteCtx, e: &mut [f64]) {
     let s1 = ctx.add(e[1], e[2]);
     let s2 = ctx.add(e[2], e[3]);
     let p = ctx.mul(s1, s2);
@@ -414,7 +414,7 @@ pub fn volu_der(ctx: &mut SiteCtx, e: &mut [f64]) {
 // ---------------------------------------------------------------------
 
 /// Hourglass force driver (dead: the proxy mesh stays regular).
-pub fn calc_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
     let h0 = ctx.sub(e[0], e[1]);
     let h1 = ctx.sub(e[1], e[2]);
     let h2 = ctx.sub(e[2], e[3]);
@@ -432,7 +432,7 @@ pub fn calc_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
 
 /// Per-element hourglass force (static, reachable only from the dead
 /// driver).
-pub fn calc_elem_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn calc_elem_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
     let hgfx = ctx.mul(e[0], 0.11);
     let hgfy = ctx.mul(e[1], 0.13);
     let hgfz = ctx.mul(e[2], 0.17);
@@ -444,7 +444,7 @@ pub fn calc_elem_fb_hourglass_force(ctx: &mut SiteCtx, e: &mut [f64]) {
 
 /// Initial stress terms (dead: only used at t = 0, before the driver's
 /// measurement window).
-pub fn init_stress_terms(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn init_stress_terms(ctx: &mut SiteCtx, e: &mut [f64]) {
     let p0 = ctx.mul(e[2], 0.5);
     let sig = ctx.sub(-0.0, p0);
     let en = ctx.mul_add(sig, -0.08, e[2]);
@@ -452,7 +452,7 @@ pub fn init_stress_terms(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Ghost-exchange packing arithmetic (dead: single-domain run).
-pub fn comm_send_pos_vel(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn comm_send_pos_vel(ctx: &mut SiteCtx, e: &mut [f64]) {
     let half_v = ctx.mul(e[1], 0.5);
     let packed = ctx.mul_add(e[0], 0.5, half_v);
     let vn = ctx.add(packed, 0.001);
@@ -460,7 +460,7 @@ pub fn comm_send_pos_vel(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Energy-sync reduction for ghost cells (dead).
-pub fn comm_sync_energy(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn comm_sync_energy(ctx: &mut SiteCtx, e: &mut [f64]) {
     let pair = ctx.add(e[2], e[3]);
     let avg = ctx.mul(pair, 0.5);
     let en = ctx.mul_add(avg, 0.02, e[2]);
@@ -468,7 +468,7 @@ pub fn comm_sync_energy(ctx: &mut SiteCtx, e: &mut [f64]) {
 }
 
 /// Visualization dump scaling (dead).
-pub fn dump_to_visit(ctx: &mut SiteCtx, e: &mut [f64]) {
+pub(crate) fn dump_to_visit(ctx: &mut SiteCtx, e: &mut [f64]) {
     let scaled = ctx.mul(e[2], 100.0);
     let shifted = ctx.add(scaled, 1.0);
     let back = ctx.div(shifted, 101.0);
@@ -479,7 +479,7 @@ pub fn dump_to_visit(ctx: &mut SiteCtx, e: &mut [f64]) {
 /// exact static FP-instruction count (a long dead EOS table — see
 /// `program::PAD_TERMS`). Each term is a distinct lexical operation,
 /// like an unrolled loop in the source.
-pub struct PaddedSeries {
+pub(crate) struct PaddedSeries {
     /// Symbol name.
     pub name: &'static str,
     /// Number of unrolled fused multiply-add terms.

@@ -11,7 +11,7 @@ use flit_core::test::DriverTest;
 use flit_program::model::Driver;
 
 /// Mesh size used by every example.
-pub const STATE_SIZE: usize = 64;
+pub(crate) const STATE_SIZE: usize = 64;
 
 /// Which examples can be wrapped for the MPI study (§3.6: "only 17 of
 /// the 19 tests were able to be easily wrapped so that the FLiT
@@ -33,7 +33,7 @@ fn padding() -> Vec<String> {
 }
 
 /// The entry sequence of one example.
-pub fn example_entries(example: usize) -> Vec<String> {
+pub(crate) fn example_entries(example: usize) -> Vec<String> {
     let own: Vec<&str> = match example {
         // Diffusion with CG: classic dot-product-sensitive pipeline.
         1 => vec!["MassIntegrator_Assemble", "CGSolver_Mult", "Vector_Norml2"],

@@ -10,7 +10,7 @@ use flit_program::model::{Function, SourceFile};
 
 /// The handwritten source files (the rest of the codebase is generated
 /// filler — see [`crate::codebase`]).
-pub fn interesting_files() -> Vec<SourceFile> {
+pub(crate) fn interesting_files() -> Vec<SourceFile> {
     vec![
         SourceFile::new(
             "linalg/vector.cpp",

@@ -60,7 +60,7 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
 /// is percent-encoded as `%XX`. The empty id maps to `%`, which no
 /// other id produces. Distinct tenants therefore never share a
 /// directory, and so never share a journal.
-pub fn sanitize_tenant(tenant: &str) -> String {
+pub(crate) fn sanitize_tenant(tenant: &str) -> String {
     if tenant.is_empty() {
         return "%".into();
     }
@@ -240,22 +240,6 @@ pub fn decode_framed<T: Deserialize>(line: &str) -> Result<T, CodecError> {
     serde_json::from_str(payload).map_err(|e| CodecError::Parse(e.to_string()))
 }
 
-/// FNV-1a 128-bit digest of `bytes`, rendered as 32 lowercase hex
-/// digits. Used to key cross-search memo entries on canonical link
-/// recipes; 128 bits keeps accidental collisions out of reach for the
-/// table sizes a workflow produces.
-pub fn fnv128_hex(bytes: &[u8]) -> String {
-    // FNV-1a 128: offset basis and prime from the FNV spec.
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    format!("{h:032x}")
-}
-
 /// Incremental FNV-1a 128 hasher for digesting structured content
 /// without intermediate allocation.
 #[derive(Debug, Clone)]
@@ -278,7 +262,7 @@ impl Fnv128 {
     }
 
     /// Fold `bytes` into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         const PRIME: u128 = 0x0000000001000000000000000000013b;
         for &b in bytes {
             self.state ^= b as u128;
@@ -321,6 +305,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    /// One-shot FNV-1a 128-bit digest of `bytes`, rendered as 32
+    /// lowercase hex digits: the reference the streaming `Fnv128` is
+    /// checked against.
+    fn fnv128_hex(bytes: &[u8]) -> String {
+        // FNV-1a 128: offset basis and prime from the FNV spec.
+        const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+        const PRIME: u128 = 0x0000000001000000000000000000013b;
+        let mut h = OFFSET;
+        for &b in bytes {
+            h ^= b as u128;
+            h = h.wrapping_mul(PRIME);
+        }
+        format!("{h:032x}")
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

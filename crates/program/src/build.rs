@@ -61,7 +61,7 @@ impl<'p> Build<'p> {
     }
 
     /// Compile one file under this build.
-    pub fn object(&self, file_id: usize, pic: bool) -> flit_toolchain::object::ObjectFile {
+    pub(crate) fn object(&self, file_id: usize, pic: bool) -> flit_toolchain::object::ObjectFile {
         let mut comp = self.compilation.clone();
         if pic {
             comp = comp.with_pic();
@@ -73,7 +73,7 @@ impl<'p> Build<'p> {
 
     /// Compile one file through a build context (cache-aware form of
     /// [`Build::object`]).
-    pub fn object_in(
+    pub(crate) fn object_in(
         &self,
         ctx: &BuildCtx,
         file_id: usize,
@@ -97,7 +97,7 @@ impl<'p> Build<'p> {
     }
 
     /// Compile every file through a build context.
-    pub fn all_objects_in(&self, ctx: &BuildCtx) -> Vec<flit_toolchain::object::ObjectFile> {
+    pub(crate) fn all_objects_in(&self, ctx: &BuildCtx) -> Vec<flit_toolchain::object::ObjectFile> {
         (0..self.program.files.len())
             .map(|i| self.object_in(ctx, i, false))
             .collect()
@@ -257,23 +257,6 @@ pub fn symbol_mixed_executable_in(
 /// before Symbol Bisect descends (§2.3: "the target file is recompiled
 /// with this flag, and the result is checked"): the whole target file
 /// from the variable build at `-fPIC`, everything else baseline.
-pub fn pic_probe_executable(
-    baseline: &Build,
-    variable: &Build,
-    target_file: usize,
-    driver: CompilerKind,
-) -> Result<Executable, LinkError> {
-    pic_probe_executable_in(
-        baseline,
-        variable,
-        target_file,
-        driver,
-        &BuildCtx::uncached(),
-    )
-    .map(unwrap_arc)
-}
-
-/// Cache-aware form of [`pic_probe_executable`].
 pub fn pic_probe_executable_in(
     baseline: &Build,
     variable: &Build,
@@ -436,7 +419,9 @@ mod tests {
             symbol_mixed_executable_in(&base, &var, 0, &picked, CompilerKind::Gcc, &ctx).unwrap();
         assert_eq!(s_cached.objects, s_plain.objects);
 
-        let p_plain = pic_probe_executable(&base, &var, 0, CompilerKind::Gcc).unwrap();
+        let p_plain =
+            pic_probe_executable_in(&base, &var, 0, CompilerKind::Gcc, &BuildCtx::uncached())
+                .unwrap();
         let p_cached = pic_probe_executable_in(&base, &var, 0, CompilerKind::Gcc, &ctx).unwrap();
         assert_eq!(p_cached.objects, p_plain.objects);
 
@@ -479,7 +464,9 @@ mod tests {
         let out = Engine::new(&p, &mixed).run(&d, &[0.4]).unwrap();
         assert_ne!(out.output, base_out.output);
         // …but the -fPIC probe reproduces the baseline bitwise.
-        let probe = pic_probe_executable(&base, &ext, 0, CompilerKind::Gcc).unwrap();
+        let probe =
+            pic_probe_executable_in(&base, &ext, 0, CompilerKind::Gcc, &BuildCtx::uncached())
+                .unwrap();
         let out_pic = Engine::new(&p, &probe).run(&d, &[0.4]).unwrap();
         assert_eq!(out_pic.output, base_out.output);
     }

@@ -48,17 +48,6 @@ impl TimingProfile {
         }
     }
 
-    /// The aggregated `(compilation, class, base seconds)` entries.
-    pub fn entries(&self) -> &[(Compilation, KernelClass, f64)] {
-        &self.entries
-    }
-
-    /// Total base seconds (equals the run's deterministic `seconds` up
-    /// to f64 summation order).
-    pub fn total_seconds(&self) -> f64 {
-        self.entries.iter().map(|(_, _, s)| s).sum()
-    }
-
     /// Draw `n` whole-run timing samples from the seeded noise model.
     /// Byte-deterministic given the seed.
     pub fn samples(&self, seed: u64, n: u32) -> Vec<f64> {
@@ -325,6 +314,14 @@ mod tests {
     use flit_toolchain::compiler::{CompilerKind, OptLevel};
     use flit_toolchain::flags::Switch;
 
+    impl TimingProfile {
+        /// Total base seconds (equals the run's deterministic `seconds` up
+        /// to f64 summation order).
+        fn total_seconds(&self) -> f64 {
+            self.entries.iter().map(|(_, _, s)| s).sum()
+        }
+    }
+
     fn program() -> SimProgram {
         SimProgram::new(
             "engine-test",
@@ -522,7 +519,7 @@ mod tests {
         );
         // A uniform build aggregates by (compilation, class): every
         // executed kernel in this fixture is DotHeavy, so one entry.
-        assert_eq!(profile.entries().len(), 1);
+        assert_eq!(profile.entries.len(), 1);
     }
 
     #[test]
@@ -565,11 +562,8 @@ mod tests {
         let (_, profile) = Engine::new(&p, &mixed)
             .run_with_profile(&driver(), &[0.5])
             .unwrap();
-        let comps: std::collections::BTreeSet<String> = profile
-            .entries()
-            .iter()
-            .map(|(c, _, _)| c.label())
-            .collect();
+        let comps: std::collections::BTreeSet<String> =
+            profile.entries.iter().map(|(c, _, _)| c.label()).collect();
         assert_eq!(comps.len(), 2, "both compilations appear: {comps:?}");
     }
 

@@ -55,7 +55,7 @@ impl SplitMix {
     }
 
     /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -235,7 +235,7 @@ pub enum PlantShape {
 
 impl PlantShape {
     /// Every plantable shape.
-    pub const ALL: [PlantShape; 4] = [
+    pub(crate) const ALL: [PlantShape; 4] = [
         PlantShape::ExportedEntry,
         PlantShape::ExportedInlinable,
         PlantShape::StaticBehindWrapper,
@@ -432,25 +432,25 @@ pub fn random_planted(seed: u64) -> PlantedSpec {
     }
 }
 
-/// Count functions by visibility in a set of files.
-pub fn count_by_visibility(files: &[SourceFile]) -> (usize, usize) {
-    let mut exported = 0;
-    let mut statics = 0;
-    for file in files {
-        for f in &file.functions {
-            match f.visibility {
-                Visibility::Exported => exported += 1,
-                Visibility::Static => statics += 1,
-            }
-        }
-    }
-    (exported, statics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::SimProgram;
+
+    /// Count functions by visibility in a set of files.
+    fn count_by_visibility(files: &[SourceFile]) -> (usize, usize) {
+        let mut exported = 0;
+        let mut statics = 0;
+        for file in files {
+            for f in &file.functions {
+                match f.visibility {
+                    Visibility::Exported => exported += 1,
+                    Visibility::Static => statics += 1,
+                }
+            }
+        }
+        (exported, statics)
+    }
 
     #[test]
     fn generation_is_deterministic() {

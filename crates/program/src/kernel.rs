@@ -652,7 +652,7 @@ impl Kernel {
     }
 
     /// Abstract work units for the performance model.
-    pub fn work(&self, state_len: usize) -> f64 {
+    pub(crate) fn work(&self, state_len: usize) -> f64 {
         let n = state_len.max(1) as f64;
         match self {
             Kernel::DotMix { .. } => 4.0 * n,
@@ -676,7 +676,7 @@ impl Kernel {
     }
 
     /// Kernel class for the performance model.
-    pub fn class(&self) -> KernelClass {
+    pub(crate) fn class(&self) -> KernelClass {
         match self {
             Kernel::DotMix { .. }
             | Kernel::DotMixReproducible { .. }
@@ -697,7 +697,7 @@ impl Kernel {
     }
 
     /// Diagnostic name.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             Kernel::DotMix { .. } => "dot_mix".into(),
             Kernel::DotMixReproducible { .. } => "dot_mix_reproducible".into(),

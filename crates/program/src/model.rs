@@ -281,7 +281,7 @@ impl SimProgram {
     }
 
     /// Compile one file under a compilation, producing its object file.
-    pub fn compile_file(&self, file_id: usize, comp: &Compilation, pic: bool) -> ObjectFile {
+    pub(crate) fn compile_file(&self, file_id: usize, comp: &Compilation, pic: bool) -> ObjectFile {
         let file = &self.files[file_id];
         ObjectFile {
             file_id,

@@ -44,7 +44,7 @@ impl InjectOp {
 
     /// Apply the perturbation to an operand.
     #[inline]
-    pub fn apply(self, x: f64, eps: f64) -> f64 {
+    pub(crate) fn apply(self, x: f64, eps: f64) -> f64 {
         // Additive perturbations are scaled to sit far below the data
         // (like the paper's 1e-100 example but large enough to survive
         // double rounding); multiplicative ones hug 1.0.
@@ -206,11 +206,6 @@ impl<'a> SiteCtx<'a> {
         } else {
             b
         }
-    }
-
-    /// The environment this context evaluates under.
-    pub fn env(&self) -> &FpEnv {
-        self.env
     }
 }
 

@@ -107,7 +107,7 @@ impl MeanVar {
     /// Compute mean and variance; returns `None` on an empty sample or
     /// any non-finite value (timing samples are always finite — a
     /// non-finite one is a caller bug worth surfacing as absence).
-    pub fn of(xs: &[f64]) -> Option<MeanVar> {
+    pub(crate) fn of(xs: &[f64]) -> Option<MeanVar> {
         if xs.is_empty() || xs.iter().any(|x| !x.is_finite()) {
             return None;
         }
@@ -122,7 +122,7 @@ impl MeanVar {
     }
 
     /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
+    pub(crate) fn std_err(&self) -> f64 {
         (self.var / self.n as f64).sqrt()
     }
 }
@@ -285,7 +285,7 @@ fn verdict_of(t: f64, p: f64, alpha: f64) -> Verdict {
 }
 
 /// CDF of Student's t distribution with `df` degrees of freedom.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
+pub(crate) fn t_cdf(t: f64, df: f64) -> f64 {
     if df <= 0.0 {
         return f64::NAN;
     }
@@ -304,7 +304,7 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 /// Quantile (inverse CDF) of Student's t distribution, by bisection on
 /// [`t_cdf`] — deterministic and monotone, ~60 iterations to f64
 /// precision.
-pub fn t_quantile(p: f64, df: f64) -> f64 {
+pub(crate) fn t_quantile(p: f64, df: f64) -> f64 {
     if df <= 0.0 || !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }

@@ -50,19 +50,8 @@ impl Table {
         self
     }
 
-    /// Append a row of string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -144,6 +133,20 @@ pub fn fmt_f64(x: f64, prec: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        /// Number of data rows (`pub(crate)`: other modules' tests count
+        /// rows too).
+        pub(crate) fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// Append a row of string slices.
+        fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
+            let owned: Vec<String> = cells.iter().map(ToString::to_string).collect();
+            self.row(&owned)
+        }
+    }
 
     #[test]
     fn renders_with_alignment() {

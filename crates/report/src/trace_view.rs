@@ -14,7 +14,7 @@ use crate::table::{fmt_f64, Align, Table};
 
 /// Per-phase span rollup: count, total logical cost, total wall-unit
 /// duration.
-pub fn phase_summary(trace: &Trace) -> Table {
+pub(crate) fn phase_summary(trace: &Trace) -> Table {
     let mut t = Table::new(&["phase", "spans", "cost", "wall units"])
         .with_title("Trace summary by phase")
         .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);
@@ -33,7 +33,7 @@ pub fn phase_summary(trace: &Trace) -> Table {
 }
 
 /// The `top` slowest sweep compilations by wall-unit duration.
-pub fn slowest_compilations(trace: &Trace, top: usize) -> Table {
+pub(crate) fn slowest_compilations(trace: &Trace, top: usize) -> Table {
     let mut t = Table::new(&["compilation", "records", "wall units"])
         .with_title(format!("Slowest sweep compilations (top {top})"))
         .with_aligns(&[Align::Left, Align::Right, Align::Right]);
@@ -45,7 +45,7 @@ pub fn slowest_compilations(trace: &Trace, top: usize) -> Table {
 
 /// Bisect executions per level: reference runs, file-level Test runs,
 /// `-fPIC` probes, symbol-level Test runs, and the total.
-pub fn bisect_executions(trace: &Trace) -> Table {
+pub(crate) fn bisect_executions(trace: &Trace) -> Table {
     let mut t = Table::new(&["level", "executions"])
         .with_title("Bisect executions by level")
         .with_aligns(&[Align::Left, Align::Right]);
@@ -71,7 +71,7 @@ pub fn bisect_executions(trace: &Trace) -> Table {
 /// busiest width. A serial search is a single width-1 row; wider
 /// backends spread waves to the right. Empty when the trace holds no
 /// waves.
-pub fn frontier_widths(trace: &Trace) -> Table {
+pub(crate) fn frontier_widths(trace: &Trace) -> Table {
     let mut t = Table::new(&["width", "waves", "queries", ""])
         .with_title("Bisect frontier width histogram")
         .with_aligns(&[Align::Right, Align::Right, Align::Right, Align::Left]);
@@ -93,7 +93,7 @@ pub fn frontier_widths(trace: &Trace) -> Table {
 
 /// Build-cache effectiveness: requests, hits and hit rate for the
 /// object cache and the link memo.
-pub fn cache_hit_rates(trace: &Trace) -> Table {
+pub(crate) fn cache_hit_rates(trace: &Trace) -> Table {
     let mut t = Table::new(&["layer", "requests", "hits", "hit rate"])
         .with_title("Build-cache hit rates")
         .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);

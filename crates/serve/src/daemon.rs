@@ -3,7 +3,7 @@
 //!
 //! One [`std::net::TcpListener`] accept loop hands each connection to
 //! its own thread; `Submit` requests pass admission control, enter the
-//! deterministic [`FairQueue`], and are executed by a fixed pool of
+//! deterministic `FairQueue`, and are executed by a fixed pool of
 //! runner threads. Each job gets a *tenant* [`QueryLedger`] — journaled
 //! at [`flit_persist::tenant_journal_path`] so a killed daemon resumes
 //! every tenant from disk — chained upstream to a *fleet* ledger per
@@ -543,7 +543,7 @@ pub fn serve(
 /// connection. The shutdown path calls this itself after setting the
 /// stop flag; it is public for harnesses that stop a daemon by other
 /// means.
-pub fn wake_acceptor(addr: std::net::SocketAddr) {
+pub(crate) fn wake_acceptor(addr: std::net::SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 

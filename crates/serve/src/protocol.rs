@@ -67,7 +67,7 @@ pub enum Request {
 
 impl Request {
     /// The version the peer claimed to speak.
-    pub fn version(&self) -> u32 {
+    pub(crate) fn version(&self) -> u32 {
         match self {
             Request::Submit { version, .. }
             | Request::Status { version }

@@ -1,6 +1,6 @@
 //! Deterministic fair scheduling across tenants.
 //!
-//! [`FairQueue`] keeps one FIFO per tenant and serves them round-robin
+//! `FairQueue` keeps one FIFO per tenant and serves them round-robin
 //! in lexicographic tenant order. The next item to dispatch is a pure
 //! function of the queue contents and the last-served tenant — no
 //! clocks, no randomness — so the daemon's dispatch order is
@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// A per-tenant round-robin queue.
 #[derive(Debug)]
-pub struct FairQueue<T> {
+pub(crate) struct FairQueue<T> {
     queues: BTreeMap<String, VecDeque<T>>,
     /// The tenant served last; the next pop starts strictly after it
     /// (wrapping), which is what makes the rotation fair.
@@ -28,7 +28,7 @@ impl<T> Default for FairQueue<T> {
 
 impl<T> FairQueue<T> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FairQueue {
             queues: BTreeMap::new(),
             last: None,
@@ -37,17 +37,17 @@ impl<T> FairQueue<T> {
     }
 
     /// Total queued items across all tenants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Enqueue `item` at the back of `tenant`'s FIFO.
-    pub fn push(&mut self, tenant: &str, item: T) {
+    pub(crate) fn push(&mut self, tenant: &str, item: T) {
         self.queues
             .entry(tenant.to_string())
             .or_default()
@@ -58,7 +58,7 @@ impl<T> FairQueue<T> {
     /// Dequeue the next item under the rotation: the first non-empty
     /// tenant strictly after the last-served one in lexicographic
     /// order, wrapping to the smallest. Within a tenant, FIFO.
-    pub fn pop(&mut self) -> Option<(String, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(String, T)> {
         if self.len == 0 {
             return None;
         }

@@ -176,11 +176,6 @@ impl BuildCtx {
         BuildCtx(None)
     }
 
-    /// Does this context reuse artifacts?
-    pub fn is_caching(&self) -> bool {
-        self.0.as_ref().is_some_and(|c| c.reuse)
-    }
-
     /// Snapshot of the work counters (all zero for an uncached
     /// context). Values are read from the registry-backed counters, so
     /// a context built with [`BuildCtx::cached_in`] reports exactly
@@ -315,6 +310,13 @@ mod tests {
     use crate::compiler::{CompilerKind, OptLevel};
     use crate::linker::link;
     use crate::object::{Linkage, SymbolEntry};
+
+    impl BuildCtx {
+        /// Does this context reuse artifacts?
+        fn is_caching(&self) -> bool {
+            self.0.as_ref().is_some_and(|c| c.reuse)
+        }
+    }
 
     fn key(file_id: usize, pic: bool) -> ObjectKey {
         ObjectKey {

@@ -62,7 +62,7 @@ impl Compilation {
     }
 
     /// Does this compilation include the given switch?
-    pub fn has(&self, s: Switch) -> bool {
+    pub(crate) fn has(&self, s: Switch) -> bool {
         self.switches.contains(&s)
     }
 
@@ -269,13 +269,6 @@ impl Compilation {
         };
         env
     }
-
-    /// Whether this compilation can produce results that differ from the
-    /// strict baseline on some kernel when linked by its own driver.
-    pub fn is_value_changing(&self) -> bool {
-        self.fp_env_linked(self.compiler)
-            != Compilation::baseline().fp_env_linked(CompilerKind::Gcc)
-    }
 }
 
 impl fmt::Display for Compilation {
@@ -308,6 +301,15 @@ pub fn mfem_matrix() -> Vec<Compilation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Compilation {
+        /// Whether this compilation can produce results that differ from the
+        /// strict baseline on some kernel when linked by its own driver.
+        fn is_value_changing(&self) -> bool {
+            self.fp_env_linked(self.compiler)
+                != Compilation::baseline().fp_env_linked(CompilerKind::Gcc)
+        }
+    }
 
     #[test]
     fn matrix_has_244_compilations() {

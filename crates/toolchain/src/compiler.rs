@@ -28,7 +28,7 @@ impl CompilerKind {
     }
 
     /// Version string matching the paper's Table 1 (xlc from §3.4).
-    pub fn version(self) -> &'static str {
+    pub(crate) fn version(self) -> &'static str {
         match self {
             CompilerKind::Gcc => "8.2.0",
             CompilerKind::Clang => "6.0.1",
@@ -74,10 +74,10 @@ pub enum OptLevel {
 
 impl OptLevel {
     /// All four levels, in order.
-    pub const ALL: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
+    pub(crate) const ALL: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
 
     /// Numeric level.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             OptLevel::O0 => 0,
             OptLevel::O1 => 1,
@@ -89,7 +89,7 @@ impl OptLevel {
     /// True if the optimizer runs at all (`-O1` and above). Several
     /// semantic effects (contraction, reassociation, FTZ setup) only
     /// kick in when it does.
-    pub fn optimizing(self) -> bool {
+    pub(crate) fn optimizing(self) -> bool {
         self != OptLevel::O0
     }
 }

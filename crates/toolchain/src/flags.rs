@@ -155,7 +155,7 @@ impl fmt::Display for Switch {
 /// The flag combinations swept for one compiler (each entry pairs with
 /// every optimization level). The first entry is always the empty
 /// combination.
-pub fn flag_catalog(compiler: CompilerKind) -> Vec<Vec<Switch>> {
+pub(crate) fn flag_catalog(compiler: CompilerKind) -> Vec<Vec<Switch>> {
     use Switch::*;
     match compiler {
         CompilerKind::Gcc => vec![

@@ -71,13 +71,6 @@ pub struct Executable {
 const ABI_CRASH_PER_MILLE: u64 = 8;
 
 impl Executable {
-    /// The [`FpEnv`] governing the definition of `symbol`, or `None` if
-    /// the symbol is not globally defined.
-    pub fn env_for(&self, symbol: &str) -> Option<FpEnv> {
-        let &idx = self.globals.get(symbol)?;
-        Some(self.env_of_object(idx))
-    }
-
     /// The [`FpEnv`] of object `idx` inside this executable (math
     /// library comes from the link step).
     pub fn env_of_object(&self, idx: usize) -> FpEnv {
@@ -194,6 +187,15 @@ mod tests {
     use crate::compiler::OptLevel;
     use crate::object::SymbolEntry;
     use std::collections::BTreeSet;
+
+    impl Executable {
+        /// The [`FpEnv`] governing the definition of `symbol`, or `None` if
+        /// the symbol is not globally defined.
+        fn env_for(&self, symbol: &str) -> Option<FpEnv> {
+            let &idx = self.globals.get(symbol)?;
+            Some(self.env_of_object(idx))
+        }
+    }
 
     fn obj(file_id: usize, compiler: CompilerKind, syms: &[(&str, Linkage)]) -> ObjectFile {
         ObjectFile {

@@ -59,18 +59,6 @@ pub struct ObjectFile {
 }
 
 impl ObjectFile {
-    /// All globally visible (strong or weak) symbol names, sorted.
-    pub fn exported_symbols(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .symbols
-            .iter()
-            .filter(|s| s.linkage != Linkage::Local)
-            .map(|s| s.name.as_str())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Linkage of `name` in this object, if defined.
     pub fn linkage_of(&self, name: &str) -> Option<Linkage> {
         self.symbols
@@ -111,6 +99,20 @@ impl ObjectFile {
 mod tests {
     use super::*;
     use crate::compiler::{CompilerKind, OptLevel};
+
+    impl ObjectFile {
+        /// All globally visible (strong or weak) symbol names, sorted.
+        fn exported_symbols(&self) -> Vec<&str> {
+            let mut v: Vec<&str> = self
+                .symbols
+                .iter()
+                .filter(|s| s.linkage != Linkage::Local)
+                .map(|s| s.name.as_str())
+                .collect();
+            v.sort_unstable();
+            v
+        }
+    }
 
     fn obj() -> ObjectFile {
         ObjectFile {

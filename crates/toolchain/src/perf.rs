@@ -178,7 +178,7 @@ fn flag_factor(comp: &Compilation, class: KernelClass) -> f64 {
 /// state vary run to run); dense compute is the tightest. Unoptimized
 /// builds run long enough that their *relative* noise is slightly
 /// calmer.
-pub fn noise_sigma(comp: &Compilation, class: KernelClass) -> f64 {
+pub(crate) fn noise_sigma(comp: &Compilation, class: KernelClass) -> f64 {
     let class_sigma = match class {
         KernelClass::Memory => 0.030,
         KernelClass::Branchy => 0.022,
@@ -196,7 +196,7 @@ pub fn noise_sigma(comp: &Compilation, class: KernelClass) -> f64 {
 }
 
 /// Multiplicative noise on one timing sample: `1 + σ·z`, where σ is
-/// [`noise_sigma`] and `z` is a standard-normal draw keyed on
+/// `noise_sigma` and `z` is a standard-normal draw keyed on
 /// `(class, seed, sample)`.
 ///
 /// The draw is *common-mode per kernel class*: two compilations timed

@@ -89,7 +89,7 @@ impl Trace {
     }
 
     /// All spans, in trace order.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
+    pub(crate) fn spans(&self) -> impl Iterator<Item = &Span> {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Span(s) => Some(s),
             TraceEvent::Counter { .. } => None,

@@ -30,7 +30,7 @@ impl Counter {
     /// A counter not registered anywhere: increments are recorded but
     /// only visible through this handle. Used by disabled trace sinks
     /// so call sites never need to branch.
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Counter::default()
     }
 

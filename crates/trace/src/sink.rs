@@ -29,7 +29,7 @@ struct SinkInner {
 /// A cheap cloneable trace handle.
 ///
 /// The default ([`TraceSink::disabled`]) records nothing and resolves
-/// [`Counter::detached`] counters, so instrumented code never branches
+/// `Counter::detached` counters, so instrumented code never branches
 /// on "is tracing on?". Clones share the same buffers and registry;
 /// the handle is `Send + Sync` and safe to use from worker threads.
 #[derive(Debug, Clone, Default)]
@@ -48,7 +48,7 @@ impl TraceSink {
 
     /// An enabled sink recording counters into an existing registry
     /// (e.g. one already shared with a `BuildCtx`).
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         TraceSink(Some(Arc::new(SinkInner {
             spans: Default::default(),
             registry,
@@ -67,7 +67,7 @@ impl TraceSink {
         self.0.as_ref().map(|i| i.registry.clone())
     }
 
-    /// Resolve a named counter ([`Counter::detached`] when disabled).
+    /// Resolve a named counter (`Counter::detached` when disabled).
     pub fn counter(&self, name: &str) -> Counter {
         match &self.0 {
             Some(inner) => inner.registry.counter(name),

@@ -74,7 +74,7 @@ fn main() {
     }
     println!(
         "[2] recorded {} combination schedules from one execution",
-        log.len()
+        log.recorded()
     );
 
     // Step 3: under replay, the determinism gate passes…

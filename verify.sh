@@ -6,6 +6,9 @@
 # `./verify.sh --fuzz` runs a time-boxed differential fuzz campaign
 # (the corpus plus a fixed seed range) through the release CLI; any
 # unexplained divergence from the planted blame sets fails the script.
+# `./verify.sh --dead` fails on a `pub` item nothing outside its crate
+# uses; `./verify.sh --golden [--bless]` compares the pinned outputs
+# with tests/golden/ (each section below says how).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -115,6 +118,98 @@ if [[ "${1:-}" == "--quick" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "--dead" ]]; then
+  # Dead-`pub` scan. rustc's dead_code lint ignores anything reachable as
+  # public API, so this finds the uses of each `pub` item itself: in a
+  # copy of the tree, every non-test `pub fn|struct|enum|trait|const|
+  # type|static` under crates/*/src (not src/bin, not main.rs) gets a
+  # `#[deprecated(note = "dead-scan <file>:<line>")]`, every `pub use` an
+  # `#[allow(deprecated)]` (a re-export is not a use), and the
+  # `use of deprecated` warnings of `cargo check --all-targets` on the
+  # workspace and on flitbench/ are the use sites. It fails on
+  #   - a `pub fn|const|static` used nowhere outside its crate's src/
+  #     (src/bin and main.rs count as outside): make it `pub(crate)`;
+  #   - a `pub struct|enum|trait|type` used nowhere but its crate's unit
+  #     tests. Own-crate uses keep a type `pub`, because another crate
+  #     can hold a value of it without naming it.
+  # Unit tests are the lines from a file's first `#[cfg(test)]` on.
+  scan=$PWD/target/dead-scan
+  tree=$scan/tree
+  rm -rf "$tree"
+  mkdir -p "$tree"
+  git ls-files -co --exclude-standard -z | tar --null -cf - -T - | tar -xf - -C "$tree"
+  cd "$tree"
+  echo "== dead: mark every non-test pub item =="
+  find crates/*/src -name '*.rs' ! -path '*/src/bin/*' ! -name main.rs | sort > "$scan/files"
+  : > "$scan/items"
+  : > "$scan/cfgtest"
+  while read -r f; do
+    awk -v items="$scan/items" '
+      /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+      !test && /^[[:space:]]*pub use / { print ind() "#[allow(deprecated)]" }
+      !test && /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|const|type|static) / {
+        kind = $0
+        sub(/^[[:space:]]*pub (const |async |unsafe )*/, "", kind)
+        sub(/ .*/, "", kind)
+        if ($0 ~ /^[[:space:]]*pub const fn /) kind = "fn"
+        print FILENAME ":" FNR " " kind >> items
+        print ind() "#[deprecated(note = \"dead-scan " FILENAME ":" FNR "\")]"
+      }
+      { print }
+      function ind() { match($0, /^[[:space:]]*/); return substr($0, 1, RLENGTH) }
+    ' "$f" > "$f.marked"
+    mv "$f.marked" "$f"
+    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { print f, FNR; exit }' "$f" >> "$scan/cfgtest"
+  done < "$scan/files"
+  echo "$(wc -l < "$scan/items") pub items marked"
+  echo "== dead: collect use sites (workspace and flitbench/, all targets) =="
+  export CARGO_TARGET_DIR=$scan/target
+  unset RUSTFLAGS
+  cargo check --offline --all-targets --workspace --message-format=short 2> "$scan/ws.log" \
+    || { cat "$scan/ws.log" >&2; exit 1; }
+  cargo check --offline --all-targets --manifest-path flitbench/Cargo.toml \
+    --message-format=short 2> "$scan/bench.log" || { cat "$scan/bench.log" >&2; exit 1; }
+  # flitbench/ prints its own files relative to flitbench/ and the
+  # crates by absolute path; its uses of the crates are already in ws.log.
+  grep -h 'warning: use of deprecated' "$scan/ws.log" > "$scan/uses" || true
+  grep -h 'warning: use of deprecated' "$scan/bench.log" | grep -v "^$tree/" \
+    | sed 's|^|flitbench/|' >> "$scan/uses" || true
+  echo "== dead: judge each item =="
+  dead=$(awk '
+    FILENAME == ARGV[1] { cfgtest[$1] = $2; next }
+    FILENAME == ARGV[2] { kind[$1] = $2; order[++n] = $1; next }
+    {
+      match($0, /dead-scan [^ ]+$/)
+      item = substr($0, RSTART + 10)
+      split($1, site, ":")
+      crate = item
+      sub(/src\/.*/, "src/", crate)
+      if (index(site[1], crate) != 1 || site[1] ~ /\/src\/bin\// || site[1] ~ /\/main\.rs$/) {
+        outside[item] = 1
+      } else if (!(site[1] in cfgtest) || site[2] + 0 < cfgtest[site[1]] + 0) {
+        own[item] = 1
+      }
+    }
+    END {
+      for (i = 1; i <= n; i++) {
+        it = order[i]
+        if (outside[it]) continue
+        if (kind[it] ~ /^(fn|const|static)$/)
+          print it " pub " kind[it] " used nowhere outside its crate"
+        else if (!own[it])
+          print it " pub " kind[it] " used by nothing but its unit tests"
+      }
+    }
+  ' "$scan/cfgtest" "$scan/items" "$scan/uses")
+  if [[ -n "$dead" ]]; then
+    echo "$dead"
+    echo "verify --dead: FAILED ($(wc -l <<< "$dead") pub items need pub(crate), test code or deletion)" >&2
+    exit 1
+  fi
+  echo "verify --dead: OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "--golden" ]]; then
   # Pinned outputs: every paper exhibit, the CLI workflows and two
   # examples run from release binaries, each in an empty directory, and
@@ -211,6 +306,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (warnings denied: public docs must not link to private items) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== cargo run --example quickstart =="
 cargo run --release --example quickstart
