@@ -7,9 +7,9 @@
 //! it suspends and returns the [`frontier`](PlanStep::Frontier): the one
 //! query the serial algorithm needs next (`required`), plus the
 //! speculative queries it would need soon on either branch of the
-//! pending split. The wave driver (`drive_plans`)
-//! evaluates a subset of the frontier on an execution backend — at
-//! width 1 just the required queries, wider with speculation too —
+//! pending split. The wave driver (`drive_plans`) evaluates a subset
+//! of the frontier on an execution backend — at width 1 just the
+//! required queries, wider with speculation too —
 //! feeds the answers back via [`BisectPlan::answer`], and steps again.
 //!
 //! Because every observable — found set, trace rows, execution count,

@@ -123,10 +123,11 @@ if [[ "${1:-}" == "--dead" ]]; then
   # public API, so this finds the uses of each `pub` item itself: in a
   # copy of the tree, every non-test `pub fn|struct|enum|trait|const|
   # type|static` under crates/*/src (not src/bin, not main.rs) gets a
-  # `#[deprecated(note = "dead-scan <file>:<line>")]`, every `pub use` an
-  # `#[allow(deprecated)]` (a re-export is not a use), and the
-  # `use of deprecated` warnings of `cargo check --all-targets` on the
-  # workspace and on flitbench/ are the use sites. It fails on
+  # `#[deprecated(note = "dead-scan <file>:<line>")]`, every `pub use`
+  # there an `#[allow(deprecated)]` (a re-export is not a use; the facade
+  # src/lib.rs is left as it is, so its prelude counts as a user), and
+  # the `use of deprecated` warnings of `cargo check --all-targets` on
+  # the workspace and on flitbench/ are the use sites. It fails on
   #   - a `pub fn|const|static` used nowhere outside its crate's src/
   #     (src/bin and main.rs count as outside): make it `pub(crate)`;
   #   - a `pub struct|enum|trait|type` used nowhere but its crate's unit
