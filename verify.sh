@@ -138,7 +138,10 @@ if [[ "${1:-}" == "--dead" ]]; then
   tree=$scan/tree
   rm -rf "$tree"
   mkdir -p "$tree"
-  git ls-files -co --exclude-standard -z | tar --null -cf - -T - | tar -xf - -C "$tree"
+  # Tracked and untracked files, not ignored ones (a tracked file deleted
+  # from the work tree is skipped).
+  git ls-files -co --exclude-standard -z \
+    | tar --null --ignore-failed-read -cf - -T - 2> /dev/null | tar -xf - -C "$tree"
   cd "$tree"
   echo "== dead: mark every non-test pub item =="
   find crates/*/src -name '*.rs' ! -path '*/src/bin/*' ! -name main.rs | sort > "$scan/files"
@@ -149,11 +152,14 @@ if [[ "${1:-}" == "--dead" ]]; then
       /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
       !test && /^[[:space:]]*pub use / { print ind() "#[allow(deprecated)]" }
       !test && /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|const|type|static) / {
-        kind = $0
-        sub(/^[[:space:]]*pub (const |async |unsafe )*/, "", kind)
+        decl = $0
+        sub(/^[[:space:]]*pub /, "", decl)
+        if (decl ~ /^(const |async |unsafe )+fn /) sub(/^(const |async |unsafe )+/, "", decl)
+        kind = decl
         sub(/ .*/, "", kind)
-        if ($0 ~ /^[[:space:]]*pub const fn /) kind = "fn"
-        print FILENAME ":" FNR " " kind >> items
+        name = substr(decl, length(kind) + 2)
+        match(name, /^[A-Za-z_][A-Za-z0-9_]*/)
+        print FILENAME ":" FNR " " kind " " substr(name, 1, RLENGTH) >> items
         print ind() "#[deprecated(note = \"dead-scan " FILENAME ":" FNR "\")]"
       }
       { print }
@@ -178,7 +184,7 @@ if [[ "${1:-}" == "--dead" ]]; then
   echo "== dead: judge each item =="
   dead=$(awk '
     FILENAME == ARGV[1] { cfgtest[$1] = $2; next }
-    FILENAME == ARGV[2] { kind[$1] = $2; order[++n] = $1; next }
+    FILENAME == ARGV[2] { kind[$1] = $2; name[$1] = $3; order[++n] = $1; next }
     {
       match($0, /dead-scan [^ ]+$/)
       item = substr($0, RSTART + 10)
@@ -196,9 +202,9 @@ if [[ "${1:-}" == "--dead" ]]; then
         it = order[i]
         if (outside[it]) continue
         if (kind[it] ~ /^(fn|const|static)$/)
-          print it " pub " kind[it] " used nowhere outside its crate"
+          print it ": pub " kind[it] " " name[it] " is used nowhere outside its crate"
         else if (!own[it])
-          print it " pub " kind[it] " used by nothing but its unit tests"
+          print it ": pub " kind[it] " " name[it] " is used by nothing but its unit tests"
       }
     }
   ' "$scan/cfgtest" "$scan/items" "$scan/uses")
@@ -226,6 +232,7 @@ if [[ "${1:-}" == "--golden" ]]; then
   if ! cargo test -q --release --offline -p flit-fpsim --lib \
       -- --ignored reference_libm_canary > /dev/null 2>&1; then
     echo "host libm differs from the one tests/golden/ was blessed on: byte comparison skipped"
+    # Blessing here would pin this host's bytes: refuse (exit 1).
     exit "$bless"
   fi
   cargo build -q --release --offline --workspace
